@@ -1,0 +1,10 @@
+"""Make the benchmark modules and the checkout's inaclink importable."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+import run  # noqa: E402
+
+run.use_checkout_library()
