@@ -9,7 +9,7 @@ navigation-oriented one on the uni-cast stream.
 
 import math
 
-from inaclink import McConfig, ScenarioConfig, capacity_hardened, mc_capacity
+from inaclink import McConfig, ScenarioConfig, capacity_hardened, mc_capacity, sample_cascaded_gains
 
 
 def main() -> None:
@@ -21,7 +21,8 @@ def main() -> None:
     for L in cfg.sweep_elements_cap:
         co = capacity_hardened(cfg.scenario(elements=L), "unicast")
         no = capacity_hardened(cfg.scenario(mode="NO", elements=L), "unicast")
-        est = mc_capacity(cfg.scenario(mode="NO", elements=L), "unicast", mc)
+        sc = cfg.scenario(mode="NO", elements=L)
+        est = mc_capacity(sample_cascaded_gains(sc.ris, sc.rician, mc), sc, "unicast")
         print(f"  {L:>6}  {co:>9.4f}  {no:>9.4f}  {co - no:>+9.4f}  {est.mean:>9.4f}")
     print()
 
@@ -35,9 +36,11 @@ def main() -> None:
     big = McConfig(trials=20_000, master_seed=12345)
     strong = cfg.scenario(elements=1024).with_tx_power(1e7)
     strong_no = cfg.scenario(mode="NO", elements=1024).with_tx_power(1e7)
+    # the mode changes the SINR, not the channel: one draw serves both
+    gains = sample_cascaded_gains(strong.ris, strong.rician, big)
     print("  Monte Carlo at L=1024 and extreme power:"
-          f" CO multi-cast {mc_capacity(strong, 'multicast', big).mean:.4f},"
-          f" NO uni-cast {mc_capacity(strong_no, 'unicast', big).mean:.4f}")
+          f" CO multi-cast {mc_capacity(gains, strong, 'multicast').mean:.4f},"
+          f" NO uni-cast {mc_capacity(gains, strong_no, 'unicast').mean:.4f}")
 
 
 if __name__ == "__main__":

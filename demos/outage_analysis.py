@@ -15,6 +15,7 @@ from inaclink import (
     outage_asymptotic,
     outage_closed_form,
     outage_threshold,
+    sample_cascaded_gains,
 )
 from inaclink.errors import RegionError
 
@@ -32,6 +33,8 @@ def main() -> None:
     }
     for mode in ("CO", "NO"):
         sc0 = cfg.scenario(mode=mode)
+        # transmit power scales the SINR, not the channel: one draw serves the band
+        gains = sample_cascaded_gains(sc0.ris, sc0.rician, mc)
         first = "multicast" if mode == "CO" else "unicast"
         print(f"mode {mode}: decodes the {first} signal first "
               f"(split {sc0.split.alpha_m_sq:.1f}/{sc0.split.alpha_u_sq:.1f})")
@@ -41,7 +44,7 @@ def main() -> None:
             for dbm in bands[(mode, signal)]:
                 sc = sc0.with_tx_power(10.0 ** (dbm / 10.0) * 1e-3)
                 cf = outage_closed_form(sc, signal).value
-                est = mc_outage(sc, signal, mc)
+                est = mc_outage(gains, sc, signal)
                 print(f"    {dbm:>5}  {cf:>12.4e}  {est.mean:>12.4e}")
         print()
 

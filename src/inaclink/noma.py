@@ -17,7 +17,7 @@ asymptotic form replaces erf by its Maclaurin series and is only valid while
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -31,11 +31,7 @@ from . import navigation, noma
 from .config import ScenarioConfig
 from .errors import NumericError
 from .geometry import OrbitGeometry, coverage_area, geocentric_angle, min_satellites
-from .montecarlo import (
-    outage_events,
-    sample_cascaded_gains,
-    wilson_half_width,
-)
+from .montecarlo import mc_capacity, mc_outage, sample_cascaded_gains
 from .noma import PowerSplit, Scenario
 
 __all__ = ["FIGURE_IDS", "SweepReport", "run_sweep", "emit_csv", "report_to_csv_text"]
@@ -111,13 +107,6 @@ def _asymptotic_or_none(sc: Scenario, signal: str):
         return None
 
 
-def _outage_point(gains: np.ndarray, sc: Scenario, signal: str) -> tuple[float, float]:
-    """(frequency, half-width) of the outage event over precomputed gains."""
-    n = gains.shape[0]
-    count = int(np.count_nonzero(outage_events(gains, sc, signal)))
-    return count / n, wilson_half_width(count, n)
-
-
 def _sweep_op_vs_power(cfg: ScenarioConfig) -> SweepReport:
     base = cfg.scenario()
     gains = sample_cascaded_gains(base.ris, base.rician, cfg.mc_config())
@@ -131,9 +120,9 @@ def _sweep_op_vs_power(cfg: ScenarioConfig) -> SweepReport:
         for sig in noma.SIGNALS:
             cols[f"{sig}_closed_form"].append(noma.outage_closed_form(sc, sig).value)
             cols[f"{sig}_asymptotic"].append(_asymptotic_or_none(sc, sig))
-            freq, hw = _outage_point(gains, sc, sig)
-            cols[f"{sig}_mc"].append(freq)
-            cols[f"{sig}_mc_half_width"].append(hw)
+            est = mc_outage(gains, sc, sig)
+            cols[f"{sig}_mc"].append(est.mean)
+            cols[f"{sig}_mc_half_width"].append(est.half_width)
     return SweepReport("op-vs-power", "tx_power_dbm", list(cfg.sweep_tx_power_dbm), cols)
 
 
@@ -149,21 +138,10 @@ def _sweep_op_vs_elements(cfg: ScenarioConfig) -> SweepReport:
         for sig in noma.SIGNALS:
             cols[f"{sig}_closed_form"].append(noma.outage_closed_form(sc, sig).value)
             cols[f"{sig}_asymptotic"].append(_asymptotic_or_none(sc, sig))
-            freq, hw = _outage_point(gains, sc, sig)
-            cols[f"{sig}_mc"].append(freq)
-            cols[f"{sig}_mc_half_width"].append(hw)
+            est = mc_outage(gains, sc, sig)
+            cols[f"{sig}_mc"].append(est.mean)
+            cols[f"{sig}_mc_half_width"].append(est.half_width)
     return SweepReport("op-vs-elements", "elements", list(cfg.sweep_elements_op), cols)
-
-
-def _capacity_point(gains: np.ndarray, sc: Scenario, signal: str) -> tuple[float, float]:
-    if sc.mode == "CO":
-        sinr = noma.sinr_co_multicast(gains, sc) if signal == "multicast" else noma.sinr_co_unicast(gains, sc)
-    else:
-        sinr = noma.sinr_no_multicast(gains, sc) if signal == "multicast" else noma.sinr_no_unicast(gains, sc)
-    rates = np.log2(1.0 + sinr)
-    n = rates.shape[0]
-    hw = 1.959963984540054 * float(np.std(rates, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return float(np.mean(rates)), hw
 
 
 def _sweep_cap_vs_power(cfg: ScenarioConfig) -> SweepReport:
@@ -178,9 +156,9 @@ def _sweep_cap_vs_power(cfg: ScenarioConfig) -> SweepReport:
         sc = base.with_tx_power(10.0 ** (dbm / 10.0) * 1e-3)
         for sig in noma.SIGNALS:
             cols[f"{sig}_hardened"].append(noma.capacity_hardened(sc, sig))
-            mean, hw = _capacity_point(gains, sc, sig)
-            cols[f"{sig}_mc"].append(mean)
-            cols[f"{sig}_mc_half_width"].append(hw)
+            est = mc_capacity(gains, sc, sig)
+            cols[f"{sig}_mc"].append(est.mean)
+            cols[f"{sig}_mc_half_width"].append(est.half_width)
     return SweepReport("cap-vs-power", "tx_power_dbm", list(cfg.sweep_tx_power_dbm), cols)
 
 
@@ -206,9 +184,9 @@ def _sweep_cap_vs_elements(cfg: ScenarioConfig) -> SweepReport:
         sc = cfg.scenario(elements=L)
         gains = sample_cascaded_gains(sc.ris, sc.rician, cfg.mc_config())
         for sig in noma.SIGNALS:
-            mean, hw = _capacity_point(gains, sc, sig)
-            cols[f"{sig}_mc"].append(mean)
-            cols[f"{sig}_mc_half_width"].append(hw)
+            est = mc_capacity(gains, sc, sig)
+            cols[f"{sig}_mc"].append(est.mean)
+            cols[f"{sig}_mc_half_width"].append(est.half_width)
     return SweepReport("cap-vs-elements", "elements", list(cfg.sweep_elements_cap), cols)
 
 
@@ -226,9 +204,9 @@ def _sweep_outage_vs_split(cfg: ScenarioConfig) -> SweepReport:
         sc = replace(base, split=split)
         for sig in noma.SIGNALS:
             cols[f"{sig}_closed_form"].append(noma.outage_closed_form(sc, sig).value)
-            freq, hw = _outage_point(gains, sc, sig)
-            cols[f"{sig}_mc"].append(freq)
-            cols[f"{sig}_mc_half_width"].append(hw)
+            est = mc_outage(gains, sc, sig)
+            cols[f"{sig}_mc"].append(est.mean)
+            cols[f"{sig}_mc_half_width"].append(est.half_width)
     return SweepReport("outage-vs-split", "alpha_u_sq", list(cfg.sweep_alpha_u_sq), cols)
 
 
@@ -288,17 +266,19 @@ def _sweep_nav_accuracy(cfg: ScenarioConfig) -> SweepReport:
     truth_state = np.append(scene.true_user, navigation.SPEED_OF_LIGHT * scene.clock_bias)
     clean_rho = navigation.predicted_pseudoranges(scene, truth_state)
     ctrl = navigation.LsmControl(iters=12, loss=1e-6)
+    # the RMSE depends on sigma alone, and cells on the chip floor share one
+    rmse_by_sigma = {math.inf: math.inf}
 
     def rmse(sigma: float):
-        if math.isinf(sigma):
-            return math.inf
-        sq = 0.0
-        for i in range(reps):
-            pr = navigation.PseudorangeSet(rho=clean_rho + sigma * noise[i], sigma=np.full(4, sigma))
-            fix = navigation.lsm_solve(pr, scene, ctrl)
-            err = fix.position - scene.true_user
-            sq += float(err @ err)
-        return math.sqrt(sq / reps)
+        if sigma not in rmse_by_sigma:
+            sq = 0.0
+            for i in range(reps):
+                pr = navigation.PseudorangeSet(rho=clean_rho + sigma * noise[i], sigma=np.full(4, sigma))
+                fix = navigation.lsm_solve(pr, scene, ctrl)
+                err = fix.position - scene.true_user
+                sq += float(err @ err)
+            rmse_by_sigma[sigma] = math.sqrt(sq / reps)
+        return rmse_by_sigma[sigma]
 
     cols: dict[str, list] = {"co_sigma_m": [], "co_rmse_m": [], "no_sigma_m": [], "no_rmse_m": []}
     for L in cfg.sweep_nav_elements:

@@ -1,10 +1,13 @@
-"""End-to-end command-line checks through a real subprocess."""
+"""End-to-end command-line checks through a real subprocess, or in-process
+where a test counts the calls a command makes."""
 
 import subprocess
 import sys
 from types import SimpleNamespace
 
 import pytest
+
+from inaclink import cli, navigation
 
 CLI = [sys.executable, "-m", "inaclink.cli"]
 
@@ -63,6 +66,18 @@ class TestSimulate:
         cf = float(table["unicast_op_closed_form"])
         hw = float(table["unicast_op_mc_half_width"])
         assert abs(mc - cf) <= max(0.01, 3.0 * hw)
+
+    def test_draws_the_gains_once(self, monkeypatch, tmp_path):
+        calls = []
+        sample = cli.sample_cascaded_gains
+
+        def counted(*args):
+            calls.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(cli, "sample_cascaded_gains", counted)
+        assert cli.main(["simulate", "--trials", "2000", "--out", str(tmp_path / "sim.csv")]) == 0
+        assert len(calls) == 1
 
 
 class TestPosition:
@@ -133,6 +148,24 @@ class TestReproduce:
         run_cli("reproduce", "op-vs-power", "--trials", "4000", "--out", str(a))
         run_cli("reproduce", "op-vs-power", "--trials", "4000", "--seed", "9", "--out", str(b))
         assert a.read_bytes() != b.read_bytes()
+
+    def test_nav_accuracy_solves_each_sigma_once(self, monkeypatch, tmp_path):
+        cfg, out = tmp_path / "nav.cfg", tmp_path / "nav.csv"
+        cfg.write_text("nav.repetitions = 3\n", encoding="utf-8")
+        calls = []
+        solve = navigation.lsm_solve
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(navigation, "lsm_solve", counted)
+        assert cli.main(["reproduce", "nav-accuracy", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text(encoding="utf-8").splitlines()[1:]]
+        # columns: elements, co_sigma_m, co_rmse_m, no_sigma_m, no_rmse_m
+        sigmas = {float(row[i]) for row in rows for i in (1, 3)} - {float("inf")}
+        assert len(sigmas) == 6  # 12 finite cells: the chip floor repeats
+        assert len(calls) == 3 * len(sigmas)
 
 
 class TestConstellationCommand:

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -32,18 +33,22 @@ class TestDeterminism:
         b = sample_cascaded_gains(RIS64, RICIAN, mc)
         assert np.array_equal(a, b)
 
-    def test_batch_size_does_not_change_the_stream(self):
-        # batch = 7 makes 43 blocks, sampled concurrently when more than one
-        # CPU is usable; the single block of the second run is sampled serially
-        a = sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=300, master_seed=7, batch=7))
+    def test_batch_size_does_not_change_the_stream(self, monkeypatch):
+        # the single block of the first run is sampled serially; batch = 7
+        # makes 43 blocks, sampled concurrently when more than one CPU is
+        # usable once the split floor is lowered below this small call
         b = sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=300, master_seed=7, batch=100_000))
+        monkeypatch.setattr(montecarlo, "_MIN_SPLIT_DOUBLES", 0)
+        a = sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=300, master_seed=7, batch=7))
         assert np.array_equal(a, b)
 
     def test_more_workers_than_cores_keep_the_stream(self, monkeypatch):
         # blocks write disjoint slices of one array; with 8 workers and a
-        # short switch interval, a lost or misplaced block would show
-        monkeypatch.setattr(montecarlo, "_WORKERS", 8)
+        # short switch interval, a lost or misplaced block would show (the
+        # serial reference is below the split floor, the threaded run is not)
         serial = sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=400, master_seed=11, batch=100_000))
+        monkeypatch.setattr(montecarlo, "_WORKERS", 8)
+        monkeypatch.setattr(montecarlo, "_MIN_SPLIT_DOUBLES", 0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -51,6 +56,38 @@ class TestDeterminism:
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(threaded, serial)
+
+    def test_one_block_call_is_split_across_cpus(self, monkeypatch):
+        # 5000 trials at L = 128 fit in one block of the memory cap; with two
+        # usable CPUs the call is still split in two, bit-identical to serial
+        ris, mc = RisArray(128, 1.0), McConfig(trials=5_000, master_seed=12345)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+        serial = sample_cascaded_gains(ris, RICIAN, mc)
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        split = sample_cascaded_gains(ris, RICIAN, mc)
+        assert pools == [2]
+        assert np.array_equal(split, serial)
+
+    def test_small_calls_start_no_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was created")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        # one trial, even one that draws as many doubles as the floor
+        sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=1))
+        sample_cascaded_gains(RisArray(montecarlo._MIN_SPLIT_DOUBLES // 4, 1.0), RICIAN, McConfig(trials=1))
+        # one trial short of the floor, with blocks small enough to split
+        below = montecarlo._MIN_SPLIT_DOUBLES // (4 * 64) - 1
+        sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=below, batch=7))
 
     def test_trial_i_is_a_fixed_substream(self):
         # extending the run must not disturb earlier trials
@@ -110,7 +147,7 @@ class TestOutageAndCapacity:
     def test_mc_outage_matches_closed_form(self):
         cfg = ScenarioConfig()
         sc = cfg.scenario()
-        est = mc_outage(sc, "unicast", cfg.mc_config())
+        est = mc_outage(sample_cascaded_gains(sc.ris, sc.rician, cfg.mc_config()), sc, "unicast")
         cf = outage_closed_form(sc, "unicast").value
         assert est.trials == 20_000
         assert abs(est.mean - cf) <= max(0.01, 3.0 * est.half_width)
@@ -121,7 +158,7 @@ class TestOutageAndCapacity:
         mc = cfg.mc_config(trials=5_000)
         gains = sample_cascaded_gains(sc.ris, sc.rician, mc)
         freq = np.count_nonzero(outage_events(gains, sc, "unicast")) / mc.trials
-        assert mc_outage(sc, "unicast", mc).mean == freq
+        assert mc_outage(gains, sc, "unicast").mean == freq
 
     def test_second_decode_includes_first_stage_failures(self):
         cfg = ScenarioConfig()
@@ -136,7 +173,7 @@ class TestOutageAndCapacity:
     def test_vanishing_power_forces_outage(self):
         cfg = ScenarioConfig()
         sc = cfg.scenario().with_tx_power(1e-12)
-        est = mc_outage(sc, "multicast", cfg.mc_config(trials=1_000))
+        est = mc_outage(sample_cascaded_gains(sc.ris, sc.rician, cfg.mc_config(trials=1_000)), sc, "multicast")
         assert est.mean == 1.0
 
     def test_mc_capacity_tracks_hardened_limit_at_scale(self):
@@ -144,13 +181,14 @@ class TestOutageAndCapacity:
 
         cfg = ScenarioConfig(elements=1024)
         sc = cfg.scenario().with_tx_power(1e7)
-        est = mc_capacity(sc, "multicast", cfg.mc_config(trials=2_000))
+        est = mc_capacity(sample_cascaded_gains(sc.ris, sc.rician, cfg.mc_config(trials=2_000)), sc, "multicast")
         assert est.mean == pytest.approx(capacity_hardened(sc, "multicast"), abs=0.05)
         assert est.half_width > 0.0
 
     def test_single_trial_has_zero_half_width(self):
         cfg = ScenarioConfig()
-        est = mc_capacity(cfg.scenario(), "unicast", cfg.mc_config(trials=1))
+        sc = cfg.scenario()
+        est = mc_capacity(sample_cascaded_gains(sc.ris, sc.rician, cfg.mc_config(trials=1)), sc, "unicast")
         assert est.half_width == 0.0
 
     def test_moments_only_scenario_cannot_be_sampled(self):
@@ -158,7 +196,7 @@ class TestOutageAndCapacity:
 
         sc = replace(ScenarioConfig().scenario(), ris=None, rician=None)
         with pytest.raises(ValueError):
-            mc_outage(sc, "multicast", McConfig(trials=100))
+            sample_cascaded_gains(sc.ris, sc.rician, McConfig(trials=100))
 
 
 class TestWilson:
