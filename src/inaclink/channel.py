@@ -6,7 +6,7 @@ mean m = sqrt(pi / (4 (1+K))) L_{1/2}(-K) and variance v = 1 - m^2; the CLT
 then gives the sum a normal law with
 
     m3 = beta L m1 m2
-    v3 = beta L (m1^2 v2 + m2^2 v1 + v1 v2)
+    v3 = beta^2 L (m1^2 v2 + m2^2 v1 + v1 v2)
 
 and the squared sum (the power gain) the folded-normal law of specialfn.
 """
@@ -96,7 +96,7 @@ def cascaded_moments(ris: RisArray, rp: RicianParams) -> ChannelMoments:
         m2=m2,
         v2=v2,
         m3=beta_l * m1 * m2,
-        v3=beta_l * (m1 * m1 * v2 + m2 * m2 * v1 + v1 * v2),
+        v3=ris.amplitude * beta_l * (m1 * m1 * v2 + m2 * m2 * v1 + v1 * v2),
     )
 
 

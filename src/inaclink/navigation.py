@@ -4,8 +4,19 @@ The receiver sees four measurements: three direct navigation-satellite
 pseudoranges and one RIS-relayed link whose satellite-RIS leg r_tauR is a
 known constant subtracted by the receiver, leaving a RIS-anchored range.
 The solver linearizes the range model at the current state estimate
-(x, y, z, c dt) and applies normal-equation Gauss-Newton steps from a cold
-start at the origin.
+(x, y, z, c dt) and applies Gauss-Newton steps from a cold start at the
+origin; each step is the least-squares solution of the 4x4 linearized system
+by `np.linalg.lstsq` (LAPACK's SVD-based gelsd), not a normal-equation solve.
+
+`lsm_solve` builds its design matrix and model pseudoranges inline, but its
+arithmetic is that of `design_row` and `predicted_pseudoranges`, so a fix is
+bit-identical to the row-by-row loop: same state bytes, iteration count and
+final cost.  That holds only because each range keeps its own norm.  The
+design rows and the RIS-relayed range take |d| as sqrt(d . d) (what a 1-D
+`np.linalg.norm` does); the three direct ranges take it as
+sqrt(np.add.reduce(d * d, axis=1)) (what `norm(axis=1)` does).  The two sum
+in a different order and can differ in the last bit (on about one random row
+in ten with numpy 2.4 and OpenBLAS on x86-64).
 
 SNR enters through a delay-estimation noise model: sigma scales as
 1/sqrt(SNR) down to a code-resolution floor, so navigation accuracy
@@ -124,11 +135,17 @@ class LsmControl:
 
 @dataclass(frozen=True)
 class PositionFix:
-    """Solved state (x, y, z, c dt in meters), iterations used, final cost."""
+    """Solved state (x, y, z, c dt in meters), iterations used, final cost.
+
+    `converged` is True iff the final cost is below the control's loss
+    threshold; a fix that ran to the iteration cap without getting there
+    is returned as it stands, with `converged` False.
+    """
 
     state: np.ndarray
     iterations_used: int
     final_cost: float
+    converged: bool
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "state", np.asarray(self.state, dtype=float))
@@ -194,29 +211,41 @@ def lsm_solve(pr: PseudorangeSet, scene: NavScene, ctrl: LsmControl = LsmControl
 
     Each iteration evaluates the residual b = rho - predicted(x); if its
     quadratic cost is below ctrl.loss the state is accepted, otherwise the
-    normal-equation step dx = (U^T U)^{-1} U^T b is applied, with U the
-    stacked design rows.  Only the known geometry of the scene (satellite
-    and RIS positions) is used; truth fields never leak into the solve.
+    step dx = argmin |U dx - b| is applied, with U the stacked design rows,
+    solved by `np.linalg.lstsq` (SVD).  After ctrl.iters steps the cost at
+    the last state is reported as it stands.  Only the known geometry of
+    the scene (satellite and RIS positions) is used; truth fields never
+    leak into the solve.  Bit-identical to stacking `design_row` and
+    calling `predicted_pseudoranges` each iteration (see the module notes).
     """
-    x = ctrl.x0.copy()
     anchors = scene.anchors()
-    iterations = ctrl.iters
-    cost = math.inf
-    for k in range(1, ctrl.iters + 1):
-        b = pr.rho - predicted_pseudoranges(scene, x)
+    r_tau_r = scene.r_tau_r
+    rho = pr.rho
+    diff = np.empty((4, 3))  # linearization point minus each anchor
+    predicted = np.empty(4)
+    u = np.ones((4, 4))  # design matrix; the clock column stays ones
+    x = ctrl.x0.copy()
+    for k in range(1, ctrl.iters + 2):  # pass iters + 1 only scores the last step
+        np.subtract(x[:3], anchors, out=diff)
+        # |d| as sqrt(d . d), as design_row takes it: a stacked (1x3)(3x1)
+        # matmul runs the same dot kernel as a 1-D ndarray.dot, row by row
+        r = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]).ravel())
+        sats = diff[:3]  # direct ranges: norm(axis=1)'s form, as predicted_pseudoranges takes it
+        predicted[:3] = np.sqrt(np.add.reduce(sats * sats, axis=1)) + x[3]
+        predicted[3] = r_tau_r + r[3] + x[3]
+        b = rho - predicted
         cost = float(b @ b)
-        if cost < ctrl.loss:
-            iterations = k
+        if cost < ctrl.loss or k > ctrl.iters:
             break
-        u = np.vstack([design_row(anchor, x[:3]) for anchor in anchors])
+        if not r.all():
+            raise DegenerateGeometryError("linearization point coincides with the anchor")
+        np.divide(diff, r[:, None], out=u[:, :3])
         dx, _, rank, _ = np.linalg.lstsq(u, b, rcond=None)
         if rank < 4:
             raise DegenerateGeometryError("design matrix is rank deficient")
         x = x + dx
-    else:
-        b = pr.rho - predicted_pseudoranges(scene, x)
-        cost = float(b @ b)
-    return PositionFix(state=x, iterations_used=iterations, final_cost=cost)
+    return PositionFix(state=x, iterations_used=min(k, ctrl.iters), final_cost=cost,
+                       converged=cost < ctrl.loss)
 
 
 def dilution_of_precision(scene: NavScene, state: np.ndarray | None = None) -> tuple[float, float]:

@@ -29,7 +29,7 @@ from numpy.random import Generator, Philox
 
 from . import navigation, noma
 from .config import ScenarioConfig
-from .errors import NumericError
+from .errors import DegenerateGeometryError, NumericError
 from .geometry import OrbitGeometry, coverage_area, geocentric_angle, min_satellites
 from .montecarlo import mc_capacity, mc_outage, sample_cascaded_gains
 from .noma import PowerSplit, Scenario
@@ -272,12 +272,15 @@ def _sweep_nav_accuracy(cfg: ScenarioConfig) -> SweepReport:
     def rmse(sigma: float):
         if sigma not in rmse_by_sigma:
             sq = 0.0
-            for i in range(reps):
-                pr = navigation.PseudorangeSet(rho=clean_rho + sigma * noise[i], sigma=np.full(4, sigma))
-                fix = navigation.lsm_solve(pr, scene, ctrl)
-                err = fix.position - scene.true_user
-                sq += float(err @ err)
-            rmse_by_sigma[sigma] = math.sqrt(sq / reps)
+            try:
+                for i in range(reps):
+                    pr = navigation.PseudorangeSet(rho=clean_rho + sigma * noise[i], sigma=np.full(4, sigma))
+                    fix = navigation.lsm_solve(pr, scene, ctrl)
+                    err = fix.position - scene.true_user
+                    sq += float(err @ err)
+                rmse_by_sigma[sigma] = math.sqrt(sq / reps)
+            except DegenerateGeometryError:
+                rmse_by_sigma[sigma] = None  # NA: a solve at this sigma hit a degenerate geometry
         return rmse_by_sigma[sigma]
 
     cols: dict[str, list] = {"co_sigma_m": [], "co_rmse_m": [], "no_sigma_m": [], "no_rmse_m": []}

@@ -125,6 +125,16 @@ class TestSampledMoments:
         se = np.std(gains, ddof=1) / math.sqrt(gains.size)
         assert np.mean(gains) == pytest.approx(cm.m3**2 + cm.v3, abs=4.0 * se)
 
+    def test_mean_gain_matches_analytic_mean_below_unit_amplitude(self):
+        # the sum scales by beta, so v3 by beta^2; a v3 scaled by beta alone
+        # would sit 6.5 standard errors above this mean at beta = 0.5
+        ris = RisArray(num_elements=64, amplitude=0.5)
+        mc = McConfig(trials=20_000, master_seed=12345)
+        gains = sample_cascaded_gains(ris, RICIAN, mc)
+        cm = cascaded_moments(ris, RICIAN)
+        se = np.std(gains, ddof=1) / math.sqrt(gains.size)
+        assert np.mean(gains) == pytest.approx(cm.m3**2 + cm.v3, abs=4.0 * se)
+
     def test_amplitude_scaling_is_exact(self):
         mc = McConfig(trials=200, master_seed=5)
         full = sample_cascaded_gains(RisArray(16, 1.0), RICIAN, mc)

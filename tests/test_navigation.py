@@ -24,6 +24,32 @@ def noiseless_measurements(scene):
     return PseudorangeSet(rho=predicted_pseudoranges(scene, truth), sigma=np.zeros(4))
 
 
+def _reference_lsm_solve(pr, scene, ctrl=LsmControl()):
+    """The row-by-row Gauss-Newton loop that `lsm_solve` must match bit for bit.
+
+    Returns (state, iterations_used, final_cost).
+    """
+    x = ctrl.x0.copy()
+    anchors = scene.anchors()
+    iterations = ctrl.iters
+    cost = math.inf
+    for k in range(1, ctrl.iters + 1):
+        b = pr.rho - predicted_pseudoranges(scene, x)
+        cost = float(b @ b)
+        if cost < ctrl.loss:
+            iterations = k
+            break
+        u = np.vstack([design_row(anchor, x[:3]) for anchor in anchors])
+        dx, _, rank, _ = np.linalg.lstsq(u, b, rcond=None)
+        if rank < 4:
+            raise DegenerateGeometryError("design matrix is rank deficient")
+        x = x + dx
+    else:
+        b = pr.rho - predicted_pseudoranges(scene, x)
+        cost = float(b @ b)
+    return x, iterations, cost
+
+
 class TestNavScene:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -169,6 +195,17 @@ class TestSolver:
         fix = lsm_solve(pr, scene, LsmControl(iters=3, loss=1e-6))
         assert fix.iterations_used == 3
         assert math.isfinite(fix.final_cost)
+        assert not fix.converged
+
+    def test_noiseless_cold_start_converges(self):
+        scene = default_scene()
+        assert lsm_solve(noiseless_measurements(scene), scene).converged
+
+    def test_start_on_an_anchor_is_degenerate(self):
+        scene = default_scene()
+        ctrl = LsmControl(x0=np.append(scene.ris_position, 0.0))
+        with pytest.raises(DegenerateGeometryError, match="coincides with the anchor"):
+            lsm_solve(noiseless_measurements(scene), scene, ctrl)
 
     def test_residual_cost_at_truth_is_noise_power(self):
         scene = default_scene()
@@ -203,6 +240,36 @@ class TestSolver:
             LsmControl(loss=0.0)
         with pytest.raises(ValueError):
             LsmControl(x0=np.zeros(3))
+
+
+class TestBitIdentity:
+    """`lsm_solve` against the row-by-row loop: same bytes, not just close."""
+
+    CASES = [
+        pytest.param(lambda: default_scene(), LsmControl(), id="default"),
+        pytest.param(lambda: default_scene().translated([1000.0, -2000.0, 500.0]), LsmControl(), id="translated"),
+        pytest.param(lambda: default_scene(), LsmControl(iters=12), id="iters-12"),
+    ]
+
+    @pytest.mark.parametrize("make_scene, ctrl", CASES)
+    def test_matches_the_row_by_row_loop(self, make_scene, ctrl):
+        scene = make_scene()
+        snr_db = np.linspace(-30.0, 10.0, 200)
+        capped = early = 0
+        for seed, snr in enumerate(snr_db):
+            sigma = range_noise_from_snr(10.0 ** (snr / 10.0), 30e6)
+            pr = synthesize_pseudoranges(scene, sigma, np.random.default_rng(seed))
+            state, iterations, cost = _reference_lsm_solve(pr, scene, ctrl)
+            fix = lsm_solve(pr, scene, ctrl)
+            assert fix.state.tobytes() == state.tobytes()
+            assert fix.iterations_used == iterations
+            assert fix.final_cost == cost
+            assert fix.converged == (cost < ctrl.loss)
+            if fix.converged:
+                early += iterations < ctrl.iters
+            else:
+                capped += 1
+        assert capped > 0 and early > 0
 
 
 class TestDop:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from inaclink import FIGURE_IDS, ScenarioConfig, SweepReport, emit_csv, run_sweep
-from inaclink import outage_closed_form, sample_cascaded_gains
+from inaclink import navigation, outage_closed_form, sample_cascaded_gains
+from inaclink.errors import DegenerateGeometryError
 from inaclink.montecarlo import outage_events, wilson_half_width
 from inaclink.sweeps import report_to_csv_text
 
@@ -217,6 +218,33 @@ class TestNavAccuracy:
         rep = nav_report
         for co, no in zip(rep.columns["co_rmse_m"][1:], rep.columns["no_rmse_m"][1:]):
             assert co <= no
+
+
+    def test_degenerate_solve_marks_its_sigma_na_and_the_sweep_goes_on(self, monkeypatch):
+        cfg = replace(ScenarioConfig(), nav_repetitions=20)
+        clean = run_sweep(cfg, "nav-accuracy")
+        bad_sigma = clean.columns["co_sigma_m"][1]
+        solve = navigation.lsm_solve
+
+        def fails_at_one_sigma(pr, scene, ctrl):
+            if pr.sigma[0] == bad_sigma:
+                raise DegenerateGeometryError("design matrix is rank deficient")
+            return solve(pr, scene, ctrl)
+
+        monkeypatch.setattr(navigation, "lsm_solve", fails_at_one_sigma)
+        rep = run_sweep(cfg, "nav-accuracy")
+        assert rep.x == clean.x
+        na_cells = 0
+        for mode in ("co", "no"):
+            assert rep.columns[f"{mode}_sigma_m"] == clean.columns[f"{mode}_sigma_m"]
+            for sigma, got, want in zip(rep.columns[f"{mode}_sigma_m"], rep.columns[f"{mode}_rmse_m"],
+                                        clean.columns[f"{mode}_rmse_m"]):
+                if sigma == bad_sigma:
+                    assert got is None
+                    na_cells += 1
+                else:
+                    assert got == want
+        assert na_cells >= 1
 
 
 class TestReproducibility:
