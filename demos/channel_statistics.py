@@ -24,7 +24,7 @@ from inaclink import (
 
 
 def main() -> None:
-    rician = RicianParams(k_r=1.0, k_g=0.0, k_n=0.0)
+    rician = RicianParams(k_r=1.0, k_g=0.0)
     ris = RisArray(num_elements=64, amplitude=1.0)
     cm = cascaded_moments(ris, rician)
 

@@ -69,7 +69,6 @@ from .noma import (
 from .specialfn import (
     SeriesControl,
     erf,
-    erf_series,
     folded_normal_cdf,
     folded_normal_pdf,
     kummer_1f1_half,

@@ -31,17 +31,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RicianParams:
-    """Rician K factors: satellite-RIS (k_r), RIS-user (k_g), direct nav links (k_n).
+    """Rician K factors: satellite-RIS (k_r) and RIS-user (k_g).
 
     K = 0 is pure NLoS (Rayleigh); larger K means a stronger LoS component.
     """
 
     k_r: float = 0.0
     k_g: float = 0.0
-    k_n: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("k_r", "k_g", "k_n"):
+        for name in ("k_r", "k_g"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0")
 

@@ -17,7 +17,6 @@ Exit codes: 0 success, 2 configuration error, 3 numeric/region error.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 
@@ -29,7 +28,7 @@ from .config import ScenarioConfig, load_config
 from .errors import ConfigError, NumericError
 from .geometry import slant_range
 from .montecarlo import mc_capacity, mc_outage, sample_cascaded_gains
-from .sweeps import FIGURE_IDS, run_sweep, report_to_csv_text
+from .sweeps import FIGURE_IDS, SweepReport, emit_csv, run_sweep
 
 __all__ = ["main"]
 
@@ -52,7 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("analyze", help="closed-form analysis at the configured point"))
     add_common(sub.add_parser("simulate", help="Monte Carlo cross-check at the configured point"))
     add_common(sub.add_parser("position", help="synthesize pseudoranges and solve for position"))
-    add_common(sub.add_parser("constellation", help="minimal-constellation sizing sweep"))
+    con = sub.add_parser("constellation", help="minimal-constellation sizing sweep")
+    con.set_defaults(figure_id="constellation")
+    add_common(con)
     rep = sub.add_parser("reproduce", help="run one of the named figure sweeps")
     rep.add_argument("figure_id", choices=FIGURE_IDS, metavar="figure-id",
                      help=f"one of: {', '.join(FIGURE_IDS)}")
@@ -69,28 +70,13 @@ def _load_config(args) -> ScenarioConfig:
     return cfg.validate()
 
 
-def _write(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _table(command: str, rows: list[tuple[str, object]]) -> SweepReport:
+    """A two-column quantity,value report; a str value is written as is."""
+    return SweepReport(command, "quantity", [name for name, _ in rows],
+                       {"value": [value for _, value in rows]})
 
 
-def _table_text(rows: list[tuple[str, object]]) -> str:
-    from .sweeps import _fmt  # shared numeric formatting
-
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["quantity", "value"])
-    for name, value in rows:
-        writer.writerow([name, value if isinstance(value, str) else _fmt(value)])
-    return buf.getvalue()
-
-
-def _cmd_analyze(cfg: ScenarioConfig, out: str | None) -> None:
+def _cmd_analyze(cfg: ScenarioConfig) -> SweepReport:
     sc = cfg.scenario()
     cm = sc.moments
     rows: list[tuple[str, object]] = [
@@ -109,13 +95,13 @@ def _cmd_analyze(cfg: ScenarioConfig, out: str | None) -> None:
         try:
             rows.append((f"{sig}_op_asymptotic", noma.outage_asymptotic(sc, sig).value))
         except NumericError:
-            rows.append((f"{sig}_op_asymptotic", "NA"))
+            rows.append((f"{sig}_op_asymptotic", None))
         rows.append((f"{sig}_capacity_hardened", noma.capacity_hardened(sc, sig)))
     rows.append(("diversity_m3_prediction", cm.m3))
-    _write(_table_text(rows), out)
+    return _table("analyze", rows)
 
 
-def _cmd_simulate(cfg: ScenarioConfig, out: str | None) -> None:
+def _cmd_simulate(cfg: ScenarioConfig) -> SweepReport:
     sc = cfg.scenario()
     mc = cfg.mc_config()
     gains = sample_cascaded_gains(sc.ris, sc.rician, mc)
@@ -133,18 +119,13 @@ def _cmd_simulate(cfg: ScenarioConfig, out: str | None) -> None:
         rows.append((f"{sig}_capacity_hardened", noma.capacity_hardened(sc, sig)))
         rows.append((f"{sig}_capacity_mc", cap.mean))
         rows.append((f"{sig}_capacity_mc_half_width", cap.half_width))
-    _write(_table_text(rows), out)
+    return _table("simulate", rows)
 
 
-def _cmd_position(cfg: ScenarioConfig, out: str | None) -> None:
+def _cmd_position(cfg: ScenarioConfig) -> SweepReport:
     scene = cfg.nav_scene()
     sc = cfg.scenario()
-    gain = sc.moments.m3 ** 2
-    snr = (
-        noma.sinr_co_multicast(gain, sc)
-        if cfg.mode == "CO"
-        else noma.sinr_no_multicast(gain, sc)
-    )
+    snr = noma.sinr(sc.moments.m3 ** 2, sc, "multicast")
     sigma = navigation.range_noise_from_snr(float(snr), cfg.bandwidth_hz)
     rng = Generator(Philox(key=cfg.seed ^ _POSITION_SEED_SALT))
     pr = navigation.synthesize_pseudoranges(scene, sigma, rng)
@@ -164,25 +145,21 @@ def _cmd_position(cfg: ScenarioConfig, out: str | None) -> None:
         ("position_error_m", pos_err),
         ("clock_error_s", fix.clock_bias_s - scene.clock_bias),
     ]
-    _write(_table_text(rows), out)
+    return _table("position", rows)
+
+
+_COMMANDS = {"analyze": _cmd_analyze, "simulate": _cmd_simulate, "position": _cmd_position}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        if args.command == "analyze":
-            _cmd_analyze(cfg, args.out)
-        elif args.command == "simulate":
-            _cmd_simulate(cfg, args.out)
-        elif args.command == "position":
-            _cmd_position(cfg, args.out)
-        elif args.command == "constellation":
-            report = run_sweep(cfg, "constellation")
-            _write(report_to_csv_text(report), args.out)
+        if args.command in _COMMANDS:
+            report = _COMMANDS[args.command](cfg)
         else:
             report = run_sweep(cfg, args.figure_id)
-            _write(report_to_csv_text(report), args.out)
+        emit_csv(report, sys.stdout if args.out is None else args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

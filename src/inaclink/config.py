@@ -13,7 +13,9 @@ Unset keys take the default scenario: 30 MHz bandwidth, 10 GHz carrier,
 path-loss exponents 2 / 2.2, spread gain 30 dB, target rates 0.0005 and
 0.001 bps/Hz, CO split 0.6/0.4 (NO split 0.1/0.9).  Units are carried by
 key suffixes (dbm, db, km, ghz, mhz, deg); everything is converted to SI
-once at this boundary.
+once at this boundary.  Each key is a ScenarioConfig field: its group from
+the field metadata, a dot, and the field name less any ``group_`` prefix;
+the value kind follows the annotation.
 
 Navigation scene files use the same syntax with 3-vector values::
 
@@ -29,7 +31,7 @@ Navigation scene files use the same syntax with 3-vector values::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -53,52 +55,68 @@ __all__ = [
 _MODE_SPLITS = {"CO": (0.6, 0.4), "NO": (0.1, 0.9)}
 
 
+def _key(group: str, default, point=None):
+    """A config field keyed ``group.`` + its name less any ``group_`` prefix.
+
+    A sweep grid carries point(cfg, x), which builds the object of one grid
+    value x, so that validate rejects a bad value before any sweep runs.
+    """
+    return field(default=default, metadata={"group": group, "point": point})
+
+
+def _nav_elements_point(cfg: "ScenarioConfig", elements: int) -> RisArray | None:
+    if elements < 0:
+        raise ValueError(f"element count must be >= 0 (0: no RIS), got {elements}")
+    return cfg.ris_array(elements) if elements else None
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Every physical and protocol parameter of one experiment, boundary units."""
 
-    # orbit
-    r_e_km: float = 6378.0
-    r_m_km: float = 20000.0
-    elevation_deg: float = 18.0
-    # rf
-    f_c_ghz: float = 10.0
-    g_t_dbi: float = 32.0
-    alpha1: float = 2.0
-    alpha2: float = 2.2
-    d_ru_m: float = 10.0
-    # link
-    bandwidth_mhz: float = 30.0
-    tx_power_dbm: float = 46.0
-    spread_gain_db: float = 30.0
-    # ris
-    elements: int = 128
-    amplitude: float = 1.0
-    # fading
-    k_r: float = 1.0
-    k_g: float = 0.0
-    k_n: float = 0.0
-    # noma
-    mode: str = "CO"
-    alpha_m_sq: float | None = None  # None: take the mode default
-    alpha_u_sq: float | None = None
-    multicast_rate_bpshz: float = 0.0005
-    unicast_rate_bpshz: float = 0.001
-    # mc
-    trials: int = 20_000
-    seed: int = 12345
-    batch: int = 65_536
-    # nav
-    scene_file: str = ""
-    nav_repetitions: int = 200
-    # sweep grids
-    sweep_tx_power_dbm: tuple[float, ...] = (38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50)
-    sweep_elements_op: tuple[int, ...] = (8, 16, 32, 64, 128, 256)
-    sweep_elements_cap: tuple[int, ...] = (16, 64, 256, 1024, 4096, 16384)
-    sweep_alpha_u_sq: tuple[float, ...] = (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95)
-    sweep_r_m_km: tuple[float, ...] = (500, 1000, 2000, 4000, 8000, 12000, 20000, 30000)
-    sweep_elevation_deg: tuple[float, ...] = (5, 15, 30, 45, 60, 75, 85)
-    sweep_nav_elements: tuple[int, ...] = (0, 16, 64, 256, 1024, 4096, 16384)
+    r_e_km: float = _key("orbit", 6378.0)
+    r_m_km: float = _key("orbit", 20000.0)
+    elevation_deg: float = _key("orbit", 18.0)
+    f_c_ghz: float = _key("rf", 10.0)
+    g_t_dbi: float = _key("rf", 32.0)
+    alpha1: float = _key("rf", 2.0)
+    alpha2: float = _key("rf", 2.2)
+    d_ru_m: float = _key("rf", 10.0)
+    bandwidth_mhz: float = _key("link", 30.0)
+    tx_power_dbm: float = _key("link", 46.0)
+    spread_gain_db: float = _key("link", 30.0)
+    elements: int = _key("ris", 128)
+    amplitude: float = _key("ris", 1.0)
+    k_r: float = _key("fading", 1.0)
+    k_g: float = _key("fading", 0.0)
+    mode: str = _key("noma", "CO")
+    alpha_m_sq: float | None = _key("noma", None)  # None: take the mode default
+    alpha_u_sq: float | None = _key("noma", None)
+    multicast_rate_bpshz: float = _key("noma", 0.0005)
+    unicast_rate_bpshz: float = _key("noma", 0.001)
+    trials: int = _key("mc", 20_000)
+    seed: int = _key("mc", 12345)
+    batch: int = _key("mc", 65_536)
+    scene_file: str = _key("nav", "")
+    nav_repetitions: int = _key("nav", 200)
+    sweep_tx_power_dbm: tuple[float, ...] = _key(
+        "sweep", (38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50),
+        lambda cfg, dbm: 10.0 ** (dbm / 10.0) * 1e-3)
+    sweep_elements_op: tuple[int, ...] = _key(
+        "sweep", (8, 16, 32, 64, 128, 256), lambda cfg, L: cfg.ris_array(L))
+    sweep_elements_cap: tuple[int, ...] = _key(
+        "sweep", (16, 64, 256, 1024, 4096, 16384), lambda cfg, L: cfg.ris_array(L))
+    sweep_alpha_u_sq: tuple[float, ...] = _key(
+        "sweep", (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95),
+        lambda cfg, a_u: PowerSplit(alpha_m_sq=1.0 - a_u, alpha_u_sq=a_u))
+    sweep_r_m_km: tuple[float, ...] = _key(
+        "sweep", (500, 1000, 2000, 4000, 8000, 12000, 20000, 30000),
+        lambda cfg, r_m: replace(cfg.orbit(), r_m=r_m * 1e3))
+    sweep_elevation_deg: tuple[float, ...] = _key(
+        "sweep", (5, 15, 30, 45, 60, 75, 85),
+        lambda cfg, deg: replace(cfg.orbit(), elevation=math.radians(deg)))
+    sweep_nav_elements: tuple[int, ...] = _key(
+        "sweep", (0, 16, 64, 256, 1024, 4096, 16384), _nav_elements_point)
 
     # --- SI conversions -----------------------------------------------------
 
@@ -146,7 +164,7 @@ class ScenarioConfig:
         )
 
     def rician_params(self) -> RicianParams:
-        return RicianParams(k_r=self.k_r, k_g=self.k_g, k_n=self.k_n)
+        return RicianParams(k_r=self.k_r, k_g=self.k_g)
 
     def power_split(self, mode: str | None = None) -> PowerSplit:
         mode = self.mode if mode is None else mode
@@ -224,60 +242,45 @@ class ScenarioConfig:
             self.rate_targets()
             self.mc_config()
             sc = self.scenario(split=split)
-        except (ValueError, ConfigError) as exc:
+        except (ValueError, OverflowError, ConfigError) as exc:
             raise ConfigError(str(exc)) from exc
         if not sc.feasible:
             raise ConfigError(
                 f"power split (alpha_m_sq={split.alpha_m_sq}, alpha_u_sq={split.alpha_u_sq}) "
                 f"cannot decode the first {self.mode} signal at any SNR"
             )
-        for name in ("sweep_tx_power_dbm", "sweep_elements_op", "sweep_elements_cap",
-                     "sweep_alpha_u_sq", "sweep_r_m_km", "sweep_elevation_deg",
-                     "sweep_nav_elements"):
-            if len(getattr(self, name)) == 0:
-                raise ConfigError(f"{_ATTR_TO_KEY[name]} must not be empty")
+        for key, f in _GRIDS.items():
+            values = getattr(self, f.name)
+            if len(values) == 0:
+                raise ConfigError(f"{key} must not be empty")
+            for x in values:
+                try:
+                    f.metadata["point"](self, x)
+                except (ValueError, OverflowError) as exc:
+                    raise ConfigError(f"{key} = {x}: {exc}") from exc
         return self
 
 
-def _build_keymap() -> dict[str, tuple[str, str]]:
-    m: dict[str, tuple[str, str]] = {}
-    groups = {
-        "orbit": ["r_e_km", "r_m_km", "elevation_deg"],
-        "rf": ["f_c_ghz", "g_t_dbi", "alpha1", "alpha2", "d_ru_m"],
-        "link": ["bandwidth_mhz", "tx_power_dbm", "spread_gain_db"],
-        "ris": ["elements", "amplitude"],
-        "fading": ["k_r", "k_g", "k_n"],
-        "noma": ["mode", "alpha_m_sq", "alpha_u_sq", "multicast_rate_bpshz", "unicast_rate_bpshz"],
-        "mc": ["trials", "seed", "batch"],
-        "nav": ["scene_file", "nav_repetitions"],
-        "sweep": ["sweep_tx_power_dbm", "sweep_elements_op", "sweep_elements_cap",
-                  "sweep_alpha_u_sq", "sweep_r_m_km", "sweep_elevation_deg",
-                  "sweep_nav_elements"],
-    }
-    kinds: dict[str, str] = {}
-    for f in fields(ScenarioConfig):
-        if f.name in ("elements", "trials", "seed", "batch", "nav_repetitions"):
-            kinds[f.name] = "int"
-        elif f.name in ("mode", "scene_file"):
-            kinds[f.name] = "str"
-        elif f.name.startswith("sweep_"):
-            kinds[f.name] = "int_list" if "elements" in f.name else "float_list"
-        else:
-            kinds[f.name] = "float"
-    for group, names in groups.items():
-        for name in names:
-            if group == "sweep":
-                key = f"sweep.{name.removeprefix('sweep_')}"
-            elif group == "nav":
-                key = f"nav.{name.removeprefix('nav_')}"
-            else:
-                key = f"{group}.{name}"
-            m[key] = (name, kinds[name])
-    return m
+#: value kind of each field annotation
+_KINDS = {
+    "float": "float",
+    "float | None": "float",
+    "int": "int",
+    "str": "str",
+    "tuple[float, ...]": "float_list",
+    "tuple[int, ...]": "int_list",
+}
 
 
-_KEYMAP = _build_keymap()
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYMAP.items()}
+def _config_key(f) -> str:
+    group = f.metadata["group"]
+    return f"{group}.{f.name.removeprefix(group + '_')}"
+
+
+#: config key -> (field name, value kind), in field order
+_KEYMAP = {_config_key(f): (f.name, _KINDS[f.type]) for f in fields(ScenarioConfig)}
+#: config key -> field of each sweep grid
+_GRIDS = {_config_key(f): f for f in fields(ScenarioConfig) if _KINDS[f.type].endswith("_list")}
 
 
 def _parse_value(raw: str, kind: str, key: str, lineno: int):

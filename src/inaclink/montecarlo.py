@@ -33,13 +33,7 @@ from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from .channel import RicianParams, RisArray, cascaded_moments, effective_gain_cdf
-from .noma import (
-    Scenario,
-    sinr_co_multicast,
-    sinr_co_unicast,
-    sinr_no_multicast,
-    sinr_no_unicast,
-)
+from .noma import Scenario, first_decoded, sinr
 
 __all__ = [
     "McConfig",
@@ -152,12 +146,6 @@ def sample_cascaded_gains(ris: RisArray, rp: RicianParams, mc: McConfig) -> np.n
     return gains
 
 
-def _sinr(gains: np.ndarray, sc: Scenario, signal: str) -> np.ndarray:
-    if sc.mode == "CO":
-        return sinr_co_multicast(gains, sc) if signal == "multicast" else sinr_co_unicast(gains, sc)
-    return sinr_no_multicast(gains, sc) if signal == "multicast" else sinr_no_unicast(gains, sc)
-
-
 def outage_events(gains: np.ndarray, sc: Scenario, signal: str) -> np.ndarray:
     """Boolean outage indicators, one per trial, following the SIC order.
 
@@ -165,19 +153,11 @@ def outage_events(gains: np.ndarray, sc: Scenario, signal: str) -> np.ndarray:
     target.  The second-decoded signal is in outage when the first decode
     fails (SIC impossible) or when, after SIC, its own rate misses.
     """
-    if signal not in ("multicast", "unicast"):
-        raise ValueError(f"signal must be multicast or unicast, got {signal!r}")
-    t = sc.targets
-    if sc.mode == "CO":
-        first_fail = np.log2(1.0 + sinr_co_multicast(gains, sc)) < t.r_m
-        if signal == "multicast":
-            return first_fail
-        second_fail = np.log2(1.0 + sinr_co_unicast(gains, sc)) < t.r_u
-        return first_fail | (~first_fail & second_fail)
-    first_fail = np.log2(1.0 + sinr_no_unicast(gains, sc)) < t.r_u
-    if signal == "unicast":
+    first = first_decoded(sc.mode)
+    first_fail = np.log2(1.0 + sinr(gains, sc, first)) < sc.targets.rate(first)
+    if signal == first:
         return first_fail
-    second_fail = np.log2(1.0 + sinr_no_multicast(gains, sc)) < t.r_m
+    second_fail = np.log2(1.0 + sinr(gains, sc, signal)) < sc.targets.rate(signal)
     return first_fail | (~first_fail & second_fail)
 
 
@@ -200,7 +180,7 @@ def mc_outage(gains: np.ndarray, sc: Scenario, signal: str) -> McEstimate:
 def mc_capacity(gains: np.ndarray, sc: Scenario, signal: str) -> McEstimate:
     """Empirical mean rate log2(1 + SINR) over sampled gains, with a normal-approximation half-width."""
     n = len(gains)
-    rates = np.log2(1.0 + _sinr(gains, sc, signal))
+    rates = np.log2(1.0 + sinr(gains, sc, signal))
     hw = _Z95 * float(np.std(rates, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
     return McEstimate(mean=float(np.mean(rates)), half_width=hw, trials=n)
 

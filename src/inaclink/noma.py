@@ -1,12 +1,17 @@
 """NOMA superposition analysis: SINRs, outage, capacity, diversity.
 
-Two power-allocation scenarios share one machinery:
+Two power-allocation scenarios share one machinery and differ only in the
+decode order, which `first_decoded` states once:
 
     CO: the multi-cast (navigation) signal carries more power and is decoded
         first under uni-cast interference; the uni-cast signal is decoded
         interference-free after SIC.
     NO: the roles swap - the uni-cast signal is decoded first, the
         multi-cast signal after SIC.
+
+`sinr(gain, sc, signal)` builds either SINR from the signal's own and the
+other signal's power share; feasibility, outage thresholds, hardened
+capacities and the Monte Carlo outage events all follow the same order.
 
 Closed-form outage follows from the folded-normal gain law evaluated at a
 threshold omega assembled from the rate targets and the link budget; the
@@ -43,10 +48,8 @@ __all__ = [
     "OutageResult",
     "Scenario",
     "build_scenario",
-    "sinr_co_multicast",
-    "sinr_co_unicast",
-    "sinr_no_unicast",
-    "sinr_no_multicast",
+    "first_decoded",
+    "sinr",
     "outage_threshold",
     "outage_closed_form",
     "outage_asymptotic",
@@ -77,6 +80,12 @@ class PowerSplit:
                 f"power shares must sum to 1, got {self.alpha_m_sq + self.alpha_u_sq}"
             )
 
+    def shares(self, signal: str) -> tuple[float, float]:
+        """(own, other) power share of a signal."""
+        if signal == "multicast":
+            return self.alpha_m_sq, self.alpha_u_sq
+        return self.alpha_u_sq, self.alpha_m_sq
+
 
 @dataclass(frozen=True)
 class RateTargets:
@@ -96,6 +105,12 @@ class RateTargets:
     @property
     def eps_u(self) -> float:
         return 2.0**self.r_u - 1.0
+
+    def rate(self, signal: str) -> float:
+        return self.r_m if signal == "multicast" else self.r_u
+
+    def eps(self, signal: str) -> float:
+        return self.eps_m if signal == "multicast" else self.eps_u
 
 
 @dataclass(frozen=True)
@@ -144,9 +159,9 @@ class Scenario:
     @property
     def feasible(self) -> bool:
         """Whether the first-decoded signal can out-power its interference."""
-        if self.mode == "CO":
-            return self.split.alpha_m_sq - self.split.alpha_u_sq * self.targets.eps_m > 0.0
-        return self.split.alpha_u_sq - self.split.alpha_m_sq * self.targets.eps_u > 0.0
+        first = first_decoded(self.mode)
+        own, other = self.split.shares(first)
+        return own - other * self.targets.eps(first) > 0.0
 
     def with_tx_power(self, p: float) -> "Scenario":
         """Same scenario at a different transmit power."""
@@ -181,37 +196,32 @@ def build_scenario(
     )
 
 
-# --- instantaneous SINRs ---------------------------------------------------
-# All four accept scalar or array gains; gamma and rho^2 come from the budget.
+# --- decode order and instantaneous SINRs -----------------------------------
 
 
-def sinr_co_multicast(gain, sc: Scenario):
-    """Multi-cast SINR under uni-cast interference (decoded first in CO)."""
-    a = sc.split.alpha_m_sq * gain * sc.budget.gamma
-    b = sc.split.alpha_u_sq * gain * sc.budget.gamma + sc.budget.noise_power
-    return a / b
-
-
-def sinr_co_unicast(gain, sc: Scenario):
-    """Uni-cast SNR after SIC of the multi-cast signal (CO order)."""
-    return sc.split.alpha_u_sq * gain * sc.budget.gamma / sc.budget.noise_power
-
-
-def sinr_no_unicast(gain, sc: Scenario):
-    """Uni-cast SINR under multi-cast interference (decoded first in NO)."""
-    a = sc.split.alpha_u_sq * gain * sc.budget.gamma
-    b = sc.split.alpha_m_sq * gain * sc.budget.gamma + sc.budget.noise_power
-    return a / b
-
-
-def sinr_no_multicast(gain, sc: Scenario):
-    """Multi-cast SNR after SIC of the uni-cast signal (NO order)."""
-    return sc.split.alpha_m_sq * gain * sc.budget.gamma / sc.budget.noise_power
+def first_decoded(mode: str) -> str:
+    """The signal SIC decodes first: multi-cast in CO, uni-cast in NO."""
+    return "multicast" if mode == "CO" else "unicast"
 
 
 def _check_signal(signal: str) -> None:
     if signal not in SIGNALS:
         raise ValueError(f"signal must be one of {SIGNALS}, got {signal!r}")
+
+
+def sinr(gain, sc: Scenario, signal: str):
+    """SINR of a signal at a scalar or array gain, following the decode order.
+
+    The first-decoded signal sees the other signal as interference; the
+    second is decoded interference-free after SIC.  gamma and rho^2 come
+    from the budget.
+    """
+    _check_signal(signal)
+    own, other = sc.split.shares(signal)
+    a = own * gain * sc.budget.gamma
+    if signal == first_decoded(sc.mode):
+        return a / (other * gain * sc.budget.gamma + sc.budget.noise_power)
+    return a / sc.budget.noise_power
 
 
 def outage_threshold(sc: Scenario, signal: str) -> float:
@@ -227,18 +237,15 @@ def outage_threshold(sc: Scenario, signal: str) -> float:
         raise InfeasibleError(
             f"power split cannot decode the first {sc.mode} signal at any SNR"
         )
-    eps_m, eps_u = sc.targets.eps_m, sc.targets.eps_u
-    a_m, a_u = sc.split.alpha_m_sq, sc.split.alpha_u_sq
     rho2, gamma = sc.budget.noise_power, sc.budget.gamma
-    if sc.mode == "CO":
-        first = eps_m * rho2 / ((a_m - a_u * eps_m) * gamma)
-        if signal == "multicast":
-            return first
-        return max(first, eps_u * rho2 / (a_u * gamma))
-    first = eps_u * rho2 / ((a_u - a_m * eps_u) * gamma)
-    if signal == "unicast":
+    first_signal = first_decoded(sc.mode)
+    own, other = sc.split.shares(first_signal)
+    eps = sc.targets.eps(first_signal)
+    first = eps * rho2 / ((own - other * eps) * gamma)
+    if signal == first_signal:
         return first
-    return max(first, eps_m * rho2 / (a_m * gamma))
+    second = sc.targets.eps(signal) * rho2 / (sc.split.shares(signal)[0] * gamma)
+    return max(first, second)
 
 
 def outage_closed_form(sc: Scenario, signal: str, strict: bool = False) -> OutageResult:
@@ -312,15 +319,10 @@ def capacity_hardened(sc: Scenario, signal: str) -> float:
     exactly 1 bps/Hz per power doubling at high SNR.
     """
     _check_signal(signal)
-    a_m, a_u = sc.split.alpha_m_sq, sc.split.alpha_u_sq
-    g_hard = sc.moments.m3**2 * sc.budget.gamma / sc.budget.noise_power
-    if sc.mode == "CO":
-        if signal == "multicast":
-            return math.log2(1.0 + a_m / a_u)
-        return math.log2(1.0 + a_u * g_hard)
-    if signal == "unicast":
-        return math.log2(1.0 + a_u / a_m)
-    return math.log2(1.0 + a_m * g_hard)
+    own, other = sc.split.shares(signal)
+    if signal == first_decoded(sc.mode):
+        return math.log2(1.0 + own / other)
+    return math.log2(1.0 + own * (sc.moments.m3**2 * sc.budget.gamma / sc.budget.noise_power))
 
 
 @dataclass(frozen=True)

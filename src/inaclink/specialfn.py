@@ -2,7 +2,6 @@
 
 Provides:
     - erf / erfc wrappers used by every closed form
-    - erf_series: truncated Maclaurin expansion of erf, valid for |z| < 1
     - kummer_1f1_half: the confluent hypergeometric function 1F1(-1/2, 1; x),
       i.e. the Laguerre function L_{1/2}(x), which sets the Rician amplitude
       mean
@@ -21,12 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as sp
 
-from .errors import ConvergenceError, RegionError
+from .errors import ConvergenceError
 
 __all__ = [
     "SeriesControl",
     "erf",
-    "erf_series",
     "kummer_1f1_half",
     "folded_normal_pdf",
     "folded_normal_cdf",
@@ -49,35 +47,12 @@ class SeriesControl:
 
 #: default budget for the 1F1 series; converges for K up to ~116
 DEFAULT_1F1_CONTROL = SeriesControl(max_terms=200, tol=1e-12)
-#: default budget for the erf Maclaurin series on |z| < 1
-DEFAULT_ERF_CONTROL = SeriesControl(max_terms=60, tol=1e-12)
 
 
 def erf(z):
     """Gauss error function; odd, bounded in (-1, 1). Accepts scalars or arrays."""
     out = sp.erf(z)
     return float(out) if np.isscalar(z) else out
-
-
-def erf_series(z: float, ctrl: SeriesControl = DEFAULT_ERF_CONTROL) -> float:
-    """Truncated Maclaurin series of erf: (2/sqrt(pi)) sum (-1)^n z^(2n+1)/(n!(2n+1)).
-
-    Only the region |z| < 1 is accepted: outside it the expansion underlying
-    the asymptotic outage analysis is not guaranteed to represent erf, so the
-    call signals a region violation instead of returning a number.
-    """
-    z = float(z)
-    if not abs(z) < 1.0:
-        raise RegionError(f"erf_series requires |z| < 1, got z={z}")
-    total = 0.0
-    term = z  # z^(2n+1) / n! running factor, n = 0
-    for n in range(ctrl.max_terms):
-        contrib = term / (2 * n + 1)
-        total += contrib
-        if abs(contrib) <= ctrl.tol * abs(total):
-            break
-        term *= -(z * z) / (n + 1)
-    return (2.0 / math.sqrt(math.pi)) * total
 
 
 def kummer_1f1_half(x: float, ctrl: SeriesControl = DEFAULT_1F1_CONTROL) -> float:

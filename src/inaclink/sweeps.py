@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,8 +55,8 @@ _NAV_SEED_SALT = 0x6E61765F
 class SweepReport:
     """One sweep: the independent variable grid plus aligned result columns.
 
-    Column values are floats/ints or None; None renders as NA (used for
-    out-of-region asymptotics and per-point numeric failures).
+    Values are floats/ints, str (written as is) or None; None renders as NA
+    (used for out-of-region asymptotics and per-point numeric failures).
     """
 
     figure_id: str
@@ -72,6 +73,8 @@ class SweepReport:
 def _fmt(value) -> str:
     if value is None:
         return "NA"
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return f"{float(value):.12g}"
@@ -100,6 +103,33 @@ def emit_csv(report: SweepReport, path) -> None:
 # --- per-figure sweep builders ----------------------------------------------
 
 
+@dataclass(frozen=True)
+class _McFigure:
+    """A figure of analytic columns next to Monte Carlo, per signal, over one grid.
+
+    at(cfg, base, x) is the scenario at grid value x, where base is the
+    configured scenario in the figure's mode; analytic maps a column suffix
+    to f(scenario, signal); estimator(gains, scenario, signal) is the Monte
+    Carlo estimate.
+    """
+
+    x_name: str
+    grid: str  # ScenarioConfig field that holds the grid
+    at: Callable[[ScenarioConfig, Scenario, object], Scenario]
+    analytic: dict[str, Callable[[Scenario, str], object]]
+    estimator: Callable
+    mode: str | None = None  # None: the configured mode
+
+
+# The table holds these functions, not the library's: each looks the library
+# function up when called, so a wrapper installed on the module attribute
+# (a monkeypatch, a span tracer) sees the call.
+
+
+def _closed_form(sc: Scenario, signal: str) -> float:
+    return noma.outage_closed_form(sc, signal).value
+
+
 def _asymptotic_or_none(sc: Scenario, signal: str):
     try:
         return noma.outage_asymptotic(sc, signal).value
@@ -107,59 +137,58 @@ def _asymptotic_or_none(sc: Scenario, signal: str):
         return None
 
 
-def _sweep_op_vs_power(cfg: ScenarioConfig) -> SweepReport:
-    base = cfg.scenario()
-    gains = sample_cascaded_gains(base.ris, base.rician, cfg.mc_config())
+def _hardened(sc: Scenario, signal: str) -> float:
+    return noma.capacity_hardened(sc, signal)
+
+
+def _mc_outage(gains, sc: Scenario, signal: str):
+    return mc_outage(gains, sc, signal)
+
+
+def _mc_capacity(gains, sc: Scenario, signal: str):
+    return mc_capacity(gains, sc, signal)
+
+
+def _at_power(cfg: ScenarioConfig, base: Scenario, dbm: float) -> Scenario:
+    return base.with_tx_power(10.0 ** (dbm / 10.0) * 1e-3)
+
+
+_OUTAGE_COLUMNS = {"closed_form": _closed_form, "asymptotic": _asymptotic_or_none}
+
+_MC_FIGURES = {
+    "op-vs-power": _McFigure("tx_power_dbm", "sweep_tx_power_dbm", _at_power, _OUTAGE_COLUMNS, _mc_outage),
+    "op-vs-elements": _McFigure(
+        "elements", "sweep_elements_op",
+        lambda cfg, base, L: cfg.scenario(elements=L), _OUTAGE_COLUMNS, _mc_outage),
+    "cap-vs-power": _McFigure(
+        "tx_power_dbm", "sweep_tx_power_dbm", _at_power, {"hardened": _hardened}, _mc_capacity),
+    # NO mode: CO saturates immediately over the uni-cast share
+    "outage-vs-split": _McFigure(
+        "alpha_u_sq", "sweep_alpha_u_sq",
+        lambda cfg, base, a_u: replace(base, split=PowerSplit(alpha_m_sq=1.0 - a_u, alpha_u_sq=a_u)),
+        {"closed_form": _closed_form}, _mc_outage, mode="NO"),
+}
+
+
+def _run_mc_figure(cfg: ScenarioConfig, figure_id: str) -> SweepReport:
+    fig = _MC_FIGURES[figure_id]
+    base = cfg.scenario(mode=fig.mode)
+    grid = list(getattr(cfg, fig.grid))
     cols: dict[str, list] = {
-        f"{sig}_{name}": []
-        for sig in noma.SIGNALS
-        for name in ("closed_form", "asymptotic", "mc", "mc_half_width")
+        f"{sig}_{name}": [] for sig in noma.SIGNALS for name in (*fig.analytic, "mc", "mc_half_width")
     }
-    for dbm in cfg.sweep_tx_power_dbm:
-        sc = base.with_tx_power(10.0 ** (dbm / 10.0) * 1e-3)
+    gains_by_ris: dict = {}  # the gains depend on the RIS array alone
+    for x in grid:
+        sc = fig.at(cfg, base, x)
+        if sc.ris not in gains_by_ris:
+            gains_by_ris[sc.ris] = sample_cascaded_gains(sc.ris, sc.rician, cfg.mc_config())
         for sig in noma.SIGNALS:
-            cols[f"{sig}_closed_form"].append(noma.outage_closed_form(sc, sig).value)
-            cols[f"{sig}_asymptotic"].append(_asymptotic_or_none(sc, sig))
-            est = mc_outage(gains, sc, sig)
+            for name, column in fig.analytic.items():
+                cols[f"{sig}_{name}"].append(column(sc, sig))
+            est = fig.estimator(gains_by_ris[sc.ris], sc, sig)
             cols[f"{sig}_mc"].append(est.mean)
             cols[f"{sig}_mc_half_width"].append(est.half_width)
-    return SweepReport("op-vs-power", "tx_power_dbm", list(cfg.sweep_tx_power_dbm), cols)
-
-
-def _sweep_op_vs_elements(cfg: ScenarioConfig) -> SweepReport:
-    cols: dict[str, list] = {
-        f"{sig}_{name}": []
-        for sig in noma.SIGNALS
-        for name in ("closed_form", "asymptotic", "mc", "mc_half_width")
-    }
-    for L in cfg.sweep_elements_op:
-        sc = cfg.scenario(elements=L)
-        gains = sample_cascaded_gains(sc.ris, sc.rician, cfg.mc_config())
-        for sig in noma.SIGNALS:
-            cols[f"{sig}_closed_form"].append(noma.outage_closed_form(sc, sig).value)
-            cols[f"{sig}_asymptotic"].append(_asymptotic_or_none(sc, sig))
-            est = mc_outage(gains, sc, sig)
-            cols[f"{sig}_mc"].append(est.mean)
-            cols[f"{sig}_mc_half_width"].append(est.half_width)
-    return SweepReport("op-vs-elements", "elements", list(cfg.sweep_elements_op), cols)
-
-
-def _sweep_cap_vs_power(cfg: ScenarioConfig) -> SweepReport:
-    base = cfg.scenario()
-    gains = sample_cascaded_gains(base.ris, base.rician, cfg.mc_config())
-    cols: dict[str, list] = {
-        f"{sig}_{name}": []
-        for sig in noma.SIGNALS
-        for name in ("hardened", "mc", "mc_half_width")
-    }
-    for dbm in cfg.sweep_tx_power_dbm:
-        sc = base.with_tx_power(10.0 ** (dbm / 10.0) * 1e-3)
-        for sig in noma.SIGNALS:
-            cols[f"{sig}_hardened"].append(noma.capacity_hardened(sc, sig))
-            est = mc_capacity(gains, sc, sig)
-            cols[f"{sig}_mc"].append(est.mean)
-            cols[f"{sig}_mc_half_width"].append(est.half_width)
-    return SweepReport("cap-vs-power", "tx_power_dbm", list(cfg.sweep_tx_power_dbm), cols)
+    return SweepReport(figure_id, fig.x_name, grid, cols)
 
 
 def _sweep_cap_vs_elements(cfg: ScenarioConfig) -> SweepReport:
@@ -188,26 +217,6 @@ def _sweep_cap_vs_elements(cfg: ScenarioConfig) -> SweepReport:
             cols[f"{sig}_mc"].append(est.mean)
             cols[f"{sig}_mc_half_width"].append(est.half_width)
     return SweepReport("cap-vs-elements", "elements", list(cfg.sweep_elements_cap), cols)
-
-
-def _sweep_outage_vs_split(cfg: ScenarioConfig) -> SweepReport:
-    """NO-mode outage against the uni-cast share (CO saturates immediately there)."""
-    base = cfg.scenario(mode="NO")
-    gains = sample_cascaded_gains(base.ris, base.rician, cfg.mc_config())
-    cols: dict[str, list] = {
-        f"{sig}_{name}": []
-        for sig in noma.SIGNALS
-        for name in ("closed_form", "mc", "mc_half_width")
-    }
-    for a_u in cfg.sweep_alpha_u_sq:
-        split = PowerSplit(alpha_m_sq=1.0 - a_u, alpha_u_sq=a_u)
-        sc = replace(base, split=split)
-        for sig in noma.SIGNALS:
-            cols[f"{sig}_closed_form"].append(noma.outage_closed_form(sc, sig).value)
-            est = mc_outage(gains, sc, sig)
-            cols[f"{sig}_mc"].append(est.mean)
-            cols[f"{sig}_mc_half_width"].append(est.half_width)
-    return SweepReport("outage-vs-split", "alpha_u_sq", list(cfg.sweep_alpha_u_sq), cols)
 
 
 def _sweep_constellation(cfg: ScenarioConfig) -> SweepReport:
@@ -247,11 +256,7 @@ def _nav_sigma(cfg: ScenarioConfig, mode: str, elements: int) -> float:
     if elements < 1:
         return math.inf  # no RIS: the relayed link does not exist
     sc = cfg.scenario(mode=mode, elements=elements)
-    gain = sc.moments.m3 ** 2
-    if mode == "CO":
-        snr = noma.sinr_co_multicast(gain, sc)
-    else:
-        snr = noma.sinr_no_multicast(gain, sc)
+    snr = noma.sinr(sc.moments.m3 ** 2, sc, "multicast")
     chip = navigation.SPEED_OF_LIGHT / cfg.bandwidth_hz
     return navigation.range_noise_from_snr(
         float(snr) * _NAV_INTEGRATION_GAIN, cfg.bandwidth_hz,
@@ -293,11 +298,7 @@ def _sweep_nav_accuracy(cfg: ScenarioConfig) -> SweepReport:
 
 
 _SWEEPS = {
-    "op-vs-power": _sweep_op_vs_power,
-    "op-vs-elements": _sweep_op_vs_elements,
-    "cap-vs-power": _sweep_cap_vs_power,
     "cap-vs-elements": _sweep_cap_vs_elements,
-    "outage-vs-split": _sweep_outage_vs_split,
     "constellation": _sweep_constellation,
     "nav-accuracy": _sweep_nav_accuracy,
 }
@@ -305,6 +306,8 @@ _SWEEPS = {
 
 def run_sweep(config: ScenarioConfig, figure_id: str) -> SweepReport:
     """Execute the sweep matching a figure id."""
+    if figure_id in _MC_FIGURES:
+        return _run_mc_figure(config, figure_id)
     if figure_id not in _SWEEPS:
         raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
     return _SWEEPS[figure_id](config)

@@ -79,7 +79,7 @@ def test_criterion_1_effective_channel_distribution():
         for k_r in (0.0, 1.0, 10.0):
             for k_g in (0.0, 1.0):
                 cell = (L, k_r, k_g)
-                ks[cell] = ks_distance(RisArray(L, 1.0), RicianParams(k_r, k_g, 0.0), mc)
+                ks[cell] = ks_distance(RisArray(L, 1.0), RicianParams(k_r, k_g), mc)
                 gap[cell] = _clt_ks_gap(L, k_r, k_g)
     elapsed = time.perf_counter() - t0
     worst_cell = max(ks, key=ks.get)
@@ -181,7 +181,7 @@ def test_criterion_4_capacity_hardening():
     dev_co = abs(mc_capacity(drawn, co, "multicast").mean - math.log2(2.5))
     dev_no = abs(mc_capacity(drawn, no, "unicast").mean - math.log2(10.0))
     ris = RisArray(10_000, 1.0)
-    rician = RicianParams(1.0, 0.0, 0.0)
+    rician = RicianParams(1.0, 0.0)
     gains = sample_cascaded_gains(ris, rician, McConfig(trials=2_000, master_seed=SEED))
     ratio = float(np.mean(gains)) / cascaded_moments(ris, rician).m3 ** 2
     ok = dev_co <= 0.05 and dev_no <= 0.05 and abs(ratio - 1.0) <= 0.02

@@ -69,7 +69,7 @@ class TestRicianAmplitudeMoments:
 
 class TestParamValidation:
     def test_rician_params(self):
-        RicianParams(k_r=0.0, k_g=0.0, k_n=0.0)
+        RicianParams(k_r=0.0, k_g=0.0)
         with pytest.raises(ValueError):
             RicianParams(k_r=-1.0)
         with pytest.raises(ValueError):
@@ -87,53 +87,53 @@ class TestParamValidation:
 
 class TestCascadedMoments:
     def test_single_element_rayleigh(self):
-        cm = cascaded_moments(RisArray(1, 1.0), RicianParams(0.0, 0.0, 0.0))
+        cm = cascaded_moments(RisArray(1, 1.0), RicianParams(0.0, 0.0))
         assert cm.m3 == pytest.approx(math.pi / 4.0, rel=1e-13)
         assert cm.v3 == pytest.approx(1.0 - math.pi**2 / 16.0, rel=1e-12)
 
     def test_reference_values(self):
-        cm = cascaded_moments(RisArray(100, 1.0), RicianParams(1.0, 0.0, 0.0))
+        cm = cascaded_moments(RisArray(100, 1.0), RicianParams(1.0, 0.0))
         assert cm.m1 == pytest.approx(0.9064540255219693, rel=1e-12)
         assert cm.m2 == pytest.approx(0.8862269254527579, rel=1e-12)
         assert cm.m3 == pytest.approx(80.33239641026105, rel=1e-12)
         assert cm.v3 == pytest.approx(35.467060869846755, rel=1e-11)
-        cm128 = cascaded_moments(RisArray(128, 1.0), RicianParams(1.0, 0.0, 0.0))
+        cm128 = cascaded_moments(RisArray(128, 1.0), RicianParams(1.0, 0.0))
         assert cm128.m3 == pytest.approx(102.82546740513416, rel=1e-12)
         assert cm128.v3 == pytest.approx(45.39783791340385, rel=1e-11)
 
     def test_unit_power_variance_identity(self):
         # per-element product variance collapses to 1 - (m1 m2)^2
-        cm = cascaded_moments(RisArray(37, 1.0), RicianParams(2.0, 0.5, 0.0))
+        cm = cascaded_moments(RisArray(37, 1.0), RicianParams(2.0, 0.5))
         assert cm.v3 == pytest.approx(37.0 * (1.0 - (cm.m1 * cm.m2) ** 2), rel=1e-12)
 
     def test_amplitude_scaling(self):
-        full = cascaded_moments(RisArray(64, 1.0), RicianParams(1.0, 0.0, 0.0))
-        half = cascaded_moments(RisArray(64, 0.5), RicianParams(1.0, 0.0, 0.0))
+        full = cascaded_moments(RisArray(64, 1.0), RicianParams(1.0, 0.0))
+        half = cascaded_moments(RisArray(64, 0.5), RicianParams(1.0, 0.0))
         assert half.m3 == pytest.approx(0.5 * full.m3, rel=1e-13)
         # the sum scales by beta, so its variance by beta^2
         assert half.v3 == pytest.approx(0.25 * full.v3, rel=1e-13)
 
     def test_mean_grows_with_elements_and_k(self):
-        m_by_l = [cascaded_moments(RisArray(L, 1.0), RicianParams(1.0, 0.0, 0.0)).m3 for L in (1, 4, 16, 64)]
+        m_by_l = [cascaded_moments(RisArray(L, 1.0), RicianParams(1.0, 0.0)).m3 for L in (1, 4, 16, 64)]
         assert all(a < b for a, b in zip(m_by_l, m_by_l[1:]))
-        m_by_k = [cascaded_moments(RisArray(16, 1.0), RicianParams(k, 0.0, 0.0)).m3 for k in (0.0, 1.0, 10.0)]
+        m_by_k = [cascaded_moments(RisArray(16, 1.0), RicianParams(k, 0.0)).m3 for k in (0.0, 1.0, 10.0)]
         assert all(a < b for a, b in zip(m_by_k, m_by_k[1:]))
 
     def test_hardened_gain(self):
-        cm = cascaded_moments(RisArray(128, 1.0), RicianParams(1.0, 0.0, 0.0))
+        cm = cascaded_moments(RisArray(128, 1.0), RicianParams(1.0, 0.0))
         assert hardened_gain(cm) == pytest.approx(cm.m3**2, rel=0)
 
 
 class TestEffectiveGainCdf:
     def test_matches_folded_normal_oracle(self):
-        cm = cascaded_moments(RisArray(64, 1.0), RicianParams(1.0, 0.0, 0.0))
+        cm = cascaded_moments(RisArray(64, 1.0), RicianParams(1.0, 0.0))
         s = math.sqrt(cm.v3)
         dist = stats.foldnorm(c=cm.m3 / s, scale=s)
         x = np.linspace(0.0, (cm.m3 + 5 * s) ** 2, 300)
         np.testing.assert_allclose(effective_gain_cdf(x, cm), dist.cdf(np.sqrt(x)), rtol=0, atol=1e-13)
 
     def test_monotone_and_bounded(self):
-        cm = cascaded_moments(RisArray(32, 1.0), RicianParams(0.0, 0.0, 0.0))
+        cm = cascaded_moments(RisArray(32, 1.0), RicianParams(0.0, 0.0))
         x = np.linspace(0.0, 3000.0, 500)
         f = effective_gain_cdf(x, cm)
         assert np.all(np.diff(f) >= 0.0)

@@ -3,13 +3,29 @@ where a test counts the calls a command makes."""
 
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from inaclink import cli, navigation
+from inaclink import FIGURE_IDS, cli, navigation
 
 CLI = [sys.executable, "-m", "inaclink.cli"]
+
+#: the CSV of every command at GOLDEN_CONFIG, compared byte for byte; only a
+#: deliberate change of output (a new sampler stream, say) re-records them, with
+#: `inaclink <command> --config <GOLDEN_CONFIG file> --out golden/cli/<command>.csv`
+#: (`reproduce <figure-id>` is saved as reproduce-<figure-id>.csv)
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "cli"
+#: the default scenario with a quarter of its trials and nav repetitions, and
+#: cap-vs-elements stopped at L = 1024, so that all eleven commands take ~2 s
+GOLDEN_CONFIG = """\
+mc.trials = 5000
+nav.repetitions = 50
+sweep.elements_cap = 16,64,256,1024
+"""
+GOLDEN_COMMANDS = [("analyze",), ("simulate",), ("position",), ("constellation",),
+                   *(("reproduce", fig) for fig in FIGURE_IDS)]
 
 
 def run_cli(*args):
@@ -130,6 +146,21 @@ class TestErrors:
         res = run_cli("reproduce", "op-vs-frequency")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("line, figure", [
+        ("sweep.elements_op = 0,8", "op-vs-elements"),
+        ("sweep.alpha_u_sq = 1.2", "outage-vs-split"),
+        ("sweep.r_m_km = -100", "constellation"),
+        ("sweep.elevation_deg = 95", "constellation"),
+        ("sweep.nav_elements = -3", "nav-accuracy"),
+    ])
+    def test_bad_grid_value_exits_2_before_the_sweep(self, tmp_path, capsys, line, figure):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert cli.main(["reproduce", figure, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert not (tmp_path / "x.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + line.split(" =")[0])
+
 
 class TestReproduce:
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -176,3 +207,14 @@ class TestConstellationCommand:
         assert lines[0] == "r_m_km,elevation_deg,geocentric_angle_rad,coverage_area_km2,min_satellites"
         assert len([ln for ln in lines if ln]) == 1 + 8 * 7
         assert any(ln.startswith("500,75,") and ln.endswith(",10597") for ln in lines)
+
+
+class TestGoldenOutput:
+    def test_every_command_writes_the_recorded_bytes(self, tmp_path):
+        cfg = tmp_path / "golden.cfg"
+        cfg.write_text(GOLDEN_CONFIG, encoding="utf-8")
+        for command in GOLDEN_COMMANDS:
+            name = "-".join(command)
+            out = tmp_path / f"{name}.csv"
+            assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 0
+            assert out.read_bytes() == (GOLDEN_DIR / f"{name}.csv").read_bytes(), name

@@ -23,7 +23,7 @@ from inaclink import montecarlo
 from inaclink.montecarlo import outage_events, wilson_half_width
 
 RIS64 = RisArray(num_elements=64, amplitude=1.0)
-RICIAN = RicianParams(k_r=1.0, k_g=0.0, k_n=0.0)
+RICIAN = RicianParams(k_r=1.0, k_g=0.0)
 
 
 class TestDeterminism:
@@ -113,7 +113,7 @@ class TestSampledMoments:
     def test_single_element_amplitude_mean(self):
         # L = 1, Rayleigh-Rayleigh: E[|h||g|] = pi/4
         mc = McConfig(trials=100_000, master_seed=12345)
-        amps = np.sqrt(sample_cascaded_gains(RisArray(1, 1.0), RicianParams(0, 0, 0), mc))
+        amps = np.sqrt(sample_cascaded_gains(RisArray(1, 1.0), RicianParams(0, 0), mc))
         se = np.std(amps, ddof=1) / math.sqrt(amps.size)
         assert np.mean(amps) == pytest.approx(math.pi / 4.0, abs=4.0 * se)
 

@@ -1,5 +1,6 @@
 """Superposition analysis: SINRs, outage closed forms, capacity, diversity."""
 
+import itertools
 import math
 
 import numpy as np
@@ -23,18 +24,91 @@ from inaclink.errors import (
     InfeasibleError,
     RegionError,
 )
-from inaclink.noma import (
-    MODES,
-    SIGNALS,
-    sinr_co_multicast,
-    sinr_co_unicast,
-    sinr_no_multicast,
-    sinr_no_unicast,
-)
+from inaclink.montecarlo import outage_events
+from inaclink.noma import MODES, SIGNALS, first_decoded, sinr
 
 
 def scenario(mode="CO", **overrides):
     return ScenarioConfig(mode=mode, **overrides).scenario()
+
+
+# --- reference decode order ---------------------------------------------------
+# The per-mode formulas that `first_decoded` and `sinr` replace, kept verbatim
+# (renamed) so that the one decode-order model is checked bit for bit.
+
+
+def _ref_co_multicast(gain, sc):
+    a = sc.split.alpha_m_sq * gain * sc.budget.gamma
+    b = sc.split.alpha_u_sq * gain * sc.budget.gamma + sc.budget.noise_power
+    return a / b
+
+
+def _ref_co_unicast(gain, sc):
+    return sc.split.alpha_u_sq * gain * sc.budget.gamma / sc.budget.noise_power
+
+
+def _ref_no_unicast(gain, sc):
+    a = sc.split.alpha_u_sq * gain * sc.budget.gamma
+    b = sc.split.alpha_m_sq * gain * sc.budget.gamma + sc.budget.noise_power
+    return a / b
+
+
+def _ref_no_multicast(gain, sc):
+    return sc.split.alpha_m_sq * gain * sc.budget.gamma / sc.budget.noise_power
+
+
+def _ref_sinr(gains, sc, signal):
+    if sc.mode == "CO":
+        return _ref_co_multicast(gains, sc) if signal == "multicast" else _ref_co_unicast(gains, sc)
+    return _ref_no_multicast(gains, sc) if signal == "multicast" else _ref_no_unicast(gains, sc)
+
+
+def _ref_outage_threshold(sc, signal):
+    eps_m, eps_u = sc.targets.eps_m, sc.targets.eps_u
+    a_m, a_u = sc.split.alpha_m_sq, sc.split.alpha_u_sq
+    rho2, gamma = sc.budget.noise_power, sc.budget.gamma
+    if sc.mode == "CO":
+        first = eps_m * rho2 / ((a_m - a_u * eps_m) * gamma)
+        if signal == "multicast":
+            return first
+        return max(first, eps_u * rho2 / (a_u * gamma))
+    first = eps_u * rho2 / ((a_u - a_m * eps_u) * gamma)
+    if signal == "unicast":
+        return first
+    return max(first, eps_m * rho2 / (a_m * gamma))
+
+
+def _ref_capacity_hardened(sc, signal):
+    a_m, a_u = sc.split.alpha_m_sq, sc.split.alpha_u_sq
+    g_hard = sc.moments.m3**2 * sc.budget.gamma / sc.budget.noise_power
+    if sc.mode == "CO":
+        if signal == "multicast":
+            return math.log2(1.0 + a_m / a_u)
+        return math.log2(1.0 + a_u * g_hard)
+    if signal == "unicast":
+        return math.log2(1.0 + a_u / a_m)
+    return math.log2(1.0 + a_m * g_hard)
+
+
+def _ref_outage_events(gains, sc, signal):
+    t = sc.targets
+    if sc.mode == "CO":
+        first_fail = np.log2(1.0 + _ref_co_multicast(gains, sc)) < t.r_m
+        if signal == "multicast":
+            return first_fail
+        second_fail = np.log2(1.0 + _ref_co_unicast(gains, sc)) < t.r_u
+        return first_fail | (~first_fail & second_fail)
+    first_fail = np.log2(1.0 + _ref_no_unicast(gains, sc)) < t.r_u
+    if signal == "unicast":
+        return first_fail
+    second_fail = np.log2(1.0 + _ref_no_multicast(gains, sc)) < t.r_m
+    return first_fail | (~first_fail & second_fail)
+
+
+def _ref_feasible(sc):
+    if sc.mode == "CO":
+        return sc.split.alpha_m_sq - sc.split.alpha_u_sq * sc.targets.eps_m > 0.0
+    return sc.split.alpha_u_sq - sc.split.alpha_m_sq * sc.targets.eps_u > 0.0
 
 
 class TestDataTypes:
@@ -90,22 +164,56 @@ class TestSinr:
         co = scenario("CO")
         no = scenario("NO")
         # gain -> inf: the first-decoded signal saturates at its share ratio
-        assert sinr_co_multicast(1e30, co) == pytest.approx(0.6 / 0.4, rel=1e-9)
-        assert sinr_no_unicast(1e30, no) == pytest.approx(0.9 / 0.1, rel=1e-9)
+        assert sinr(1e30, co, "multicast") == pytest.approx(0.6 / 0.4, rel=1e-9)
+        assert sinr(1e30, no, "unicast") == pytest.approx(0.9 / 0.1, rel=1e-9)
 
     def test_clean_links_are_linear_in_gain(self):
         co = scenario("CO")
-        assert sinr_co_unicast(2.0, co) == pytest.approx(2.0 * sinr_co_unicast(1.0, co), rel=1e-13)
+        assert sinr(2.0, co, "unicast") == pytest.approx(2.0 * sinr(1.0, co, "unicast"), rel=1e-13)
         no = scenario("NO")
-        assert sinr_no_multicast(2.0, no) == pytest.approx(2.0 * sinr_no_multicast(1.0, no), rel=1e-13)
+        assert sinr(2.0, no, "multicast") == pytest.approx(2.0 * sinr(1.0, no, "multicast"), rel=1e-13)
 
     def test_array_input(self):
         co = scenario("CO")
         gains = np.array([0.0, 1.0, 10.0])
-        out = sinr_co_multicast(gains, co)
+        out = sinr(gains, co, "multicast")
         assert out.shape == (3,)
         assert out[0] == 0.0
         assert np.all(np.diff(out) > 0.0)
+
+
+class TestDecodeOrder:
+    """`first_decoded` and `sinr` against the per-mode formulas: same bits, not just close."""
+
+    def test_first_decoded(self):
+        assert first_decoded("CO") == "multicast"
+        assert first_decoded("NO") == "unicast"
+
+    def test_bad_signal_name(self):
+        with pytest.raises(ValueError):
+            sinr(1.0, scenario(), "broadcast")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_matches_the_per_mode_formulas(self, mode):
+        gains = np.concatenate([[0.0], np.geomspace(1e-2, 1e6, 200)])
+        splits = [(0.6, 0.4), (0.1, 0.9), (0.99, 0.01), (0.01, 0.99), (0.3, 0.7),
+                  (0.00001, 0.99999), (0.99999, 0.00001)]
+        checked = infeasible = 0
+        for L, dbm, (a_m, a_u) in itertools.product((1, 8, 128, 4096), (20.0, 46.0, 60.0), splits):
+            cfg = ScenarioConfig(mode=mode, elements=L, tx_power_dbm=dbm, alpha_m_sq=a_m, alpha_u_sq=a_u)
+            sc = cfg.scenario()
+            assert sc.feasible == _ref_feasible(sc)
+            for signal in SIGNALS:
+                assert sinr(gains, sc, signal).tobytes() == _ref_sinr(gains, sc, signal).tobytes()
+                assert sinr(float(gains[7]), sc, signal) == _ref_sinr(float(gains[7]), sc, signal)
+                assert capacity_hardened(sc, signal) == _ref_capacity_hardened(sc, signal)
+                assert np.array_equal(outage_events(gains, sc, signal), _ref_outage_events(gains, sc, signal))
+                if sc.feasible:
+                    assert outage_threshold(sc, signal) == _ref_outage_threshold(sc, signal)
+                    checked += 1
+                else:
+                    infeasible += 1
+        assert checked > 0 and infeasible > 0
 
 
 class TestOutageThreshold:

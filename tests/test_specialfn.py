@@ -7,8 +7,8 @@ import pytest
 from scipy import special as sp
 from scipy import stats
 
-from inaclink import SeriesControl, erf, erf_series, folded_normal_cdf, folded_normal_pdf, kummer_1f1_half
-from inaclink.errors import ConvergenceError, RegionError
+from inaclink import SeriesControl, erf, folded_normal_cdf, folded_normal_pdf, kummer_1f1_half
+from inaclink.errors import ConvergenceError
 
 
 class TestErf:
@@ -25,24 +25,6 @@ class TestErf:
 
     def test_scalar_in_scalar_out(self):
         assert isinstance(erf(0.3), float)
-
-
-class TestErfSeries:
-    def test_matches_erf_inside_unit_interval(self):
-        for z in np.linspace(-0.99, 0.99, 23):
-            assert erf_series(float(z)) == pytest.approx(erf(float(z)), rel=1e-12, abs=1e-15)
-
-    def test_region_violation_raises(self):
-        # the expansion is only trusted on |z| < 1
-        for z in (1.0, 1.5, -1.0, -2.3):
-            with pytest.raises(RegionError):
-                erf_series(z)
-
-    def test_truncation_control(self):
-        # a 2-term budget is deliberately crude but must still return
-        crude = erf_series(0.9, SeriesControl(max_terms=2, tol=1e-12))
-        assert crude != pytest.approx(erf(0.9), rel=1e-12)
-        assert abs(crude - erf(0.9)) < 0.1
 
 
 class TestKummer:
