@@ -36,6 +36,7 @@ from .geometry import (
     slant_range,
 )
 from .montecarlo import (
+    SAMPLER_VERSION,
     McConfig,
     McEstimate,
     ks_distance,

@@ -11,7 +11,9 @@ Flags: --config PATH (key=value file; defaults apply when omitted),
 --seed U64 and --trials N (override the config's Monte Carlo settings),
 --out PATH (write CSV there instead of stdout).
 
-Exit codes: 0 success, 2 configuration error, 3 numeric/region error.
+Exit codes: 0 success, 2 configuration error, 3 numeric/region error
+(a NumericError of the library).  Any other exception is a bug and is not
+reported under either class.
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, ValueError, FloatingPointError) as exc:
+    except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -15,7 +15,8 @@ path-loss exponents 2 / 2.2, spread gain 30 dB, target rates 0.0005 and
 key suffixes (dbm, db, km, ghz, mhz, deg); everything is converted to SI
 once at this boundary.  Each key is a ScenarioConfig field: its group from
 the field metadata, a dot, and the field name less any ``group_`` prefix;
-the value kind follows the annotation.
+the value kind follows the annotation.  A value the library rejects is
+reported with its key and the value as written, before anything runs.
 
 Navigation scene files use the same syntax with 3-vector values::
 
@@ -31,6 +32,7 @@ Navigation scene files use the same syntax with 3-vector values::
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -55,13 +57,15 @@ __all__ = [
 _MODE_SPLITS = {"CO": (0.6, 0.4), "NO": (0.1, 0.9)}
 
 
-def _key(group: str, default, point=None):
+def _key(group: str, default, point=None, builds=None):
     """A config field keyed ``group.`` + its name less any ``group_`` prefix.
 
-    A sweep grid carries point(cfg, x), which builds the object of one grid
-    value x, so that validate rejects a bad value before any sweep runs.
+    A scalar field names in builds the ScenarioConfig method that builds
+    the object its value feeds; a sweep grid carries point(cfg, x), which
+    builds the object of one grid value x.  validate builds them all, so a
+    bad value is named by its key before any sweep runs.
     """
-    return field(default=default, metadata={"group": group, "point": point})
+    return field(default=default, metadata={"group": group, "point": point, "builds": builds})
 
 
 def _nav_elements_point(cfg: "ScenarioConfig", elements: int) -> RisArray | None:
@@ -74,34 +78,34 @@ def _nav_elements_point(cfg: "ScenarioConfig", elements: int) -> RisArray | None
 class ScenarioConfig:
     """Every physical and protocol parameter of one experiment, boundary units."""
 
-    r_e_km: float = _key("orbit", 6378.0)
-    r_m_km: float = _key("orbit", 20000.0)
-    elevation_deg: float = _key("orbit", 18.0)
-    f_c_ghz: float = _key("rf", 10.0)
-    g_t_dbi: float = _key("rf", 32.0)
-    alpha1: float = _key("rf", 2.0)
-    alpha2: float = _key("rf", 2.2)
-    d_ru_m: float = _key("rf", 10.0)
-    bandwidth_mhz: float = _key("link", 30.0)
-    tx_power_dbm: float = _key("link", 46.0)
-    spread_gain_db: float = _key("link", 30.0)
-    elements: int = _key("ris", 128)
-    amplitude: float = _key("ris", 1.0)
-    k_r: float = _key("fading", 1.0)
-    k_g: float = _key("fading", 0.0)
+    r_e_km: float = _key("orbit", 6378.0, builds="link")
+    r_m_km: float = _key("orbit", 20000.0, builds="link")
+    elevation_deg: float = _key("orbit", 18.0, builds="link")
+    f_c_ghz: float = _key("rf", 10.0, builds="link")
+    g_t_dbi: float = _key("rf", 32.0, builds="link")
+    alpha1: float = _key("rf", 2.0, builds="link")
+    alpha2: float = _key("rf", 2.2, builds="link")
+    d_ru_m: float = _key("rf", 10.0, builds="link")
+    bandwidth_mhz: float = _key("link", 30.0, builds="link")
+    tx_power_dbm: float = _key("link", 46.0, builds="link")
+    spread_gain_db: float = _key("link", 30.0, builds="link")
+    elements: int = _key("ris", 128, builds="ris_array")
+    amplitude: float = _key("ris", 1.0, builds="ris_array")
+    k_r: float = _key("fading", 1.0, builds="rician_params")
+    k_g: float = _key("fading", 0.0, builds="rician_params")
     mode: str = _key("noma", "CO")
-    alpha_m_sq: float | None = _key("noma", None)  # None: take the mode default
-    alpha_u_sq: float | None = _key("noma", None)
-    multicast_rate_bpshz: float = _key("noma", 0.0005)
-    unicast_rate_bpshz: float = _key("noma", 0.001)
-    trials: int = _key("mc", 20_000)
-    seed: int = _key("mc", 12345)
-    batch: int = _key("mc", 65_536)
+    alpha_m_sq: float | None = _key("noma", None, builds="power_split")  # None: mode default
+    alpha_u_sq: float | None = _key("noma", None, builds="power_split")
+    multicast_rate_bpshz: float = _key("noma", 0.0005, builds="rate_targets")
+    unicast_rate_bpshz: float = _key("noma", 0.001, builds="rate_targets")
+    trials: int = _key("mc", 20_000, builds="mc_config")
+    seed: int = _key("mc", 12345, builds="mc_config")
+    batch: int = _key("mc", 65_536, builds="mc_config")
     scene_file: str = _key("nav", "")
     nav_repetitions: int = _key("nav", 200)
     sweep_tx_power_dbm: tuple[float, ...] = _key(
         "sweep", (38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50),
-        lambda cfg, dbm: 10.0 ** (dbm / 10.0) * 1e-3)
+        lambda cfg, dbm: cfg.link(10.0 ** (dbm / 10.0) * 1e-3))
     sweep_elements_op: tuple[int, ...] = _key(
         "sweep", (8, 16, 32, 64, 128, 256), lambda cfg, L: cfg.ris_array(L))
     sweep_elements_cap: tuple[int, ...] = _key(
@@ -229,24 +233,30 @@ class ScenarioConfig:
         return "\n".join(lines) + "\n"
 
     def validate(self) -> "ScenarioConfig":
-        """Cross-field checks; raises ConfigError naming the violated invariant."""
+        """Checks each value, then the cross-field invariants.
+
+        Raises ConfigError naming the key and value, or the violated
+        invariant.  A scalar value is built over the defaults, so that it is
+        judged alone and another key's bad value is not blamed on it.
+        """
         if self.mode not in _MODE_SPLITS:
             raise ConfigError(f"noma.mode must be CO or NO, got {self.mode!r}")
+        if self.nav_repetitions < 1:
+            raise ConfigError(f"nav.repetitions must be >= 1, got {self.nav_repetitions}")
+        for key, f in _SCALARS.items():
+            value = getattr(self, f.name)
+            if value == getattr(_DEFAULTS, f.name):
+                continue  # the defaults build
+            with _naming(key, value):
+                getattr(replace(_DEFAULTS, **{f.name: value}), f.metadata["builds"])()
         try:
-            self.orbit()
-            self.rf_params()
-            self.link()
-            self.ris_array()
-            self.rician_params()
-            split = self.power_split()
-            self.rate_targets()
-            self.mc_config()
-            sc = self.scenario(split=split)
-        except (ValueError, OverflowError, ConfigError) as exc:
+            # what no single value decides: the split's sum, the link budget's product
+            sc = self.scenario()
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
         if not sc.feasible:
             raise ConfigError(
-                f"power split (alpha_m_sq={split.alpha_m_sq}, alpha_u_sq={split.alpha_u_sq}) "
+                f"power split (alpha_m_sq={sc.split.alpha_m_sq}, alpha_u_sq={sc.split.alpha_u_sq}) "
                 f"cannot decode the first {self.mode} signal at any SNR"
             )
         for key, f in _GRIDS.items():
@@ -254,11 +264,20 @@ class ScenarioConfig:
             if len(values) == 0:
                 raise ConfigError(f"{key} must not be empty")
             for x in values:
-                try:
+                with _naming(key, x):
                     f.metadata["point"](self, x)
-                except (ValueError, OverflowError) as exc:
-                    raise ConfigError(f"{key} = {x}: {exc}") from exc
         return self
+
+
+@contextmanager
+def _naming(key: str, value):
+    """Re-raise the library's rejection of a value as a ConfigError naming key and value."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise ConfigError(f"{key} = {value}: out of the range of a double") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{key} = {value}: {exc}") from exc
 
 
 #: value kind of each field annotation
@@ -281,6 +300,9 @@ def _config_key(f) -> str:
 _KEYMAP = {_config_key(f): (f.name, _KINDS[f.type]) for f in fields(ScenarioConfig)}
 #: config key -> field of each sweep grid
 _GRIDS = {_config_key(f): f for f in fields(ScenarioConfig) if _KINDS[f.type].endswith("_list")}
+#: config key -> field of each scalar that builds a library object
+_SCALARS = {_config_key(f): f for f in fields(ScenarioConfig) if f.metadata["builds"]}
+_DEFAULTS = ScenarioConfig()
 
 
 def _parse_value(raw: str, kind: str, key: str, lineno: int):

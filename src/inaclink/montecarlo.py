@@ -12,6 +12,16 @@ consume a data-dependent number of words and break the fixed stride.  As a
 result the gain vector is bit-identical no matter how trials are batched or
 distributed, and every downstream estimate is too.
 
+Sampler version 2 (SAMPLER_VERSION) keeps that stream of uniforms and
+normals and changes only the transform.  Each link stays a power
+|s + sigma (z1 + j z2)|^2 (scale, shift when K > 0, square, add); the two
+links' powers are multiplied and one square root per element gives the
+amplitude product that the L-element sum reduces.  Version 1 took two
+hypot calls and multiplied the amplitudes; the version 2 gains lie within
+1.1e-15 relative of version 1's (measured for L = 1..1024 and K up to
+316), but they are not bit-identical to it, which is why the version
+changed.
+
 Because each block of trials is keyed by its own counter, a call that draws
 at least 2**17 uniform doubles is split into at least one block per usable
 CPU, and its blocks are sampled concurrently, each writing its own slice of
@@ -36,6 +46,7 @@ from .channel import RicianParams, RisArray, cascaded_moments, effective_gain_cd
 from .noma import Scenario, first_decoded, sinr
 
 __all__ = [
+    "SAMPLER_VERSION",
     "McConfig",
     "McEstimate",
     "sample_cascaded_gains",
@@ -45,6 +56,10 @@ __all__ = [
     "mc_capacity",
     "ks_distance",
 ]
+
+#: version of the transform from uniforms to gains; bumped whenever the
+#: gains of a given seed change
+SAMPLER_VERSION = 2
 
 #: 95% two-sided normal quantile
 _Z95 = 1.959963984540054
@@ -96,14 +111,25 @@ def _uniform_block(master_seed: int, start_trial: int, n_trials: int, words_per_
     bg.advance(start_trial * (words_per_trial // 4))
     u = Generator(bg).random(n_trials * words_per_trial)
     # random() can emit exactly 0.0, which the inverse CDF maps to -inf
-    return np.maximum(u, 2.0**-53).reshape(n_trials, words_per_trial)
+    np.maximum(u, 2.0**-53, out=u)
+    return u.reshape(n_trials, words_per_trial)
 
 
-def _rician_amplitudes(z1: np.ndarray, z2: np.ndarray, k: float) -> np.ndarray:
-    """Unit-power Rician amplitudes |s + sigma (z1 + j z2)| with LoS phase 0."""
-    s = math.sqrt(k / (k + 1.0))
+def _rician_powers(z1: np.ndarray, z2: np.ndarray, k: float) -> np.ndarray:
+    """Unit-power Rician powers |s + sigma (z1 + j z2)|^2 with LoS phase 0.
+
+    Works in place on fresh contiguous arrays: the same arithmetic written
+    into z's strided column slices took 1.8x as long per 4096 x 128 block.
+    """
     sigma = math.sqrt(1.0 / (2.0 * (k + 1.0)))
-    return np.hypot(s + sigma * z1, sigma * z2)
+    re = sigma * z1
+    if k > 0.0:
+        re += math.sqrt(k / (k + 1.0))
+    re *= re
+    im = sigma * z2
+    im *= im
+    re += im
+    return re
 
 
 def sample_cascaded_gains(ris: RisArray, rp: RicianParams, mc: McConfig) -> np.ndarray:
@@ -129,10 +155,11 @@ def sample_cascaded_gains(ris: RisArray, rp: RicianParams, mc: McConfig) -> np.n
         # span tracers that wrap those assume serial calls
         n = min(block, mc.trials - start)
         u = _uniform_block(mc.master_seed, start, n, words)
-        z = ndtri(u)
-        amp_h = _rician_amplitudes(z[:, :L], z[:, L : 2 * L], rp.k_r)
-        amp_g = _rician_amplitudes(z[:, 2 * L : 3 * L], z[:, 3 * L :], rp.k_g)
-        total = ris.amplitude * np.sum(amp_h * amp_g, axis=1)
+        z = ndtri(u, out=u)
+        power = _rician_powers(z[:, :L], z[:, L : 2 * L], rp.k_r)
+        power *= _rician_powers(z[:, 2 * L : 3 * L], z[:, 3 * L :], rp.k_g)
+        # one square root per element: |h_l| |g_l| = sqrt(|h_l|^2 |g_l|^2)
+        total = ris.amplitude * np.sum(np.sqrt(power, out=power), axis=1)
         gains[start : start + n] = total * total
 
     starts = range(0, mc.trials, block)

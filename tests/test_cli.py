@@ -161,6 +161,31 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: " + line.split(" =")[0])
 
+    @pytest.mark.parametrize("line, detail", [
+        ("link.bandwidth_mhz = -1", "link.bandwidth_mhz = -1.0: bandwidth must be > 0"),
+        ("orbit.elevation_deg = 95", "orbit.elevation_deg = 95.0: elevation must be in [0, pi/2]"),
+        ("link.tx_power_dbm = 4000", "link.tx_power_dbm = 4000.0: out of the range of a double"),
+        ("nav.repetitions = 0", "nav.repetitions must be >= 1, got 0"),
+    ])
+    def test_bad_scalar_value_is_named_by_its_key(self, tmp_path, capsys, line, detail):
+        # a scalar is built over the defaults: orbit.r_e_km, checked before
+        # the elevation, feeds the same orbit but is not blamed for it
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        assert cli.main(["analyze", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error: " + detail)
+
+    def test_unexpected_value_error_is_not_a_numeric_error(self, monkeypatch, capsys):
+        # only the library's NumericError exits 3; anything else is a bug and
+        # propagates instead of posing as a region or convergence failure
+        def broken(sc, signal):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(cli.noma, "outage_closed_form", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            cli.main(["analyze"])
+        assert "numeric error" not in capsys.readouterr().err
+
 
 class TestReproduce:
     def test_rerun_is_byte_identical(self, tmp_path):
