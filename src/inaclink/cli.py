@@ -64,12 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ScenarioConfig:
-    cfg = load_config(args.config) if args.config else ScenarioConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.trials is not None:
-        cfg = replace(cfg, trials=args.trials)
-    return cfg.validate()
+    """The command's config with --seed/--trials applied, validated once."""
+    overrides = {name: value for name in ("seed", "trials")
+                 if (value := getattr(args, name)) is not None}
+    if args.config:
+        return load_config(args.config, **overrides)
+    return replace(ScenarioConfig(), **overrides).validate()
 
 
 def _table(command: str, rows: list[tuple[str, object]]) -> SweepReport:

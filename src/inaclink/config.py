@@ -247,16 +247,20 @@ class ScenarioConfig:
             value = getattr(self, f.name)
             if value == getattr(_DEFAULTS, f.name):
                 continue  # the defaults build
-            with _naming(key, value):
+            with _naming(f"{key} = {value}"):
                 getattr(replace(_DEFAULTS, **{f.name: value}), f.metadata["builds"])()
         try:
             # what no single value decides: the split's sum, the link budget's product
             sc = self.scenario()
         except (ValueError, OverflowError) as exc:
+            for builds in _BUILDS:  # name the set keys of the object that fails
+                with _naming(self._set_keys(builds)):
+                    getattr(self, builds)()
             raise ConfigError(str(exc)) from exc
         if not sc.feasible:
             raise ConfigError(
-                f"power split (alpha_m_sq={sc.split.alpha_m_sq}, alpha_u_sq={sc.split.alpha_u_sq}) "
+                f"{self._set_keys('power_split', 'rate_targets')}: power split "
+                f"(alpha_m_sq={sc.split.alpha_m_sq}, alpha_u_sq={sc.split.alpha_u_sq}) "
                 f"cannot decode the first {self.mode} signal at any SNR"
             )
         for key, f in _GRIDS.items():
@@ -264,20 +268,27 @@ class ScenarioConfig:
             if len(values) == 0:
                 raise ConfigError(f"{key} must not be empty")
             for x in values:
-                with _naming(key, x):
+                with _naming(f"{key} = {x}"):
                     f.metadata["point"](self, x)
         return self
 
+    def _set_keys(self, *builds: str) -> str:
+        """``key = value, ...`` of each key off its default that feeds one of the builders."""
+        return ", ".join(
+            f"{key} = {getattr(self, f.name)}" for key, f in _SCALARS.items()
+            if f.metadata["builds"] in builds and getattr(self, f.name) != getattr(_DEFAULTS, f.name)
+        )
+
 
 @contextmanager
-def _naming(key: str, value):
-    """Re-raise the library's rejection of a value as a ConfigError naming key and value."""
+def _naming(keys: str):
+    """Re-raise the library's rejection of a value as a ConfigError prefixed by keys and values."""
     try:
         yield
     except OverflowError as exc:
-        raise ConfigError(f"{key} = {value}: out of the range of a double") from exc
+        raise ConfigError(f"{keys}: out of the range of a double") from exc
     except ValueError as exc:
-        raise ConfigError(f"{key} = {value}: {exc}") from exc
+        raise ConfigError(f"{keys}: {exc}") from exc
 
 
 #: value kind of each field annotation
@@ -302,6 +313,8 @@ _KEYMAP = {_config_key(f): (f.name, _KINDS[f.type]) for f in fields(ScenarioConf
 _GRIDS = {_config_key(f): f for f in fields(ScenarioConfig) if _KINDS[f.type].endswith("_list")}
 #: config key -> field of each scalar that builds a library object
 _SCALARS = {_config_key(f): f for f in fields(ScenarioConfig) if f.metadata["builds"]}
+#: the builder methods of the scalars, in field order
+_BUILDS = tuple(dict.fromkeys(f.metadata["builds"] for f in _SCALARS.values()))
 _DEFAULTS = ScenarioConfig()
 
 
@@ -333,9 +346,12 @@ def _key_value_lines(text: str):
         yield lineno, key.strip(), raw.strip()
 
 
-def parse_config_text(text: str) -> ScenarioConfig:
-    """Parse and validate config text over the default scenario."""
-    overrides: dict[str, object] = {}
+def parse_config_text(text: str, **overrides) -> ScenarioConfig:
+    """Parse and validate config text over the default scenario.
+
+    Field overrides (``seed=``, ``trials=``) replace the parsed values before
+    the one validation."""
+    values: dict[str, object] = {}
     seen: dict[str, int] = {}
     for lineno, key, raw in _key_value_lines(text):
         if key not in _KEYMAP:
@@ -344,18 +360,20 @@ def parse_config_text(text: str) -> ScenarioConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} (first at line {seen[key]})")
         seen[key] = lineno
         attr, kind = _KEYMAP[key]
-        overrides[attr] = _parse_value(raw, kind, key, lineno)
-    return replace(ScenarioConfig(), **overrides).validate()
+        values[attr] = _parse_value(raw, kind, key, lineno)
+    return replace(ScenarioConfig(), **{**values, **overrides}).validate()
 
 
-def load_config(path: str) -> ScenarioConfig:
-    """Load, parse, and validate a config file; empty file gives the defaults."""
+def load_config(path: str, **overrides) -> ScenarioConfig:
+    """Load, parse, and validate a config file; empty file gives the defaults.
+
+    Field overrides replace the file's values, as in `parse_config_text`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text)
+    return parse_config_text(text, **overrides)
 
 
 # --- navigation scenes ------------------------------------------------------

@@ -6,7 +6,19 @@ known constant subtracted by the receiver, leaving a RIS-anchored range.
 The solver linearizes the range model at the current state estimate
 (x, y, z, c dt) and applies Gauss-Newton steps from a cold start at the
 origin; each step is the least-squares solution of the 4x4 linearized system
-by `np.linalg.lstsq` (LAPACK's SVD-based gelsd), not a normal-equation solve.
+by LAPACK's SVD-based gelsd, not a normal-equation solve.
+
+The step calls gelsd through `numpy.linalg.lapack_lite`: the same LAPACK
+build, routine, workspace query and rcond (eps * 4) as `np.linalg.lstsq`, so
+each step has the bytes and rank `lstsq` gives, at half its cost per step
+(lstsq's wrapper copies and checks cost more than the LAPACK call).
+lapack_lite hands LAPACK the raw buffers, and LAPACK reads a C-order array as
+its column-major transpose, so the solver keeps the design matrix transposed
+(row j of `ut` is column j of U); gelsd overwrites that buffer, and the
+right-hand side with the step, in place.  `scipy.linalg.lapack.dgelsd` is as
+fast, but importing `scipy.linalg` costs 60-75 ms on a fresh `inaclink
+position`; `np.linalg.solve` (LU, not SVD) moves 1 of the benchmark's 400
+catalogue fixes by more than ~6 mm.
 
 `lsm_solve` builds its design matrix and model pseudoranges inline, but its
 arithmetic is that of `design_row` and `predicted_pseudoranges`, so a fix is
@@ -29,6 +41,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import DegenerateGeometryError
 from .geometry import SPEED_OF_LIGHT
@@ -206,24 +219,51 @@ def predicted_pseudoranges(scene: NavScene, state: np.ndarray) -> np.ndarray:
     return out
 
 
+#: rcond=None in np.linalg.lstsq: eps times the larger side of the 4x4 system
+_RCOND = float(np.finfo(float).eps) * 4
+#: LAPACK's integer.  lapack_lite takes iwork only as an np.intc array, but an
+#: ILP64 LAPACK writes 8-byte integers into it, so iwork is sized in these.
+_LAPACK_INT = np.dtype(np.int64 if lapack_lite._ilp64 else np.intc)
+
+
+def _gelsd_workspace(ut: np.ndarray, b: np.ndarray, s: np.ndarray):
+    """(work, lwork, iwork) for a 4x4 gelsd with one right-hand side, from its size query."""
+    work = np.empty(1)
+    iwork = np.zeros(1, _LAPACK_INT).view(np.intc)
+    lapack_lite.dgelsd(4, 4, 1, ut, 4, b, 4, s, _RCOND, 0, work, -1, iwork, 0)
+    lwork, liwork = int(work[0]), int(iwork.view(_LAPACK_INT)[0])
+    return np.empty(lwork), lwork, np.zeros(liwork, _LAPACK_INT).view(np.intc)
+
+
 def lsm_solve(pr: PseudorangeSet, scene: NavScene, ctrl: LsmControl = LsmControl()) -> PositionFix:
     """Iterative least-squares position/clock solution.
 
     Each iteration evaluates the residual b = rho - predicted(x); if its
     quadratic cost is below ctrl.loss the state is accepted, otherwise the
     step dx = argmin |U dx - b| is applied, with U the stacked design rows,
-    solved by `np.linalg.lstsq` (SVD).  After ctrl.iters steps the cost at
+    solved by LAPACK's gelsd (SVD).  After ctrl.iters steps the cost at
     the last state is reported as it stands.  Only the known geometry of
     the scene (satellite and RIS positions) is used; truth fields never
     leak into the solve.  Bit-identical to stacking `design_row` and
     calling `predicted_pseudoranges` each iteration (see the module notes).
+
+    gelsd is called through `numpy.linalg.lapack_lite` on buffers this call
+    owns: U is kept transposed in the C-order `ut`, which LAPACK reads as
+    column-major U, and its clock row is reset each step because gelsd
+    overwrites `ut`; the residual `b` comes back as the step.  A rank below
+    4 raises DegenerateGeometryError, a nonzero gelsd info LinAlgError, as
+    `np.linalg.lstsq` would.
     """
     anchors = scene.anchors()
     r_tau_r = scene.r_tau_r
     rho = pr.rho
     diff = np.empty((4, 3))  # linearization point minus each anchor
     predicted = np.empty(4)
-    u = np.ones((4, 4))  # design matrix; the clock column stays ones
+    ut = np.empty((4, 4))  # design matrix, transposed
+    b = np.empty(4)  # residual in, step out
+    s = np.empty(4)  # singular values
+    work, lwork, iwork = _gelsd_workspace(ut, b, s)
+    dgelsd = lapack_lite.dgelsd
     x = ctrl.x0.copy()
     for k in range(1, ctrl.iters + 2):  # pass iters + 1 only scores the last step
         np.subtract(x[:3], anchors, out=diff)
@@ -233,17 +273,20 @@ def lsm_solve(pr: PseudorangeSet, scene: NavScene, ctrl: LsmControl = LsmControl
         sats = diff[:3]  # direct ranges: norm(axis=1)'s form, as predicted_pseudoranges takes it
         predicted[:3] = np.sqrt(np.add.reduce(sats * sats, axis=1)) + x[3]
         predicted[3] = r_tau_r + r[3] + x[3]
-        b = rho - predicted
+        np.subtract(rho, predicted, out=b)
         cost = float(b @ b)
         if cost < ctrl.loss or k > ctrl.iters:
             break
         if not r.all():
             raise DegenerateGeometryError("linearization point coincides with the anchor")
-        np.divide(diff, r[:, None], out=u[:, :3])
-        dx, _, rank, _ = np.linalg.lstsq(u, b, rcond=None)
-        if rank < 4:
+        np.divide(diff.T, r, out=ut[:3])
+        ut[3] = 1.0  # the clock column
+        res = dgelsd(4, 4, 1, ut, 4, b, 4, s, _RCOND, 0, work, lwork, iwork, 0)
+        if res["info"]:
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+        if res["rank"] < 4:
             raise DegenerateGeometryError("design matrix is rank deficient")
-        x = x + dx
+        x += b
     return PositionFix(state=x, iterations_used=min(k, ctrl.iters), final_cost=cost,
                        converged=cost < ctrl.loss)
 

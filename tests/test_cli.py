@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from inaclink import FIGURE_IDS, cli, navigation
+from inaclink import FIGURE_IDS, ScenarioConfig, cli, navigation
 
 CLI = [sys.executable, "-m", "inaclink.cli"]
 
@@ -126,6 +126,58 @@ class TestPosition:
         assert res.returncode == 3
         assert res.stderr.startswith("numeric error:")
         assert "rank deficient" in res.stderr
+
+    def test_position_never_loads_scipy_linalg(self, tmp_path):
+        # the solver's LAPACK comes through numpy; scipy.linalg alone costs
+        # tens of ms of import, on every fresh process
+        code = ("import sys, inaclink\n"
+                "from inaclink import cli\n"
+                f"assert cli.main(['position', '--out', {str(tmp_path / 'pos.csv')!r}]) == 0\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n"
+
+
+class TestValidateOnce:
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        validate = ScenarioConfig.validate
+
+        def counted(cfg):
+            calls.append(cfg)
+            return validate(cfg)
+
+        monkeypatch.setattr(ScenarioConfig, "validate", counted)
+        return calls
+
+    @pytest.mark.parametrize("command, flags", [
+        ("analyze", []),
+        ("simulate", ["--trials", "100"]),
+        ("simulate", ["--seed", "5", "--trials", "100"]),
+    ])
+    def test_one_validation_per_command(self, tmp_path, validations, command, flags):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("noma.mode = NO\n", encoding="utf-8")
+        argv = [command, "--config", str(cfg), *flags, "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv) == 0
+        assert len(validations) == 1
+        assert validations[0].mode == "NO"
+        if flags:
+            assert validations[0].trials == 100
+
+    def test_defaults_are_validated_once(self, tmp_path, validations):
+        assert cli.main(["analyze", "--out", str(tmp_path / "x.csv")]) == 0
+        assert len(validations) == 1
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_bad_trials_override_exits_2(self, tmp_path, capsys, with_config):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("noma.mode = NO\n", encoding="utf-8")
+        argv = ["simulate", "--trials", "0", "--out", str(tmp_path / "x.csv")]
+        assert cli.main(argv + (["--config", str(cfg)] if with_config else [])) == 2
+        assert capsys.readouterr().err.startswith("config error: mc.trials = 0: ")
 
 
 class TestErrors:

@@ -108,6 +108,22 @@ class TestParsing:
         with pytest.raises(ConfigError, match="cannot decode"):
             parse_config_text("noma.alpha_m_sq = 0.00001\nnoma.alpha_u_sq = 0.99999\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("noma.alpha_m_sq = 0.6\nnoma.alpha_u_sq = 0.5\n",
+         "noma.alpha_m_sq = 0.6, noma.alpha_u_sq = 0.5: power shares must sum to 1, got 1.1"),
+        ("noma.alpha_m_sq = 0.00001\nnoma.alpha_u_sq = 0.99999\nlink.tx_power_dbm = 40\n",
+         "noma.alpha_m_sq = 1e-05, noma.alpha_u_sq = 0.99999: power split "
+         "(alpha_m_sq=1e-05, alpha_u_sq=0.99999) cannot decode the first CO signal at any SNR"),
+        ("noma.multicast_rate_bpshz = 5\n",
+         "noma.multicast_rate_bpshz = 5.0: power split (alpha_m_sq=0.6, alpha_u_sq=0.4) "
+         "cannot decode the first CO signal at any SNR"),
+    ])
+    def test_cross_field_error_names_the_set_keys_it_comes_from(self, text, message):
+        # only keys that feed the failing object, and only those off their default
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert str(err.value) == message
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
             parse_config_text("noma.mode = XX\n")

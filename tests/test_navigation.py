@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
 from inaclink import (
     LsmControl,
@@ -15,6 +17,7 @@ from inaclink import (
     range_noise_from_snr,
     synthesize_pseudoranges,
 )
+from inaclink import navigation
 from inaclink.errors import DegenerateGeometryError
 from inaclink.navigation import SPEED_OF_LIGHT, design_row, predicted_pseudoranges
 
@@ -230,7 +233,20 @@ class TestSolver:
             true_user=np.array([6378000.0, 0.0, 0.0]),
             clock_bias=2.5e-4,
         )
-        with pytest.raises(DegenerateGeometryError):
+        with pytest.raises(DegenerateGeometryError, match="rank deficient"):
+            lsm_solve(noiseless_measurements(scene), scene)
+
+    def test_lapack_failure_raises_linalg_error(self, monkeypatch):
+        # gelsd's info > 0 (the SVD did not converge) is numpy's LinAlgError, as in lstsq
+        dgelsd = navigation.lapack_lite.dgelsd
+
+        def failing(*args):
+            res = dgelsd(*args)
+            return res if args[11] == -1 else {**res, "info": 1}  # args[11]: lwork, -1 queries
+
+        monkeypatch.setattr(navigation.lapack_lite, "dgelsd", failing)
+        scene = default_scene()
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             lsm_solve(noiseless_measurements(scene), scene)
 
     def test_control_validation(self):
@@ -270,6 +286,46 @@ class TestBitIdentity:
             else:
                 capped += 1
         assert capped > 0 and early > 0
+
+
+_component = st.floats(-1.0, 1.0)
+
+
+def _four(elements):
+    return st.lists(elements, min_size=4, max_size=4)
+
+
+class TestGelsdStep:
+    """Each in-place gelsd step against `np.linalg.lstsq` on random geometry."""
+
+    # no shrink phase: a broken step fails on most examples, and shrinking
+    # twenty-one floats through two Gauss-Newton steps runs for minutes
+    @settings(max_examples=200, phases=[Phase.explicit, Phase.generate])
+    @given(
+        directions=_four(st.tuples(_component, _component, _component).filter(
+            lambda v: math.hypot(*v) > 0.1)),
+        distances=_four(st.floats(1e2, 3e7)),
+        residual=_four(_component.filter(lambda v: abs(v) > 0.1)),
+        log10_scale=st.floats(-3.0, 6.0),
+    )
+    def test_two_steps_match_lstsq_bit_for_bit(self, directions, distances, residual, log10_scale):
+        # anchors placed so the design rows at x0 are the drawn unit directions
+        # (and the ones column): a full-rank 4x4 U, and a residual of the drawn scale
+        x0 = np.array([6378000.0, 0.0, 0.0, 70000.0])
+        units = np.array(directions) / np.linalg.norm(directions, axis=1)[:, None]
+        u = np.column_stack([units, np.ones(4)])
+        assume(np.linalg.cond(u) < 1e8)
+        anchors = x0[:3] - np.array(distances)[:, None] * units
+        scene = NavScene(sat_positions=anchors[:3], inac_sat_position=anchors[3] + 1e6,
+                         ris_position=anchors[3], true_user=x0[:3], clock_bias=0.0)
+        rho = predicted_pseudoranges(scene, x0) + 10.0 ** log10_scale * np.array(residual)
+        pr = PseudorangeSet(rho=rho, sigma=np.zeros(4))
+        # the second step runs on the design buffer gelsd overwrote in the first
+        ctrl = LsmControl(iters=2, loss=1e-300, x0=x0)
+        state, iterations, cost = _reference_lsm_solve(pr, scene, ctrl)
+        fix = lsm_solve(pr, scene, ctrl)
+        assert fix.state.tobytes() == state.tobytes()
+        assert (fix.iterations_used, fix.final_cost) == (iterations, cost)
 
 
 class TestDop:
