@@ -90,8 +90,10 @@ class LinkBudget:
 
     def __post_init__(self) -> None:
         for name in ("gamma", "noise_power", "tx_power", "spread_gain"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+            value = getattr(self, name)
+            # a float product overflows to inf without raising; NaN fails too
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
     def rescaled(self, tx_power: float) -> "LinkBudget":
         """Same link with a different transmit power (gamma scales linearly)."""

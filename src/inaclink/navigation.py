@@ -30,6 +30,19 @@ sqrt(np.add.reduce(d * d, axis=1)) (what `norm(axis=1)` does).  The two sum
 in a different order and can differ in the last bit (on about one random row
 in ten with numpy 2.4 and OpenBLAS on x86-64).
 
+Which of them run on Python floats follows from how each is summed.
+add.reduce over a length-3 row adds left to right, (d0^2 + d1^2) + d2^2,
+and Python floats do the same, so the direct ranges, the residual, and in
+`synthesize_pseudoranges` the direct true ranges, are computed on floats
+from `ndarray.tolist()`, with no 0-d array round trips (a test pins numpy's
+order).  The dot kernel behind d . d, `ndarray.dot` and `b @ b` is
+OpenBLAS's ddot, which fuses multiply-adds; Python 3.11 floats have no fused
+multiply-add, and a float sum of four squares differs from ddot on about
+one random residual in four.  So the design-row norms stay one numpy matmul
+per iteration into a preallocated buffer, the cost stays `b.dot(b)` (the
+same ddot as `b @ b`, without the matmul dispatch), and the design fill and
+gelsd stay numpy.
+
 SNR enters through a delay-estimation noise model: sigma scales as
 1/sqrt(SNR) down to a code-resolution floor, so navigation accuracy
 improves with RIS gain and then plateaus.
@@ -67,6 +80,22 @@ def _vec3(x) -> np.ndarray:
     return arr
 
 
+def _four(x) -> np.ndarray:
+    """A fresh float 4-vector of x, broadcast from a scalar or a length-1 array."""
+    arr = np.asarray(x, dtype=float)
+    return (arr if arr.shape == (4,) else np.broadcast_to(arr, (4,))).copy()
+
+
+def _norm(d: np.ndarray) -> float:
+    """|d| of a 3-vector as a 1-D `np.linalg.norm` takes it: sqrt(d . d)."""
+    return math.sqrt(d.dot(d))
+
+
+def _row_norm(d0: float, d1: float, d2: float) -> float:
+    """|d| of one row as `np.linalg.norm(axis=1)` takes it: sqrt((d0^2 + d1^2) + d2^2)."""
+    return math.sqrt((d0 * d0 + d1 * d1) + d2 * d2)
+
+
 @dataclass(frozen=True)
 class NavScene:
     """Scene truth: anchor positions, the user, and the receiver clock bias."""
@@ -89,11 +118,11 @@ class NavScene:
     @property
     def r_tau_r(self) -> float:
         """Known satellite-RIS leg length of the relayed measurement, m."""
-        return float(np.linalg.norm(self.inac_sat_position - self.ris_position))
+        return _norm(self.inac_sat_position - self.ris_position)
 
     def anchors(self) -> np.ndarray:
         """Anchor points of the four measurements: three satellites, then the RIS."""
-        return np.vstack([self.sat_positions, self.ris_position])
+        return np.concatenate((self.sat_positions, self.ris_position[None]))
 
     def translated(self, t) -> "NavScene":
         """The whole scene shifted by a vector (used by equivariance checks)."""
@@ -116,12 +145,12 @@ class PseudorangeSet:
 
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=float)
-        sigma = np.broadcast_to(np.asarray(self.sigma, dtype=float), (4,)).copy()
+        sigma = _four(self.sigma)
         if rho.shape != (4,):
             raise ValueError(f"rho must have shape (4,), got {rho.shape}")
-        if not np.all(np.isfinite(rho)):
+        if not np.isfinite(rho).all():
             raise ValueError("pseudoranges must be finite")
-        if np.any(sigma < 0.0):
+        if (sigma < 0.0).any():
             raise ValueError("sigma must be >= 0")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "sigma", sigma)
@@ -182,13 +211,15 @@ def synthesize_pseudoranges(
     Rows 1-3: |sat_i - user| + c dt + noise.  Row 4 relays through the RIS:
     r_tauR + |ris - user| + c dt + noise.
     """
-    sigma = np.broadcast_to(np.asarray(noise_sigma, dtype=float), (4,)).copy()
-    if np.any(sigma < 0.0):
+    sigma = _four(noise_sigma)
+    if (sigma < 0.0).any():
         raise ValueError("noise_sigma must be >= 0")
     clock_m = SPEED_OF_LIGHT * scene.clock_bias
-    ranges = np.empty(4)
-    ranges[:3] = np.linalg.norm(scene.sat_positions - scene.true_user, axis=1)
-    ranges[3] = scene.r_tau_r + np.linalg.norm(scene.ris_position - scene.true_user)
+    sat0, sat1, sat2 = (scene.sat_positions - scene.true_user).tolist()
+    ranges = np.array([
+        _row_norm(*sat0), _row_norm(*sat1), _row_norm(*sat2),
+        scene.r_tau_r + _norm(scene.ris_position - scene.true_user),
+    ])
     rho = ranges + clock_m + sigma * rng.standard_normal(4)
     return PseudorangeSet(rho=rho, sigma=sigma)
 
@@ -226,13 +257,17 @@ _RCOND = float(np.finfo(float).eps) * 4
 _LAPACK_INT = np.dtype(np.int64 if lapack_lite._ilp64 else np.intc)
 
 
-def _gelsd_workspace(ut: np.ndarray, b: np.ndarray, s: np.ndarray):
-    """(work, lwork, iwork) for a 4x4 gelsd with one right-hand side, from its size query."""
+def _gelsd_workspace_size() -> tuple[int, int]:
+    """(lwork, liwork) of a 4x4 gelsd with one right-hand side, from LAPACK's size query."""
     work = np.empty(1)
     iwork = np.zeros(1, _LAPACK_INT).view(np.intc)
-    lapack_lite.dgelsd(4, 4, 1, ut, 4, b, 4, s, _RCOND, 0, work, -1, iwork, 0)
-    lwork, liwork = int(work[0]), int(iwork.view(_LAPACK_INT)[0])
-    return np.empty(lwork), lwork, np.zeros(liwork, _LAPACK_INT).view(np.intc)
+    lapack_lite.dgelsd(4, 4, 1, np.empty((4, 4)), 4, np.empty(4), 4, np.empty(4), _RCOND, 0,
+                       work, -1, iwork, 0)
+    return int(work[0]), int(iwork.view(_LAPACK_INT)[0])
+
+
+#: the query's answer depends only on the system's size, which never changes
+_LWORK, _LIWORK = _gelsd_workspace_size()
 
 
 def lsm_solve(pr: PseudorangeSet, scene: NavScene, ctrl: LsmControl = LsmControl()) -> PositionFix:
@@ -256,32 +291,41 @@ def lsm_solve(pr: PseudorangeSet, scene: NavScene, ctrl: LsmControl = LsmControl
     """
     anchors = scene.anchors()
     r_tau_r = scene.r_tau_r
-    rho = pr.rho
+    rho0, rho1, rho2, rho3 = pr.rho.tolist()
     diff = np.empty((4, 3))  # linearization point minus each anchor
-    predicted = np.empty(4)
+    dots = np.empty((4, 1, 1))  # d . d of each row, then |d| in place
     ut = np.empty((4, 4))  # design matrix, transposed
     b = np.empty(4)  # residual in, step out
     s = np.empty(4)  # singular values
-    work, lwork, iwork = _gelsd_workspace(ut, b, s)
+    work, iwork = np.empty(_LWORK), np.zeros(_LIWORK, _LAPACK_INT).view(np.intc)
     dgelsd = lapack_lite.dgelsd
     x = ctrl.x0.copy()
+    # views made once: the rows of diff as stacked (1x3) and (3x1) matrices,
+    # the norms, the state's position, and the direction and clock rows of ut
+    rows, cols, r = diff[:, None, :], diff[:, :, None], dots.reshape(4)
+    position, diff_t, ut_dirs, ut_clock = x[:3], diff.T, ut[:3], ut[3]
     for k in range(1, ctrl.iters + 2):  # pass iters + 1 only scores the last step
-        np.subtract(x[:3], anchors, out=diff)
+        np.subtract(position, anchors, out=diff)
         # |d| as sqrt(d . d), as design_row takes it: a stacked (1x3)(3x1)
         # matmul runs the same dot kernel as a 1-D ndarray.dot, row by row
-        r = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]).ravel())
-        sats = diff[:3]  # direct ranges: norm(axis=1)'s form, as predicted_pseudoranges takes it
-        predicted[:3] = np.sqrt(np.add.reduce(sats * sats, axis=1)) + x[3]
-        predicted[3] = r_tau_r + r[3] + x[3]
-        np.subtract(rho, predicted, out=b)
-        cost = float(b @ b)
+        np.sqrt(np.matmul(rows, cols, out=dots), out=dots)
+        r0, r1, r2, r3 = r.tolist()
+        # direct ranges in norm(axis=1)'s form, as predicted_pseudoranges takes them
+        sat0, sat1, sat2, _ = diff.tolist()
+        clock = x.item(3)
+        b[0] = rho0 - (_row_norm(*sat0) + clock)
+        b[1] = rho1 - (_row_norm(*sat1) + clock)
+        b[2] = rho2 - (_row_norm(*sat2) + clock)
+        b[3] = rho3 - (r_tau_r + r3 + clock)
+        # cblas_ddot, as b @ b calls it: it fuses multiply-adds, so floats cannot match it
+        cost = float(b.dot(b))
         if cost < ctrl.loss or k > ctrl.iters:
             break
-        if not r.all():
+        if 0.0 in (r0, r1, r2, r3):
             raise DegenerateGeometryError("linearization point coincides with the anchor")
-        np.divide(diff.T, r, out=ut[:3])
-        ut[3] = 1.0  # the clock column
-        res = dgelsd(4, 4, 1, ut, 4, b, 4, s, _RCOND, 0, work, lwork, iwork, 0)
+        np.divide(diff_t, r, out=ut_dirs)
+        ut_clock.fill(1.0)  # the clock column
+        res = dgelsd(4, 4, 1, ut, 4, b, 4, s, _RCOND, 0, work, _LWORK, iwork, 0)
         if res["info"]:
             raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
         if res["rank"] < 4:

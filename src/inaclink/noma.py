@@ -13,6 +13,13 @@ decode order, which `first_decoded` states once:
 other signal's power share; feasibility, outage thresholds, hardened
 capacities and the Monte Carlo outage events all follow the same order.
 
+A `Scenario` derives its feasibility and both outage thresholds once, on
+first use, and keeps them on the instance (`functools.cached_property`
+writes past the frozen dataclass's `__setattr__`), since one `analyze`-style
+point reads them from every closed form.  Nothing is cached across
+instances: `dataclasses.replace` and `with_tx_power` build a new scenario
+that derives its own values, and there is no cache keyed on inputs.
+
 Closed-form outage follows from the folded-normal gain law evaluated at a
 threshold omega assembled from the rate targets and the link budget; the
 asymptotic form replaces erf by its Maclaurin series and is only valid while
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -156,12 +164,24 @@ class Scenario:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
-    @property
+    @cached_property
     def feasible(self) -> bool:
         """Whether the first-decoded signal can out-power its interference."""
         first = first_decoded(self.mode)
         own, other = self.split.shares(first)
         return own - other * self.targets.eps(first) > 0.0
+
+    @cached_property
+    def _thresholds(self) -> dict[str, float]:
+        """Outage threshold omega of each signal; only a feasible scenario has them."""
+        rho2, gamma = self.budget.noise_power, self.budget.gamma
+        first_signal = first_decoded(self.mode)
+        own, other = self.split.shares(first_signal)
+        eps = self.targets.eps(first_signal)
+        first = eps * rho2 / ((own - other * eps) * gamma)
+        (second_signal,) = set(SIGNALS) - {first_signal}
+        second = self.targets.eps(second_signal) * rho2 / (self.split.shares(second_signal)[0] * gamma)
+        return {first_signal: first, second_signal: max(first, second)}
 
     def with_tx_power(self, p: float) -> "Scenario":
         """Same scenario at a different transmit power."""
@@ -237,15 +257,7 @@ def outage_threshold(sc: Scenario, signal: str) -> float:
         raise InfeasibleError(
             f"power split cannot decode the first {sc.mode} signal at any SNR"
         )
-    rho2, gamma = sc.budget.noise_power, sc.budget.gamma
-    first_signal = first_decoded(sc.mode)
-    own, other = sc.split.shares(first_signal)
-    eps = sc.targets.eps(first_signal)
-    first = eps * rho2 / ((own - other * eps) * gamma)
-    if signal == first_signal:
-        return first
-    second = sc.targets.eps(signal) * rho2 / (sc.split.shares(signal)[0] * gamma)
-    return max(first, second)
+    return sc._thresholds[signal]
 
 
 def outage_closed_form(sc: Scenario, signal: str, strict: bool = False) -> OutageResult:

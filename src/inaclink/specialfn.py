@@ -10,6 +10,14 @@ Provides:
 
 All functions are pure; array inputs are accepted where vectorized use is
 natural (the CDF feeds empirical-distribution comparisons over 1e5 points).
+
+folded_normal_cdf has a scalar path for a float x, which is what every
+closed-form outage point passes: math.sqrt and scipy's erfc on floats skip
+the 0-d array round trip (np.asarray, np.any, 0-d ufuncs, np.maximum) that
+costs several times the arithmetic.  It returns the array path's bits: both
+square roots are correctly rounded, erfc is the same ufunc loop, and its
+clamp keeps np.maximum(out, 0.0)'s rules (NaN propagates; -0.0 and negatives
+become +0.0).  Arrays keep the array path.
 """
 
 from __future__ import annotations
@@ -134,6 +142,16 @@ def folded_normal_cdf(x, m3: float, v3: float):
     evaluated through erfc so the deep-outage tail (F ~ 1e-12 and below)
     keeps full relative precision instead of cancelling.
     """
+    if isinstance(x, float):
+        if x < 0.0:
+            raise ValueError("power gain x must be >= 0")
+        if v3 <= 0.0:
+            raise ValueError(f"variance v3 must be > 0, got {v3}")
+        r = math.sqrt(x)
+        s = math.sqrt(2.0 * v3)
+        out = float(0.5 * (sp.erfc((m3 - r) / s) - sp.erfc((m3 + r) / s)))
+        # np.maximum(out, 0.0): NaN stays NaN, where max(out, 0.0) would keep -0.0
+        return out if out > 0.0 or out != out else 0.0
     arr = _check_gain_domain(x, v3)
     r = np.sqrt(arr)
     s = math.sqrt(2.0 * v3)

@@ -227,6 +227,15 @@ class TestErrors:
         assert cli.main(["analyze", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("config error: " + detail)
 
+    def test_link_budget_overflow_exits_2(self, tmp_path, capsys):
+        # each value builds alone; their product overflows the float gain to inf
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("link.tx_power_dbm = 3000\nlink.spread_gain_db = 3000\n", encoding="utf-8")
+        assert cli.main(["analyze", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: link.tx_power_dbm = 3000.0, link.spread_gain_db = 3000.0: "
+            "gamma must be finite and > 0, got inf")
+
     def test_unexpected_value_error_is_not_a_numeric_error(self, monkeypatch, capsys):
         # only the library's NumericError exits 3; anything else is a bug and
         # propagates instead of posing as a region or convergence failure

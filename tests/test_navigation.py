@@ -328,6 +328,26 @@ class TestGelsdStep:
         assert (fix.iterations_used, fix.final_cost) == (iterations, cost)
 
 
+class TestFloatSumOrder:
+    """`lsm_solve` and `synthesize_pseudoranges` take each direct range on Python
+    floats in the order numpy's norm(axis=1) sums its squares, which is
+    add.reduce's over a length-3 row: (a0^2 + a1^2) + a2^2.  A numpy that sums
+    in another order fails here, before any fix moves by a bit."""
+
+    def test_add_reduce_sums_each_row_left_to_right(self):
+        rng = np.random.default_rng(20)
+        reordered = 0
+        for _ in range(2000):
+            block = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-3.0, 8.0, (3, 1))
+            sums = np.add.reduce(block * block, axis=1).tolist()
+            norms = np.linalg.norm(block, axis=1).tolist()
+            for (a0, a1, a2), total, norm in zip(block.tolist(), sums, norms):
+                assert total == (a0 * a0 + a1 * a1) + a2 * a2
+                assert navigation._row_norm(a0, a1, a2) == norm
+                reordered += total != a0 * a0 + (a1 * a1 + a2 * a2)
+        assert reordered > 0  # the rows tell the two orders apart
+
+
 class TestDop:
     def test_default_scene_values(self):
         gdop, pdop = dilution_of_precision(default_scene())

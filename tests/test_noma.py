@@ -2,9 +2,12 @@
 
 import itertools
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inaclink import (
     OutageResult,
@@ -25,7 +28,7 @@ from inaclink.errors import (
     RegionError,
 )
 from inaclink.montecarlo import outage_events
-from inaclink.noma import MODES, SIGNALS, first_decoded, sinr
+from inaclink.noma import MODES, SIGNALS, Scenario, first_decoded, sinr
 
 
 def scenario(mode="CO", **overrides):
@@ -214,6 +217,60 @@ class TestDecodeOrder:
                 else:
                     infeasible += 1
         assert checked > 0 and infeasible > 0
+
+
+def _derived(sc):
+    """Feasibility and, as exact bits, each signal's capacity, omega and closed-form OP."""
+    values = [capacity_hardened(sc, signal) for signal in SIGNALS]
+    if sc.feasible:
+        values += [outage_threshold(sc, signal) for signal in SIGNALS]
+        values += [outage_closed_form(sc, signal).value for signal in SIGNALS]
+    return sc.feasible, [v.hex() for v in values]
+
+
+def _fresh(sc):
+    """The same scenario built field by field: nothing sc has derived can reach it."""
+    return Scenario(**{f.name: getattr(sc, f.name) for f in fields(sc)})
+
+
+class TestDerivedValues:
+    """Values a scenario derives once: in decode order, monotone in power, and
+    never carried into a scenario made from it."""
+
+    @settings(max_examples=150)
+    @given(
+        mode=st.sampled_from(MODES),
+        alpha_u=st.floats(0.01, 0.99),
+        other_alpha_u=st.floats(0.01, 0.99),
+        r_m=st.floats(1e-4, 1.0),
+        r_u=st.floats(1e-4, 1.0),
+        dbm=st.floats(20.0, 60.0),
+        gain_db=st.floats(3.0, 30.0),
+        elements=st.integers(1, 4096),
+        k_r=st.floats(0.0, 20.0),
+        k_g=st.floats(0.0, 20.0),
+    )
+    def test_ordered_monotone_and_not_inherited(
+        self, mode, alpha_u, other_alpha_u, r_m, r_u, dbm, gain_db, elements, k_r, k_g
+    ):
+        sc = ScenarioConfig(
+            mode=mode, alpha_m_sq=1.0 - alpha_u, alpha_u_sq=alpha_u, multicast_rate_bpshz=r_m,
+            unicast_rate_bpshz=r_u, tx_power_dbm=dbm, elements=elements, k_r=k_r, k_g=k_g,
+        ).scenario()
+        before = _derived(sc)  # sc keeps these from here on
+        louder = sc.with_tx_power(sc.budget.tx_power * 10.0 ** (gain_db / 10.0))
+        resplit = replace(sc, split=PowerSplit(alpha_m_sq=1.0 - other_alpha_u, alpha_u_sq=other_alpha_u))
+        assert _derived(louder) == _derived(_fresh(louder))
+        assert _derived(resplit) == _derived(_fresh(resplit))
+        assert _derived(sc) == before
+        if not sc.feasible:
+            return
+        first = first_decoded(mode)
+        (second,) = set(SIGNALS) - {first}
+        assert outage_threshold(sc, second) >= outage_threshold(sc, first)
+        assert outage_closed_form(sc, second).value >= outage_closed_form(sc, first).value
+        for signal in SIGNALS:
+            assert outage_closed_form(louder, signal).value <= outage_closed_form(sc, signal).value
 
 
 class TestOutageThreshold:

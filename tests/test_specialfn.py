@@ -1,13 +1,18 @@
 """Special-function layer: series forms against scipy and frozen references."""
 
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 from scipy import stats
 
 from inaclink import SeriesControl, erf, folded_normal_cdf, folded_normal_pdf, kummer_1f1_half
+from inaclink import specialfn
 from inaclink.errors import ConvergenceError
 
 
@@ -129,3 +134,58 @@ class TestFoldedNormal:
     def test_scalar_in_scalar_out(self):
         assert isinstance(folded_normal_cdf(1.0, 1.0, 1.0), float)
         assert isinstance(folded_normal_pdf(1.0, 1.0, 1.0), float)
+
+
+def _scalar_and_array(x, m3, v3):
+    """folded_normal_cdf of a float and of the same value in an array, as exact bits."""
+    scalar = folded_normal_cdf(x, m3, v3)
+    assert type(scalar) is float
+    return scalar.hex(), float(folded_normal_cdf(np.array([x]), m3, v3)[0]).hex()
+
+
+class TestScalarPath:
+    """A float x takes math.sqrt and erfc on floats; an array, numpy.  Same bits."""
+
+    # sqrt(x) = m3 + z sqrt(2 v3), floored at 0: z < -m3 / sqrt(2 v3) gives x = 0,
+    # and z near -24 or +24 reaches both tails of the CDF near 1e-250
+    @settings(max_examples=500)
+    @given(m3=st.floats(0.0, 300.0), log10_v3=st.floats(-8.0, 4.0), z=st.floats(-40.0, 40.0))
+    @example(m3=34.0, log10_v3=0.0, z=-23.9)  # far below m3^2: both erfc terms ~1e-252
+    @example(m3=34.0, log10_v3=0.0, z=-100.0)  # x = 0
+    @example(m3=1.0, log10_v3=0.0, z=30.0)  # far above m3^2: F rounds to 1
+    @example(m3=1e-3, log10_v3=-8.0, z=0.5)  # small v3
+    def test_float_equals_array(self, m3, log10_v3, z):
+        v3 = 10.0**log10_v3
+        root = max(m3 + z * math.sqrt(2.0 * v3), 0.0)
+        scalar, array = _scalar_and_array(root * root, m3, v3)
+        assert scalar == array
+        assert scalar != (-0.0).hex()
+
+    def test_nan_propagates(self):
+        for x, m3 in ((math.nan, 1.0), (1.0, math.nan)):
+            scalar, array = _scalar_and_array(x, m3, 1.0)
+            assert scalar == array == math.nan.hex()
+
+    def test_domain_errors_match(self):
+        for x, v3 in ((-1e-300, 1.0), (1.0, 0.0), (1.0, -1.0)):
+            with pytest.raises(ValueError) as scalar:
+                folded_normal_cdf(x, 1.0, v3)
+            with pytest.raises(ValueError) as array:
+                folded_normal_cdf(np.array([x]), 1.0, v3)
+            assert str(scalar.value) == str(array.value)
+
+    # the clamp itself, on erfc values the real erfc never returns: out = -0.0
+    # (e1 = -0.0, or half a negative subnormal) must read +0.0, as np.maximum gives
+    @settings(max_examples=200)
+    @given(e1=st.floats(-2.0, 2.0) | st.just(math.nan), e2=st.floats(-2.0, 2.0) | st.just(math.nan))
+    @example(e1=-0.0, e2=0.0)
+    @example(e1=0.0, e2=5e-324)
+    @example(e1=0.0, e2=1e-300)
+    def test_clamp_is_np_maximum(self, e1, e2):
+        # x = 1, m3 = 0, v3 = 1/2: erfc is called at -1 and at +1
+        def erfc(z):
+            return np.where(np.asarray(z) < 0.0, e1, e2)
+
+        with mock.patch.object(specialfn, "sp", SimpleNamespace(erfc=erfc)):
+            scalar, array = _scalar_and_array(1.0, 0.0, 0.5)
+        assert scalar == array == float(np.maximum(0.5 * (np.float64(e1) - e2), 0.0)).hex()
