@@ -60,20 +60,13 @@ from .noma import (
     PowerSplit,
     RateTargets,
     Scenario,
-    build_scenario,
     capacity_hardened,
     diversity_order_estimate,
     outage_asymptotic,
     outage_closed_form,
     outage_threshold,
 )
-from .specialfn import (
-    SeriesControl,
-    erf,
-    folded_normal_cdf,
-    folded_normal_pdf,
-    kummer_1f1_half,
-)
+from .specialfn import folded_normal_cdf, folded_normal_pdf, kummer_1f1_half
 from .sweeps import FIGURE_IDS, SweepReport, emit_csv, run_sweep
 
 __version__ = "0.1.0"

@@ -41,8 +41,8 @@ class RicianParams:
 
     def __post_init__(self) -> None:
         for name in ("k_r", "k_g"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,7 @@ from .errors import ConfigError
 from .geometry import LinkBudget, OrbitGeometry, RfParams, link_budget
 from .montecarlo import McConfig
 from .navigation import NavScene
-from .noma import PowerSplit, RateTargets, Scenario, build_scenario
+from .noma import PowerSplit, RateTargets, Scenario
 
 __all__ = [
     "ScenarioConfig",
@@ -100,7 +100,6 @@ class ScenarioConfig:
     unicast_rate_bpshz: float = _key("noma", 0.001, builds="rate_targets")
     trials: int = _key("mc", 20_000, builds="mc_config")
     seed: int = _key("mc", 12345, builds="mc_config")
-    batch: int = _key("mc", 65_536, builds="mc_config")
     scene_file: str = _key("nav", "")
     nav_repetitions: int = _key("nav", 200)
     sweep_tx_power_dbm: tuple[float, ...] = _key(
@@ -185,26 +184,16 @@ class ScenarioConfig:
     def rate_targets(self) -> RateTargets:
         return RateTargets(r_m=self.multicast_rate_bpshz, r_u=self.unicast_rate_bpshz)
 
-    def mc_config(self, trials: int | None = None, seed: int | None = None) -> McConfig:
-        return McConfig(
-            trials=self.trials if trials is None else trials,
-            master_seed=self.seed if seed is None else seed,
-            batch=self.batch,
-        )
+    def mc_config(self) -> McConfig:
+        return McConfig(trials=self.trials, master_seed=self.seed)
 
-    def scenario(
-        self,
-        mode: str | None = None,
-        tx_power_w: float | None = None,
-        elements: int | None = None,
-        split: PowerSplit | None = None,
-    ) -> Scenario:
+    def scenario(self, mode: str | None = None, elements: int | None = None) -> Scenario:
         mode = self.mode if mode is None else mode
-        return build_scenario(
+        return Scenario(
             mode=mode,
-            split=self.power_split(mode) if split is None else split,
+            split=self.power_split(mode),
             targets=self.rate_targets(),
-            budget=self.link(tx_power_w),
+            budget=self.link(),
             ris=self.ris_array(elements),
             rician=self.rician_params(),
         )
@@ -381,8 +370,16 @@ def load_config(path: str, **overrides) -> ScenarioConfig:
 _SCENE_VECTORS = ("sat1", "sat2", "sat3", "inac_sat", "ris", "user")
 
 
+def _finite(raw: str) -> float:
+    """float(raw), with NaN and infinities rejected as bad values too."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r}")
+    return value
+
+
 def parse_scene_text(text: str) -> NavScene:
-    """Parse a scene file: six position 3-vectors (m) and the clock bias (s)."""
+    """Parse a scene file: six position 3-vectors (m) and the clock bias (s), all finite."""
     values: dict[str, object] = {}
     for lineno, key, raw in _key_value_lines(text):
         if key in _SCENE_VECTORS:
@@ -390,12 +387,12 @@ def parse_scene_text(text: str) -> NavScene:
             if len(parts) != 3:
                 raise ConfigError(f"line {lineno}: {key} needs 3 coordinates, got {raw!r}")
             try:
-                values[key] = np.array([float(p) for p in parts])
+                values[key] = np.array([_finite(p) for p in parts])
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: bad coordinate in {raw!r}") from exc
         elif key == "clock_bias_s":
             try:
-                values[key] = float(raw)
+                values[key] = _finite(raw)
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: bad clock bias {raw!r}") from exc
         else:

@@ -46,10 +46,11 @@ class OrbitGeometry:
     elevation: float  # elevation angle theta, rad
 
     def __post_init__(self) -> None:
-        if self.r_e <= 0.0:
-            raise ValueError(f"r_e must be > 0, got {self.r_e}")
-        if self.r_m <= 0.0:
-            raise ValueError(f"r_m must be > 0, got {self.r_m}")
+        # each check is written so that NaN fails it
+        if not 0.0 < self.r_e < math.inf:
+            raise ValueError(f"r_e must be finite and > 0, got {self.r_e}")
+        if not 0.0 < self.r_m < math.inf:
+            raise ValueError(f"r_m must be finite and > 0, got {self.r_m}")
         if not 0.0 <= self.elevation <= math.pi / 2:
             raise ValueError(f"elevation must be in [0, pi/2], got {self.elevation}")
 
@@ -65,13 +66,14 @@ class RfParams:
     d_ru: float  # RIS-to-user distance, m
 
     def __post_init__(self) -> None:
-        if self.f_c <= 0.0:
+        # each check is written so that NaN fails it
+        if not self.f_c > 0.0:
             raise ValueError(f"f_c must be > 0, got {self.f_c}")
-        if self.g_t < 1.0:
+        if not self.g_t >= 1.0:
             raise ValueError(f"g_t must be >= 1 (linear), got {self.g_t}")
-        if self.alpha1 <= 0.0 or self.alpha2 <= 0.0:
+        if not (self.alpha1 > 0.0 and self.alpha2 > 0.0):
             raise ValueError("path-loss exponents must be > 0")
-        if self.d_ru <= 0.0:
+        if not self.d_ru > 0.0:
             raise ValueError(f"d_ru must be > 0, got {self.d_ru}")
 
 

@@ -9,8 +9,10 @@ Philox counter-based stream keyed by master_seed, starting at counter block
 L * i (Philox emits 4 doubles per block).  Normals are produced by applying
 the inverse normal CDF to those uniforms; numpy's ziggurat normals would
 consume a data-dependent number of words and break the fixed stride.  As a
-result the gain vector is bit-identical no matter how trials are batched or
-distributed, and every downstream estimate is too.
+result the gain vector is bit-identical no matter how trials are split into
+blocks or distributed, and every downstream estimate is too.  McConfig holds
+only the trial count and the master seed: a block is as many trials as fit
+in _MAX_BLOCK_DOUBLES, and the block size never changes the gains.
 
 Sampler version 2 (SAMPLER_VERSION) keeps that stream of uniforms and
 normals and changes only the transform.  Each link stays a power
@@ -76,17 +78,14 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial count, master seed, and the per-stream batching bound."""
+    """Trial count and master seed."""
 
     trials: int = 20_000
     master_seed: int = 12345
-    batch: int = 65_536
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError("master_seed must fit in 64 bits")
 
@@ -134,11 +133,9 @@ def _rician_powers(z1: np.ndarray, z2: np.ndarray, k: float) -> np.ndarray:
 
 def sample_cascaded_gains(ris: RisArray, rp: RicianParams, mc: McConfig) -> np.ndarray:
     """Power gains (sum_l beta |h_l| |g_l|)^2 for mc.trials independent trials."""
-    if ris is None or rp is None:
-        raise ValueError("scenario carries no ris/rician parameters to sample from")
     L = ris.num_elements
     words = 4 * L
-    block = max(1, min(mc.batch, _MAX_BLOCK_DOUBLES // words))
+    block = max(1, _MAX_BLOCK_DOUBLES // words)
     if mc.trials * words < _MIN_SPLIT_DOUBLES:
         workers = 1
     else:

@@ -13,10 +13,13 @@ decode order, which `first_decoded` states once:
 other signal's power share; feasibility, outage thresholds, hardened
 capacities and the Monte Carlo outage events all follow the same order.
 
-A `Scenario` derives its feasibility and both outage thresholds once, on
-first use, and keeps them on the instance (`functools.cached_property`
-writes past the frozen dataclass's `__setattr__`), since one `analyze`-style
-point reads them from every closed form.  Nothing is cached across
+A `Scenario` is built from its physical inputs alone: mode, power split,
+rate targets, link budget, RIS array and Rician factors.  It derives its
+CLT moments, its feasibility and both outage thresholds once, on first
+use, and keeps them on the instance (`functools.cached_property` writes
+past the frozen dataclass's `__setattr__`), since one `analyze`-style point
+reads them from every closed form; the moments therefore always belong to
+the `ris` and `rician` stored beside them.  Nothing is cached across
 instances: `dataclasses.replace` and `with_tx_power` build a new scenario
 that derives its own values, and there is no cache keyed on inputs.
 
@@ -29,7 +32,7 @@ asymptotic form replaces erf by its Maclaurin series and is only valid while
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -48,14 +51,12 @@ from .errors import (
     RegionError,
 )
 from .geometry import LinkBudget
-from .specialfn import SeriesControl
 
 __all__ = [
     "PowerSplit",
     "RateTargets",
     "OutageResult",
     "Scenario",
-    "build_scenario",
     "first_decoded",
     "sinr",
     "outage_threshold",
@@ -71,6 +72,10 @@ SIGNALS = ("multicast", "unicast")
 
 #: sum-to-one slack for the power split
 _SPLIT_TOL = 1e-9
+
+#: term budget and relative tolerance of the asymptotic outage series
+_SERIES_TERMS = 60
+_SERIES_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,8 +108,9 @@ class RateTargets:
     r_u: float
 
     def __post_init__(self) -> None:
-        if self.r_m <= 0.0 or self.r_u <= 0.0:
-            raise ValueError("target rates must be > 0")
+        # written so that NaN fails too
+        if not (0.0 < self.r_m < math.inf and 0.0 < self.r_u < math.inf):
+            raise ValueError("target rates must be finite and > 0")
 
     @property
     def eps_m(self) -> float:
@@ -125,21 +131,19 @@ class RateTargets:
 class OutageResult:
     """Outage probability with its provenance.
 
-    method is one of {"closed_form", "asymptotic", "monte_carlo"};
-    half_width is the 95% confidence half-width (0 for analytic methods);
-    infeasible marks the degenerate case where the SIC order cannot reach
-    the target at any SNR and the probability saturates at 1.
+    method is one of {"closed_form", "asymptotic"}; infeasible marks the
+    degenerate case where the SIC order cannot reach the target at any SNR
+    and the probability saturates at 1.
     """
 
     value: float
     method: str
-    half_width: float = 0.0
     infeasible: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"outage probability must be in [0, 1], got {self.value}")
-        if self.method not in ("closed_form", "asymptotic", "monte_carlo"):
+        if self.method not in ("closed_form", "asymptotic"):
             raise ValueError(f"unknown method tag {self.method!r}")
 
 
@@ -147,22 +151,25 @@ class OutageResult:
 class Scenario:
     """One fully-specified operating point of either mode.
 
-    moments fully determine every analytic result; ris and rician carry the
-    underlying physical parameters so the Monte Carlo oracle can draw raw
-    channel realizations for the same point.
+    ris and rician give the CLT moments that every analytic result reads,
+    and the Monte Carlo oracle draws raw channel realizations from them.
     """
 
     mode: str
     split: PowerSplit
     targets: RateTargets
     budget: LinkBudget
-    moments: ChannelMoments
-    ris: RisArray | None = None
-    rician: RicianParams | None = None
+    ris: RisArray
+    rician: RicianParams
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+
+    @cached_property
+    def moments(self) -> ChannelMoments:
+        """CLT moments of the cascaded channel sum."""
+        return cascaded_moments(self.ris, self.rician)
 
     @cached_property
     def feasible(self) -> bool:
@@ -185,35 +192,7 @@ class Scenario:
 
     def with_tx_power(self, p: float) -> "Scenario":
         """Same scenario at a different transmit power."""
-        return Scenario(
-            mode=self.mode,
-            split=self.split,
-            targets=self.targets,
-            budget=self.budget.rescaled(p),
-            moments=self.moments,
-            ris=self.ris,
-            rician=self.rician,
-        )
-
-
-def build_scenario(
-    mode: str,
-    split: PowerSplit,
-    targets: RateTargets,
-    budget: LinkBudget,
-    ris: RisArray,
-    rician: RicianParams,
-) -> Scenario:
-    """Assemble a scenario, deriving the CLT moments from the channel inputs."""
-    return Scenario(
-        mode=mode,
-        split=split,
-        targets=targets,
-        budget=budget,
-        moments=cascaded_moments(ris, rician),
-        ris=ris,
-        rician=rician,
-    )
+        return replace(self, budget=self.budget.rescaled(p))
 
 
 # --- decode order and instantaneous SINRs -----------------------------------
@@ -260,26 +239,20 @@ def outage_threshold(sc: Scenario, signal: str) -> float:
     return sc._thresholds[signal]
 
 
-def outage_closed_form(sc: Scenario, signal: str, strict: bool = False) -> OutageResult:
+def outage_closed_form(sc: Scenario, signal: str) -> OutageResult:
     """Closed-form outage probability: folded-normal CDF at the threshold.
 
     An infeasible power split yields OP = 1 (tagged) so sweeps can render the
-    degenerate region; pass strict=True to raise instead.
+    degenerate region; outage_threshold raises for it instead.
     """
     _check_signal(signal)
     if not sc.feasible:
-        if strict:
-            raise InfeasibleError(
-                f"power split cannot decode the first {sc.mode} signal at any SNR"
-            )
         return OutageResult(value=1.0, method="closed_form", infeasible=True)
     omega = outage_threshold(sc, signal)
     return OutageResult(value=float(effective_gain_cdf(omega, sc.moments)), method="closed_form")
 
 
-def outage_asymptotic(
-    sc: Scenario, signal: str, ctrl: SeriesControl = SeriesControl(max_terms=60, tol=1e-12)
-) -> OutageResult:
+def outage_asymptotic(sc: Scenario, signal: str) -> OutageResult:
     """Series form of the outage probability, valid in the low-SNR region.
 
     Expands both erf terms of the closed form as Maclaurin series; only the
@@ -305,7 +278,7 @@ def outage_asymptotic(
     if omega == 0.0:
         return OutageResult(value=0.0, method="asymptotic")
     total = 0.0
-    for n in range(ctrl.max_terms):
+    for n in range(_SERIES_TERMS):
         inner = 0.0
         for k in range(1, 2 * n + 2, 2):
             inner += math.comb(2 * n + 1, k) * m3 ** (2 * n + 1 - k) * root**k
@@ -315,11 +288,11 @@ def outage_asymptotic(
             * inner
         )
         total += term
-        if abs(term) <= ctrl.tol * abs(total):
+        if abs(term) <= _SERIES_TOL * abs(total):
             value = (2.0 / math.sqrt(math.pi)) * total
             return OutageResult(value=min(max(value, 0.0), 1.0), method="asymptotic")
     raise ConvergenceError(
-        f"asymptotic outage series did not reach tol={ctrl.tol} in {ctrl.max_terms} terms"
+        f"asymptotic outage series did not reach tol={_SERIES_TOL} in {_SERIES_TERMS} terms"
     )
 
 

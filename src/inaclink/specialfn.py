@@ -1,7 +1,6 @@
 """Scalar special functions behind the analytic channel formulas.
 
 Provides:
-    - erf / erfc wrappers used by every closed form
     - kummer_1f1_half: the confluent hypergeometric function 1F1(-1/2, 1; x),
       i.e. the Laguerre function L_{1/2}(x), which sets the Rician amplitude
       mean
@@ -23,7 +22,6 @@ become +0.0).  Arrays keep the array path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
@@ -31,39 +29,19 @@ from scipy import special as sp
 from .errors import ConvergenceError
 
 __all__ = [
-    "SeriesControl",
-    "erf",
     "kummer_1f1_half",
     "folded_normal_pdf",
     "folded_normal_cdf",
 ]
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for the hand-rolled series."""
-
-    max_terms: int = 200
-    tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError(f"tol must be in (0, 1), got {self.tol}")
+#: term budget and relative tolerance of the 1F1 series; the budget
+#: resolves arguments down to about -116
+_1F1_TERMS = 200
+_1F1_TOL = 1e-12
 
 
-#: default budget for the 1F1 series; converges for K up to ~116
-DEFAULT_1F1_CONTROL = SeriesControl(max_terms=200, tol=1e-12)
-
-
-def erf(z):
-    """Gauss error function; odd, bounded in (-1, 1). Accepts scalars or arrays."""
-    out = sp.erf(z)
-    return float(out) if np.isscalar(z) else out
-
-
-def kummer_1f1_half(x: float, ctrl: SeriesControl = DEFAULT_1F1_CONTROL) -> float:
+def kummer_1f1_half(x: float) -> float:
     """Confluent hypergeometric function 1F1(-1/2, 1; x) = L_{1/2}(x).
 
     For x <= 0 the direct Maclaurin series cancels catastrophically once
@@ -79,28 +57,28 @@ def kummer_1f1_half(x: float, ctrl: SeriesControl = DEFAULT_1F1_CONTROL) -> floa
         y = -x
         term = 1.0
         total = 1.0
-        for n in range(ctrl.max_terms):
+        for n in range(_1F1_TERMS):
             term *= (1.5 + n) * y / ((n + 1) ** 2)
             total += term
             if not math.isfinite(total):
                 break  # overflow: the budget cannot resolve this argument
-            if term <= ctrl.tol * total:
+            if term <= _1F1_TOL * total:
                 return math.exp(x) * total
         raise ConvergenceError(
-            f"1F1(-1/2,1;{x}) did not reach tol={ctrl.tol} in {ctrl.max_terms} terms"
+            f"1F1(-1/2,1;{x}) did not reach tol={_1F1_TOL} in {_1F1_TERMS} terms"
         )
     # x > 0: direct series; after n=0 every term has the same sign
     term = 1.0
     total = 1.0
-    for n in range(ctrl.max_terms):
+    for n in range(_1F1_TERMS):
         term *= (n - 0.5) * x / ((n + 1) ** 2)
         total += term
         if not math.isfinite(total):
             break
-        if abs(term) <= ctrl.tol * abs(total):
+        if abs(term) <= _1F1_TOL * abs(total):
             return total
     raise ConvergenceError(
-        f"1F1(-1/2,1;{x}) did not reach tol={ctrl.tol} in {ctrl.max_terms} terms"
+        f"1F1(-1/2,1;{x}) did not reach tol={_1F1_TOL} in {_1F1_TERMS} terms"
     )
 
 

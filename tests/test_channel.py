@@ -72,6 +72,9 @@ class TestParamValidation:
         RicianParams(k_r=0.0, k_g=0.0)
         with pytest.raises(ValueError):
             RicianParams(k_r=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                RicianParams(k_g=bad)
         with pytest.raises(ValueError):
             RicianParams(k_g=-0.1)
 

@@ -204,6 +204,7 @@ class TestErrors:
         ("sweep.r_m_km = -100", "constellation"),
         ("sweep.elevation_deg = 95", "constellation"),
         ("sweep.nav_elements = -3", "nav-accuracy"),
+        ("sweep.r_m_km = nan", "constellation"),
     ])
     def test_bad_grid_value_exits_2_before_the_sweep(self, tmp_path, capsys, line, figure):
         cfg = tmp_path / "bad.cfg"
@@ -218,6 +219,10 @@ class TestErrors:
         ("orbit.elevation_deg = 95", "orbit.elevation_deg = 95.0: elevation must be in [0, pi/2]"),
         ("link.tx_power_dbm = 4000", "link.tx_power_dbm = 4000.0: out of the range of a double"),
         ("nav.repetitions = 0", "nav.repetitions must be >= 1, got 0"),
+        ("fading.k_r = nan", "fading.k_r = nan: k_r must be finite and >= 0"),
+        ("fading.k_g = inf", "fading.k_g = inf: k_g must be finite and >= 0"),
+        ("noma.multicast_rate_bpshz = nan", "noma.multicast_rate_bpshz = nan: target rates must be finite"),
+        ("noma.unicast_rate_bpshz = inf", "noma.unicast_rate_bpshz = inf: target rates must be finite"),
     ])
     def test_bad_scalar_value_is_named_by_its_key(self, tmp_path, capsys, line, detail):
         # a scalar is built over the defaults: orbit.r_e_km, checked before

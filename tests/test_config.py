@@ -82,6 +82,9 @@ class TestParsing:
     def test_unknown_key_names_the_line(self):
         with pytest.raises(ConfigError, match=r"line 2.*unknown key"):
             parse_config_text("\nfoo.bar = 1\n")
+        # the sampler's block size is not a setting
+        with pytest.raises(ConfigError, match=r"line 1.*unknown key 'mc.batch'"):
+            parse_config_text("mc.batch = 7\n")
 
     def test_duplicate_key_names_both_lines(self):
         text = "ris.elements = 8\nris.elements = 16\n"
@@ -178,6 +181,10 @@ class TestSceneFiles:
     def test_bad_coordinate(self):
         with pytest.raises(ConfigError, match=r"line 1.*bad coordinate"):
             parse_scene_text("sat1 = 1 2 x\n")
+        with pytest.raises(ConfigError, match=r"line 1.*bad coordinate"):
+            parse_scene_text("user = nan 0.0 0.0\n")
+        with pytest.raises(ConfigError, match=r"line 2.*bad clock bias"):
+            parse_scene_text("ris = 6378005.0 8.0 3.0\nclock_bias_s = inf\n")
 
     def test_unknown_scene_key(self):
         with pytest.raises(ConfigError, match="unknown scene key"):

@@ -71,25 +71,31 @@ class TestDeterminism:
         assert np.array_equal(a, b)
 
     def test_batch_size_does_not_change_the_stream(self, monkeypatch):
-        # the single block of the first run is sampled serially; batch = 7
-        # makes 43 blocks, sampled concurrently when more than one CPU is
-        # usable once the split floor is lowered below this small call
-        b = sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=300, master_seed=7, batch=100_000))
+        # the single block of the first run is sampled serially; a memory cap
+        # whose share per worker is 7 trials at L = 64 makes 43 blocks,
+        # sampled concurrently when more than one CPU is usable once the
+        # split floor is lowered below this small call
+        mc = McConfig(trials=300, master_seed=7)
+        b = sample_cascaded_gains(RIS64, RICIAN, mc)
+        monkeypatch.setattr(montecarlo, "_MAX_BLOCK_DOUBLES", montecarlo._WORKERS * 7 * 4 * 64)
         monkeypatch.setattr(montecarlo, "_MIN_SPLIT_DOUBLES", 0)
-        a = sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=300, master_seed=7, batch=7))
+        a = sample_cascaded_gains(RIS64, RICIAN, mc)
         assert np.array_equal(a, b)
 
     def test_more_workers_than_cores_keep_the_stream(self, monkeypatch):
         # blocks write disjoint slices of one array; with 8 workers and a
         # short switch interval, a lost or misplaced block would show (the
         # serial reference is below the split floor, the threaded run is not)
-        serial = sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=400, master_seed=11, batch=100_000))
+        mc = McConfig(trials=400, master_seed=11)
+        serial = sample_cascaded_gains(RIS64, RICIAN, mc)
         monkeypatch.setattr(montecarlo, "_WORKERS", 8)
         monkeypatch.setattr(montecarlo, "_MIN_SPLIT_DOUBLES", 0)
+        # 8 workers share the cap: 3-trial blocks at L = 64
+        monkeypatch.setattr(montecarlo, "_MAX_BLOCK_DOUBLES", 8 * 3 * 4 * 64)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=400, master_seed=11, batch=3))
+            threaded = sample_cascaded_gains(RIS64, RICIAN, mc)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(threaded, serial)
@@ -124,7 +130,8 @@ class TestDeterminism:
         sample_cascaded_gains(RisArray(montecarlo._MIN_SPLIT_DOUBLES // 4, 1.0), RICIAN, McConfig(trials=1))
         # one trial short of the floor, with blocks small enough to split
         below = montecarlo._MIN_SPLIT_DOUBLES // (4 * 64) - 1
-        sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=below, batch=7))
+        monkeypatch.setattr(montecarlo, "_MAX_BLOCK_DOUBLES", 7 * 4 * 64)
+        sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=below))
 
     def test_trial_i_is_a_fixed_substream(self):
         # extending the run must not disturb earlier trials
@@ -140,8 +147,6 @@ class TestDeterminism:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(trials=0)
-        with pytest.raises(ValueError):
-            McConfig(batch=0)
         with pytest.raises(ValueError):
             McConfig(master_seed=2**64)
 
@@ -200,50 +205,43 @@ class TestOutageAndCapacity:
         assert abs(est.mean - cf) <= max(0.01, 3.0 * est.half_width)
 
     def test_outage_events_consistent_with_mc_outage(self):
-        cfg = ScenarioConfig()
+        cfg = ScenarioConfig(trials=5_000)
         sc = cfg.scenario()
-        mc = cfg.mc_config(trials=5_000)
+        mc = cfg.mc_config()
         gains = sample_cascaded_gains(sc.ris, sc.rician, mc)
         freq = np.count_nonzero(outage_events(gains, sc, "unicast")) / mc.trials
         assert mc_outage(gains, sc, "unicast").mean == freq
 
     def test_second_decode_includes_first_stage_failures(self):
-        cfg = ScenarioConfig()
+        cfg = ScenarioConfig(trials=5_000)
         # reduced power so the first decode actually fails in some trials
         sc = cfg.scenario().with_tx_power(15.0)
-        gains = sample_cascaded_gains(sc.ris, sc.rician, cfg.mc_config(trials=5_000))
+        gains = sample_cascaded_gains(sc.ris, sc.rician, cfg.mc_config())
         first = outage_events(gains, sc, "multicast")
         second = outage_events(gains, sc, "unicast")
         assert np.count_nonzero(first) > 0
         assert np.all(second[first])  # SIC failure fails the second decode too
 
     def test_vanishing_power_forces_outage(self):
-        cfg = ScenarioConfig()
+        cfg = ScenarioConfig(trials=1_000)
         sc = cfg.scenario().with_tx_power(1e-12)
-        est = mc_outage(sample_cascaded_gains(sc.ris, sc.rician, cfg.mc_config(trials=1_000)), sc, "multicast")
+        est = mc_outage(sample_cascaded_gains(sc.ris, sc.rician, cfg.mc_config()), sc, "multicast")
         assert est.mean == 1.0
 
     def test_mc_capacity_tracks_hardened_limit_at_scale(self):
         from inaclink import capacity_hardened
 
-        cfg = ScenarioConfig(elements=1024)
+        cfg = ScenarioConfig(elements=1024, trials=2_000)
         sc = cfg.scenario().with_tx_power(1e7)
-        est = mc_capacity(sample_cascaded_gains(sc.ris, sc.rician, cfg.mc_config(trials=2_000)), sc, "multicast")
+        est = mc_capacity(sample_cascaded_gains(sc.ris, sc.rician, cfg.mc_config()), sc, "multicast")
         assert est.mean == pytest.approx(capacity_hardened(sc, "multicast"), abs=0.05)
         assert est.half_width > 0.0
 
     def test_single_trial_has_zero_half_width(self):
-        cfg = ScenarioConfig()
+        cfg = ScenarioConfig(trials=1)
         sc = cfg.scenario()
-        est = mc_capacity(sample_cascaded_gains(sc.ris, sc.rician, cfg.mc_config(trials=1)), sc, "unicast")
+        est = mc_capacity(sample_cascaded_gains(sc.ris, sc.rician, cfg.mc_config()), sc, "unicast")
         assert est.half_width == 0.0
-
-    def test_moments_only_scenario_cannot_be_sampled(self):
-        from dataclasses import replace
-
-        sc = replace(ScenarioConfig().scenario(), ris=None, rician=None)
-        with pytest.raises(ValueError):
-            sample_cascaded_gains(sc.ris, sc.rician, McConfig(trials=100))
 
 
 class TestWilson:

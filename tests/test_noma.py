@@ -13,14 +13,16 @@ from inaclink import (
     OutageResult,
     PowerSplit,
     RateTargets,
+    RisArray,
     ScenarioConfig,
-    SeriesControl,
     capacity_hardened,
+    cascaded_moments,
     diversity_order_estimate,
     outage_asymptotic,
     outage_closed_form,
     outage_threshold,
 )
+from inaclink import noma
 from inaclink.errors import (
     ConvergenceError,
     DegenerateGeometryError,
@@ -132,6 +134,11 @@ class TestDataTypes:
             RateTargets(r_m=0.0, r_u=0.001)
         with pytest.raises(ValueError):
             RateTargets(r_m=0.001, r_u=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                RateTargets(r_m=bad, r_u=0.001)
+            with pytest.raises(ValueError):
+                RateTargets(r_m=0.0005, r_u=bad)
 
     def test_outage_result_validation(self):
         OutageResult(value=0.5, method="closed_form")
@@ -139,6 +146,8 @@ class TestDataTypes:
             OutageResult(value=1.2, method="closed_form")
         with pytest.raises(ValueError):
             OutageResult(value=0.5, method="guess")
+        with pytest.raises(ValueError):
+            OutageResult(value=0.5, method="monte_carlo")  # Monte Carlo reports an McEstimate
 
     def test_mode_and_signal_tuples(self):
         assert MODES == ("CO", "NO")
@@ -152,8 +161,16 @@ class TestDataTypes:
                 split=sc.split,
                 targets=sc.targets,
                 budget=sc.budget,
-                moments=sc.moments,
+                ris=sc.ris,
+                rician=sc.rician,
             )
+
+    def test_moments_follow_ris_and_rician(self):
+        sc = scenario()
+        assert sc.moments == cascaded_moments(sc.ris, sc.rician)
+        smaller = replace(sc, ris=RisArray(num_elements=4))
+        assert smaller.moments == cascaded_moments(RisArray(num_elements=4), sc.rician)
+        assert smaller.moments.m3 < sc.moments.m3
 
     def test_with_tx_power_rescales_gamma(self):
         sc = scenario()
@@ -321,7 +338,6 @@ class TestOutageClosedForm:
     def test_method_tag(self):
         res = outage_closed_form(scenario(), "multicast")
         assert res.method == "closed_form"
-        assert res.half_width == 0.0
         assert not res.infeasible
 
     def test_infeasible_split_saturates(self):
@@ -330,8 +346,6 @@ class TestOutageClosedForm:
         res = outage_closed_form(sc, "multicast")
         assert res.value == 1.0
         assert res.infeasible
-        with pytest.raises(InfeasibleError):
-            outage_closed_form(sc, "multicast", strict=True)
         with pytest.raises(InfeasibleError):
             outage_threshold(sc, "multicast")
 
@@ -384,10 +398,11 @@ class TestOutageAsymptotic:
         with pytest.raises(RegionError):
             outage_asymptotic(scenario(), "multicast")
 
-    def test_exhausted_budget_raises(self):
+    def test_exhausted_budget_raises(self, monkeypatch):
         sc_t = self.at_threshold(self.low_snr_scenario(), 5e-3)
+        monkeypatch.setattr(noma, "_SERIES_TERMS", 1)
         with pytest.raises(ConvergenceError):
-            outage_asymptotic(sc_t, "multicast", SeriesControl(max_terms=1, tol=1e-12))
+            outage_asymptotic(sc_t, "multicast")
 
     def test_infeasible_split_saturates(self):
         sc = ScenarioConfig(alpha_m_sq=0.00001, alpha_u_sq=0.99999).scenario()
