@@ -31,6 +31,11 @@ the result; the gains are bit-identical to a serial run.  The floor is
 measured: on a 2-core host a two-way split cost ~1 ms of thread start-up,
 broke even near 2**16 doubles and saved 30-45% from 2**17 up.  A smaller
 call, a one-trial call, or a process with one usable CPU starts no thread.
+
+scipy.special's ndtri is imported inside sample_cascaded_gains, on the
+calling thread before any worker starts, not at module import: importing
+inaclink, or running a command that draws nothing, never loads
+scipy.special, whose import costs a fresh process more than numpy's own.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 from .channel import RicianParams, RisArray, cascaded_moments, effective_gain_cdf
 from .noma import Scenario, first_decoded, sinr
@@ -133,6 +137,8 @@ def _rician_powers(z1: np.ndarray, z2: np.ndarray, k: float) -> np.ndarray:
 
 def sample_cascaded_gains(ris: RisArray, rp: RicianParams, mc: McConfig) -> np.ndarray:
     """Power gains (sum_l beta |h_l| |g_l|)^2 for mc.trials independent trials."""
+    from scipy.special import ndtri  # here, on the calling thread, before any worker starts
+
     L = ris.num_elements
     words = 4 * L
     block = max(1, _MAX_BLOCK_DOUBLES // words)

@@ -138,6 +138,27 @@ class TestPosition:
         assert res.returncode == 0, res.stderr
         assert res.stdout == "[]\n"
 
+    @pytest.mark.parametrize("argv, draws", [
+        (None, False),
+        (["analyze"], False),
+        (["position"], False),
+        (["constellation"], False),
+        (["reproduce", "constellation"], False),
+        (["reproduce", "nav-accuracy"], False),
+        # the Monte Carlo oracle does load it, so the check above is not vacuous
+        (["simulate", "--trials", "100"], True),
+    ])
+    def test_only_monte_carlo_loads_scipy_special(self, tmp_path, argv, draws):
+        # closed forms and fixes run on numpy alone; importing scipy.special
+        # costs a fresh process more than importing numpy
+        code = "import sys, inaclink\n"
+        if argv is not None:
+            code += f"from inaclink import cli\nassert cli.main({[*argv, '--out', str(tmp_path / 'out.csv')]!r}) == 0\n"
+        code += "print('scipy.special' in sys.modules)\n"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == f"{draws}\n"
+
 
 class TestValidateOnce:
     @pytest.fixture

@@ -1,7 +1,6 @@
 """Special-function layer: series forms against scipy and frozen references."""
 
 import math
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -156,10 +155,44 @@ class TestScalarPath:
     @example(e1=0.0, e2=5e-324)
     @example(e1=0.0, e2=1e-300)
     def test_clamp_is_np_maximum(self, e1, e2):
-        # x = 1, m3 = 0, v3 = 1/2: erfc is called at -1 and at +1
-        def erfc(z):
+        # x = 1, m3 = 0, v3 = 1/2: erfc is called at -1 and at +1, by the
+        # float _erfc on the scalar path and by scipy's ufunc on the array path
+        def erfc_float(z):
+            return e1 if z < 0.0 else e2
+
+        def erfc_array(z):
             return np.where(np.asarray(z) < 0.0, e1, e2)
 
-        with mock.patch.object(specialfn, "sp", SimpleNamespace(erfc=erfc)):
+        with mock.patch.object(specialfn, "_erfc", erfc_float), \
+                mock.patch.object(sp, "erfc", erfc_array):
             scalar, array = _scalar_and_array(1.0, 0.0, 0.5)
         assert scalar == array == float(np.maximum(0.5 * (np.float64(e1) - e2), 0.0)).hex()
+
+
+def _erfc_bits(a):
+    """The float _erfc and scipy's erfc at a, as exact bits; NaN reads "nan"."""
+    ours, theirs = specialfn._erfc(a), float(sp.erfc(a))
+    assert type(ours) is float
+    return tuple("nan" if v != v else v.hex() for v in (ours, theirs))
+
+
+class TestFloatErfc:
+    """specialfn._erfc, which the scalar CDF path calls, is scipy's erfc bit for bit."""
+
+    EDGES = [
+        0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e-300,
+        # branch points: 1 - erf below 1, the P/Q and R/S rational forms at 8
+        *(f(s * b) for b in (1.0, 8.0) for s in (1.0, -1.0)
+          for f in (float, lambda v: math.nextafter(v, -math.inf), lambda v: math.nextafter(v, math.inf))),
+        # the MAXLOG underflow to 0 (or 2) lies near 26.64
+        *(s * (26.5 + i / 100) for i in range(101) for s in (1.0, -1.0)),
+    ]
+
+    def test_edges(self):
+        assert [a for a in self.EDGES if len(set(_erfc_bits(a))) != 1] == []
+
+    @settings(max_examples=2000)
+    @given(a=st.floats(-30.0, 30.0))
+    def test_any_float(self, a):
+        ours, theirs = _erfc_bits(a)
+        assert ours == theirs
