@@ -11,7 +11,6 @@ from .channel import (
     RisArray,
     cascaded_moments,
     effective_gain_cdf,
-    hardened_gain,
     rician_amplitude_moments,
 )
 from .config import ScenarioConfig, default_scene, load_config, load_scene
@@ -66,7 +65,7 @@ from .noma import (
     outage_closed_form,
     outage_threshold,
 )
-from .specialfn import folded_normal_cdf, folded_normal_pdf, kummer_1f1_half
+from .specialfn import folded_normal_cdf, kummer_1f1_half
 from .sweeps import FIGURE_IDS, SweepReport, emit_csv, run_sweep
 
 __version__ = "0.1.0"

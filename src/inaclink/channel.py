@@ -25,7 +25,6 @@ __all__ = [
     "rician_amplitude_moments",
     "cascaded_moments",
     "effective_gain_cdf",
-    "hardened_gain",
 ]
 
 
@@ -102,8 +101,3 @@ def cascaded_moments(ris: RisArray, rp: RicianParams) -> ChannelMoments:
 def effective_gain_cdf(x, cm: ChannelMoments):
     """CDF of the cascaded power gain |h~|^2 at x (scalar or array)."""
     return specialfn.folded_normal_cdf(x, cm.m3, cm.v3)
-
-
-def hardened_gain(cm: ChannelMoments) -> float:
-    """Deterministic large-L limit of the power gain: m3^2 = (beta L m1 m2)^2."""
-    return cm.m3 * cm.m3

@@ -11,7 +11,8 @@ Flags: --config PATH (key=value file; defaults apply when omitted),
 --seed U64 and --trials N (override the config's Monte Carlo settings),
 --out PATH (write CSV there instead of stdout).
 
-Exit codes: 0 success, 2 configuration error, 3 numeric/region error
+Exit codes: 0 success, 2 configuration error (an unreadable --config or
+scene file, a bad value, an unwritable --out), 3 numeric/region error
 (a NumericError of the library).  Any other exception is a bug and is not
 reported under either class.
 """
@@ -30,7 +31,7 @@ from .config import ScenarioConfig, load_config
 from .errors import ConfigError, NumericError
 from .geometry import slant_range
 from .montecarlo import mc_capacity, mc_outage, sample_cascaded_gains
-from .sweeps import FIGURE_IDS, SweepReport, emit_csv, run_sweep
+from .sweeps import FIGURE_IDS, SweepReport, _asymptotic_or_none, emit_csv, run_sweep
 
 __all__ = ["main"]
 
@@ -72,9 +73,9 @@ def _load_config(args) -> ScenarioConfig:
     return replace(ScenarioConfig(), **overrides).validate()
 
 
-def _table(command: str, rows: list[tuple[str, object]]) -> SweepReport:
+def _table(rows: list[tuple[str, object]]) -> SweepReport:
     """A two-column quantity,value report; a str value is written as is."""
-    return SweepReport(command, "quantity", [name for name, _ in rows],
+    return SweepReport("quantity", [name for name, _ in rows],
                        {"value": [value for _, value in rows]})
 
 
@@ -94,13 +95,10 @@ def _cmd_analyze(cfg: ScenarioConfig) -> SweepReport:
     for sig in noma.SIGNALS:
         rows.append((f"{sig}_omega", noma.outage_threshold(sc, sig)))
         rows.append((f"{sig}_op_closed_form", noma.outage_closed_form(sc, sig).value))
-        try:
-            rows.append((f"{sig}_op_asymptotic", noma.outage_asymptotic(sc, sig).value))
-        except NumericError:
-            rows.append((f"{sig}_op_asymptotic", None))
+        rows.append((f"{sig}_op_asymptotic", _asymptotic_or_none(sc, sig)))
         rows.append((f"{sig}_capacity_hardened", noma.capacity_hardened(sc, sig)))
     rows.append(("diversity_m3_prediction", cm.m3))
-    return _table("analyze", rows)
+    return _table(rows)
 
 
 def _cmd_simulate(cfg: ScenarioConfig) -> SweepReport:
@@ -121,7 +119,7 @@ def _cmd_simulate(cfg: ScenarioConfig) -> SweepReport:
         rows.append((f"{sig}_capacity_hardened", noma.capacity_hardened(sc, sig)))
         rows.append((f"{sig}_capacity_mc", cap.mean))
         rows.append((f"{sig}_capacity_mc_half_width", cap.half_width))
-    return _table("simulate", rows)
+    return _table(rows)
 
 
 def _cmd_position(cfg: ScenarioConfig) -> SweepReport:
@@ -147,7 +145,7 @@ def _cmd_position(cfg: ScenarioConfig) -> SweepReport:
         ("position_error_m", pos_err),
         ("clock_error_s", fix.clock_bias_s - scene.clock_bias),
     ]
-    return _table("position", rows)
+    return _table(rows)
 
 
 _COMMANDS = {"analyze": _cmd_analyze, "simulate": _cmd_simulate, "position": _cmd_position}
@@ -161,7 +159,13 @@ def main(argv=None) -> int:
             report = _COMMANDS[args.command](cfg)
         else:
             report = run_sweep(cfg, args.figure_id)
-        emit_csv(report, sys.stdout if args.out is None else args.out)
+        if args.out is None:
+            emit_csv(report, sys.stdout)
+        else:
+            try:
+                emit_csv(report, args.out)
+            except OSError as exc:
+                raise ConfigError(f"cannot write --out {args.out}: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -232,6 +232,9 @@ class ScenarioConfig:
             raise ConfigError(f"noma.mode must be CO or NO, got {self.mode!r}")
         if self.nav_repetitions < 1:
             raise ConfigError(f"nav.repetitions must be >= 1, got {self.nav_repetitions}")
+        if self.scene_file:
+            with _naming(f"nav.scene_file = {self.scene_file}"):
+                load_scene(self.scene_file)
         for key, f in _SCALARS.items():
             value = getattr(self, f.name)
             if value == getattr(_DEFAULTS, f.name):
@@ -274,6 +277,8 @@ def _naming(keys: str):
     """Re-raise the library's rejection of a value as a ConfigError prefixed by keys and values."""
     try:
         yield
+    except ConfigError as exc:
+        raise ConfigError(f"{keys}: {exc}") from exc
     except OverflowError as exc:
         raise ConfigError(f"{keys}: out of the range of a double") from exc
     except ValueError as exc:
@@ -357,12 +362,16 @@ def load_config(path: str, **overrides) -> ScenarioConfig:
     """Load, parse, and validate a config file; empty file gives the defaults.
 
     Field overrides replace the file's values, as in `parse_config_text`."""
+    return parse_config_text(_read_text(path, "config"), **overrides)
+
+
+def _read_text(path: str, what: str) -> str:
+    """The text of a file, with an OSError reported as a ConfigError naming what it is."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text, **overrides)
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 # --- navigation scenes ------------------------------------------------------
@@ -410,12 +419,7 @@ def parse_scene_text(text: str) -> NavScene:
 
 
 def load_scene(path: str) -> NavScene:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read scene file {path}: {exc}") from exc
-    return parse_scene_text(text)
+    return parse_scene_text(_read_text(path, "scene"))
 
 
 def default_scene() -> NavScene:

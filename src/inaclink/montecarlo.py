@@ -100,7 +100,6 @@ class McEstimate:
 
     mean: float
     half_width: float
-    trials: int
 
     def __post_init__(self) -> None:
         if self.half_width < 0.0:
@@ -204,7 +203,7 @@ def mc_outage(gains: np.ndarray, sc: Scenario, signal: str) -> McEstimate:
     """Empirical outage frequency over sampled gains, with a Wilson 95% half-width."""
     n = len(gains)
     count = int(np.count_nonzero(outage_events(gains, sc, signal)))
-    return McEstimate(mean=count / n, half_width=wilson_half_width(count, n), trials=n)
+    return McEstimate(mean=count / n, half_width=wilson_half_width(count, n))
 
 
 def mc_capacity(gains: np.ndarray, sc: Scenario, signal: str) -> McEstimate:
@@ -212,7 +211,7 @@ def mc_capacity(gains: np.ndarray, sc: Scenario, signal: str) -> McEstimate:
     n = len(gains)
     rates = np.log2(1.0 + sinr(gains, sc, signal))
     hw = _Z95 * float(np.std(rates, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return McEstimate(mean=float(np.mean(rates)), half_width=hw, trials=n)
+    return McEstimate(mean=float(np.mean(rates)), half_width=hw)
 
 
 def ks_distance(ris: RisArray, rp: RicianParams, mc: McConfig) -> float:

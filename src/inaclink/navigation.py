@@ -335,15 +335,13 @@ def lsm_solve(pr: PseudorangeSet, scene: NavScene, ctrl: LsmControl = LsmControl
                        converged=cost < ctrl.loss)
 
 
-def dilution_of_precision(scene: NavScene, state: np.ndarray | None = None) -> tuple[float, float]:
-    """(GDOP, PDOP) from the design matrix at a state (default: scene truth).
+def dilution_of_precision(scene: NavScene) -> tuple[float, float]:
+    """(GDOP, PDOP) from the design matrix at the scene's true user position.
 
     GDOP uses the full trace of (U^T U)^{-1}; PDOP only the position block.
     Unit range noise maps to state error with these amplification factors.
     """
-    if state is None:
-        state = np.append(scene.true_user, SPEED_OF_LIGHT * scene.clock_bias)
-    u = np.vstack([design_row(anchor, state[:3]) for anchor in scene.anchors()])
+    u = np.vstack([design_row(anchor, scene.true_user) for anchor in scene.anchors()])
     q = np.linalg.inv(u.T @ u)
     return float(math.sqrt(np.trace(q))), float(math.sqrt(np.trace(q[:3, :3])))
 

@@ -112,39 +112,25 @@ class RateTargets:
         if not (0.0 < self.r_m < math.inf and 0.0 < self.r_u < math.inf):
             raise ValueError("target rates must be finite and > 0")
 
-    @property
-    def eps_m(self) -> float:
-        return 2.0**self.r_m - 1.0
-
-    @property
-    def eps_u(self) -> float:
-        return 2.0**self.r_u - 1.0
-
     def rate(self, signal: str) -> float:
         return self.r_m if signal == "multicast" else self.r_u
 
     def eps(self, signal: str) -> float:
-        return self.eps_m if signal == "multicast" else self.eps_u
+        return 2.0 ** self.rate(signal) - 1.0
 
 
 @dataclass(frozen=True)
 class OutageResult:
-    """Outage probability with its provenance.
-
-    method is one of {"closed_form", "asymptotic"}; infeasible marks the
-    degenerate case where the SIC order cannot reach the target at any SNR
-    and the probability saturates at 1.
+    """Outage probability; infeasible marks the degenerate case where the SIC
+    order cannot reach the target at any SNR and the probability saturates at 1.
     """
 
     value: float
-    method: str
     infeasible: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"outage probability must be in [0, 1], got {self.value}")
-        if self.method not in ("closed_form", "asymptotic"):
-            raise ValueError(f"unknown method tag {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -247,9 +233,9 @@ def outage_closed_form(sc: Scenario, signal: str) -> OutageResult:
     """
     _check_signal(signal)
     if not sc.feasible:
-        return OutageResult(value=1.0, method="closed_form", infeasible=True)
+        return OutageResult(value=1.0, infeasible=True)
     omega = outage_threshold(sc, signal)
-    return OutageResult(value=float(effective_gain_cdf(omega, sc.moments)), method="closed_form")
+    return OutageResult(value=float(effective_gain_cdf(omega, sc.moments)))
 
 
 def outage_asymptotic(sc: Scenario, signal: str) -> OutageResult:
@@ -266,7 +252,7 @@ def outage_asymptotic(sc: Scenario, signal: str) -> OutageResult:
     """
     _check_signal(signal)
     if not sc.feasible:
-        return OutageResult(value=1.0, method="asymptotic", infeasible=True)
+        return OutageResult(value=1.0, infeasible=True)
     omega = outage_threshold(sc, signal)
     m3, v3 = sc.moments.m3, sc.moments.v3
     root = math.sqrt(omega)
@@ -276,7 +262,7 @@ def outage_asymptotic(sc: Scenario, signal: str) -> OutageResult:
             f"asymptotic outage needs (m3+sqrt(omega))/sqrt(2 v3) < 1, got {z:.4f}"
         )
     if omega == 0.0:
-        return OutageResult(value=0.0, method="asymptotic")
+        return OutageResult(value=0.0)
     total = 0.0
     for n in range(_SERIES_TERMS):
         inner = 0.0
@@ -290,7 +276,7 @@ def outage_asymptotic(sc: Scenario, signal: str) -> OutageResult:
         total += term
         if abs(term) <= _SERIES_TOL * abs(total):
             value = (2.0 / math.sqrt(math.pi)) * total
-            return OutageResult(value=min(max(value, 0.0), 1.0), method="asymptotic")
+            return OutageResult(value=min(max(value, 0.0), 1.0))
     raise ConvergenceError(
         f"asymptotic outage series did not reach tol={_SERIES_TOL} in {_SERIES_TERMS} terms"
     )

@@ -59,7 +59,6 @@ class SweepReport:
     (used for out-of-region asymptotics and per-point numeric failures).
     """
 
-    figure_id: str
     x_name: str
     x: list
     columns: dict[str, list]
@@ -188,7 +187,7 @@ def _run_mc_figure(cfg: ScenarioConfig, figure_id: str) -> SweepReport:
             est = fig.estimator(gains_by_ris[sc.ris], sc, sig)
             cols[f"{sig}_mc"].append(est.mean)
             cols[f"{sig}_mc_half_width"].append(est.half_width)
-    return SweepReport(figure_id, fig.x_name, grid, cols)
+    return SweepReport(fig.x_name, grid, cols)
 
 
 def _sweep_cap_vs_elements(cfg: ScenarioConfig) -> SweepReport:
@@ -216,7 +215,7 @@ def _sweep_cap_vs_elements(cfg: ScenarioConfig) -> SweepReport:
             est = mc_capacity(gains, sc, sig)
             cols[f"{sig}_mc"].append(est.mean)
             cols[f"{sig}_mc_half_width"].append(est.half_width)
-    return SweepReport("cap-vs-elements", "elements", list(cfg.sweep_elements_cap), cols)
+    return SweepReport("elements", list(cfg.sweep_elements_cap), cols)
 
 
 def _sweep_constellation(cfg: ScenarioConfig) -> SweepReport:
@@ -239,7 +238,7 @@ def _sweep_constellation(cfg: ScenarioConfig) -> SweepReport:
                 cols["min_satellites"].append(min_satellites(geom))
             except NumericError:
                 cols["min_satellites"].append(None)
-    return SweepReport("constellation", "r_m_km", xs, cols)
+    return SweepReport("r_m_km", xs, cols)
 
 
 _NAV_INTEGRATION_GAIN = 1.0e6  # correlator samples accumulated per range estimate
@@ -294,7 +293,7 @@ def _sweep_nav_accuracy(cfg: ScenarioConfig) -> SweepReport:
             sigma = _nav_sigma(cfg, mode, L)
             cols[f"{mode.lower()}_sigma_m"].append(sigma)
             cols[f"{mode.lower()}_rmse_m"].append(rmse(sigma))
-    return SweepReport("nav-accuracy", "elements", list(cfg.sweep_nav_elements), cols)
+    return SweepReport("elements", list(cfg.sweep_nav_elements), cols)
 
 
 _SWEEPS = {

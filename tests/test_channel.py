@@ -11,7 +11,6 @@ from inaclink import (
     RisArray,
     cascaded_moments,
     effective_gain_cdf,
-    hardened_gain,
     rician_amplitude_moments,
 )
 
@@ -121,10 +120,6 @@ class TestCascadedMoments:
         assert all(a < b for a, b in zip(m_by_l, m_by_l[1:]))
         m_by_k = [cascaded_moments(RisArray(16, 1.0), RicianParams(k, 0.0)).m3 for k in (0.0, 1.0, 10.0)]
         assert all(a < b for a, b in zip(m_by_k, m_by_k[1:]))
-
-    def test_hardened_gain(self):
-        cm = cascaded_moments(RisArray(128, 1.0), RicianParams(1.0, 0.0))
-        assert hardened_gain(cm) == pytest.approx(cm.m3**2, rel=0)
 
 
 class TestEffectiveGainCdf:

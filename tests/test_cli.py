@@ -215,6 +215,28 @@ class TestErrors:
         assert res.returncode == 2
         assert res.stderr.startswith("config error:")
 
+    @pytest.mark.parametrize("out", ["absent/x.csv", "."])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, out):
+        # a missing parent directory, then a directory in place of a file
+        path = tmp_path / out
+        assert cli.main(["analyze", "--out", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot write --out {path}: ")
+
+    @pytest.mark.parametrize("scene, detail", [
+        (None, "cannot read scene file"),
+        ("sat1 = 1 2\n", "line 1: sat1 needs 3 coordinates"),
+    ])
+    def test_bad_scene_file_exits_2_on_analyze(self, tmp_path, capsys, scene, detail):
+        # validated up front, though analyze never reads the scene
+        path = tmp_path / "scene.txt"
+        if scene is not None:
+            path.write_text(scene, encoding="utf-8")
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text(f"nav.scene_file = {path}\n", encoding="utf-8")
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert not (tmp_path / "x.csv").exists()
+        assert capsys.readouterr().err.startswith(f"config error: nav.scene_file = {path}: {detail}")
+
     def test_unknown_figure_id_exits_2(self):
         res = run_cli("reproduce", "op-vs-frequency")
         assert res.returncode == 2

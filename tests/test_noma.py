@@ -69,7 +69,7 @@ def _ref_sinr(gains, sc, signal):
 
 
 def _ref_outage_threshold(sc, signal):
-    eps_m, eps_u = sc.targets.eps_m, sc.targets.eps_u
+    eps_m, eps_u = sc.targets.eps("multicast"), sc.targets.eps("unicast")
     a_m, a_u = sc.split.alpha_m_sq, sc.split.alpha_u_sq
     rho2, gamma = sc.budget.noise_power, sc.budget.gamma
     if sc.mode == "CO":
@@ -112,8 +112,8 @@ def _ref_outage_events(gains, sc, signal):
 
 def _ref_feasible(sc):
     if sc.mode == "CO":
-        return sc.split.alpha_m_sq - sc.split.alpha_u_sq * sc.targets.eps_m > 0.0
-    return sc.split.alpha_u_sq - sc.split.alpha_m_sq * sc.targets.eps_u > 0.0
+        return sc.split.alpha_m_sq - sc.split.alpha_u_sq * sc.targets.eps("multicast") > 0.0
+    return sc.split.alpha_u_sq - sc.split.alpha_m_sq * sc.targets.eps("unicast") > 0.0
 
 
 class TestDataTypes:
@@ -128,8 +128,8 @@ class TestDataTypes:
 
     def test_rate_targets(self):
         t = RateTargets(r_m=0.0005, r_u=0.001)
-        assert t.eps_m == pytest.approx(0.00034663365384535183, rel=1e-14)
-        assert t.eps_u == pytest.approx(0.0006933874625807412, rel=1e-14)
+        assert t.eps("multicast") == pytest.approx(0.00034663365384535183, rel=1e-14)
+        assert t.eps("unicast") == pytest.approx(0.0006933874625807412, rel=1e-14)
         with pytest.raises(ValueError):
             RateTargets(r_m=0.0, r_u=0.001)
         with pytest.raises(ValueError):
@@ -141,13 +141,9 @@ class TestDataTypes:
                 RateTargets(r_m=0.0005, r_u=bad)
 
     def test_outage_result_validation(self):
-        OutageResult(value=0.5, method="closed_form")
+        OutageResult(value=0.5)
         with pytest.raises(ValueError):
-            OutageResult(value=1.2, method="closed_form")
-        with pytest.raises(ValueError):
-            OutageResult(value=0.5, method="guess")
-        with pytest.raises(ValueError):
-            OutageResult(value=0.5, method="monte_carlo")  # Monte Carlo reports an McEstimate
+            OutageResult(value=1.2)
 
     def test_mode_and_signal_tuples(self):
         assert MODES == ("CO", "NO")
@@ -306,7 +302,7 @@ class TestOutageThreshold:
         # and the uni-cast stage dominates its own threshold
         sc = ScenarioConfig(alpha_m_sq=0.99, alpha_u_sq=0.01).scenario()
         first = outage_threshold(sc, "multicast")
-        second_only = sc.targets.eps_u * sc.budget.noise_power / (0.01 * sc.budget.gamma)
+        second_only = sc.targets.eps("unicast") * sc.budget.noise_power / (0.01 * sc.budget.gamma)
         assert outage_threshold(sc, "unicast") == pytest.approx(second_only, rel=1e-12)
         assert outage_threshold(sc, "unicast") > first
 
@@ -334,11 +330,7 @@ class TestOutageClosedForm:
         assert outage_closed_form(co, "unicast").value == pytest.approx(0.12158207711552355, rel=1e-10)
         assert outage_closed_form(no, "multicast").value == pytest.approx(0.9999984869384003, rel=1e-12)
         assert outage_closed_form(no, "unicast").value == pytest.approx(2.2495147411483174e-9, rel=1e-9)
-
-    def test_method_tag(self):
-        res = outage_closed_form(scenario(), "multicast")
-        assert res.method == "closed_form"
-        assert not res.infeasible
+        assert not outage_closed_form(co, "multicast").infeasible
 
     def test_infeasible_split_saturates(self):
         sc = ScenarioConfig(alpha_m_sq=0.00001, alpha_u_sq=0.99999).scenario()
@@ -379,7 +371,6 @@ class TestOutageAsymptotic:
             sc_t = self.at_threshold(sc, omega)
             asym = outage_asymptotic(sc_t, "multicast")
             exact = outage_closed_form(sc_t, "multicast")
-            assert asym.method == "asymptotic"
             assert asym.value == pytest.approx(exact.value, rel=1e-9)
 
     def test_relative_error_bound_in_region(self):

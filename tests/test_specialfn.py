@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import special as sp
 from scipy import stats
 
-from inaclink import folded_normal_cdf, folded_normal_pdf, kummer_1f1_half
+from inaclink import folded_normal_cdf, kummer_1f1_half
 from inaclink import specialfn
 from inaclink.errors import ConvergenceError
 
@@ -29,8 +29,14 @@ class TestKummer:
 
     def test_against_scipy_hyp1f1(self, monkeypatch):
         monkeypatch.setattr(specialfn, "_1F1_TERMS", 400)
-        for x in (-120.0, -50.0, -7.5, -0.1, 0.2, 2.5, 10.0):
+        for x in (-120.0, -50.0, -7.5, -0.1):
             assert kummer_1f1_half(x) == pytest.approx(float(sp.hyp1f1(-0.5, 1.0, x)), rel=1e-9)
+
+    def test_rejects_positive_and_nan(self):
+        # the Rician mean evaluates it at -K only, with K >= 0
+        for x in (5e-324, 0.2, 10.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                kummer_1f1_half(x)
 
     def test_default_budget_boundary(self):
         # the 200-term default resolves arguments down to about -116
@@ -58,15 +64,6 @@ class TestFoldedNormal:
         x = np.linspace(0.01, 30.0, 200)
         np.testing.assert_allclose(folded_normal_cdf(x, m3, v3), dist.cdf(np.sqrt(x)), rtol=1e-12)
 
-    def test_pdf_against_scipy(self):
-        m3, v3 = 2.0, 0.5
-        s = math.sqrt(v3)
-        dist = stats.foldnorm(c=m3 / s, scale=s)
-        x = np.linspace(0.01, 30.0, 200)
-        np.testing.assert_allclose(
-            folded_normal_pdf(x, m3, v3), dist.pdf(np.sqrt(x)) / (2.0 * np.sqrt(x)), rtol=1e-12
-        )
-
     def test_zero_mean_reduces_to_chi_squared(self):
         # m3 = 0, v3 = 1: X ~ chi2 with one degree of freedom
         x = np.linspace(0.0, 12.0, 60)
@@ -77,36 +74,18 @@ class TestFoldedNormal:
         v = folded_normal_cdf(3006.081519398236, 102.82546740513416, 45.39783791340385)
         assert v == pytest.approx(5.255240687063178e-13, rel=1e-9)
 
-    def test_pdf_normalizes(self):
-        from scipy.integrate import quad
-
-        total, err = quad(lambda t: folded_normal_pdf(t, 2.0, 0.5), 0.0, np.inf, limit=200)
-        assert total == pytest.approx(1.0, abs=1e-8)
-
-    def test_pdf_is_cdf_derivative(self):
-        m3, v3, h = 1.3, 0.7, 1e-6
-        for x in (0.4, 1.0, 2.5, 6.0):
-            num = (folded_normal_cdf(x + h, m3, v3) - folded_normal_cdf(x - h, m3, v3)) / (2 * h)
-            assert num == pytest.approx(folded_normal_pdf(x, m3, v3), rel=1e-7)
-
     def test_endpoints(self):
         assert folded_normal_cdf(0.0, 1.0, 1.0) == 0.0
         assert folded_normal_cdf(1e6, 1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-        assert folded_normal_pdf(0.0, 1.0, 1.0) == math.inf
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             folded_normal_cdf(-0.1, 1.0, 1.0)
         with pytest.raises(ValueError):
-            folded_normal_pdf(-0.1, 1.0, 1.0)
-        with pytest.raises(ValueError):
             folded_normal_cdf(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            folded_normal_pdf(1.0, 1.0, -2.0)
 
     def test_scalar_in_scalar_out(self):
         assert isinstance(folded_normal_cdf(1.0, 1.0, 1.0), float)
-        assert isinstance(folded_normal_pdf(1.0, 1.0, 1.0), float)
 
 
 def _scalar_and_array(x, m3, v3):

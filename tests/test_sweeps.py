@@ -32,14 +32,12 @@ class TestRegistry:
 
     def test_report_column_length_checked(self):
         with pytest.raises(ValueError):
-            SweepReport("op-vs-power", "x", [1, 2, 3], {"y": [1.0]})
+            SweepReport("x", [1, 2, 3], {"y": [1.0]})
 
 
 class TestCsvRendering:
     def report(self):
-        return SweepReport(
-            "demo", "x", [1, 2], {"a": [0.5, None], "b": [3, 4], "c": [1.25e-13, math.inf]}
-        )
+        return SweepReport("x", [1, 2], {"a": [0.5, None], "b": [3, 4], "c": [1.25e-13, math.inf]})
 
     def test_header_na_and_crlf(self):
         text = report_to_csv_text(self.report())
