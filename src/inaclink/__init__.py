@@ -3,7 +3,17 @@
 Closed-form effective-channel statistics, outage probabilities, capacities,
 diversity slopes, least-squares positioning, and constellation sizing, each
 cross-validated by an independent Monte Carlo oracle.
+
+The closed forms, the config and its scenario import no numpy.  The names of
+`montecarlo`, `navigation` and `sweeps`, which do, are re-exported lazily:
+their module is imported on first access, and each access reads the module's
+current attribute, so a name patched on its module (by a tracer, say) is
+patched here too.  Those modules are not attributes of the package until
+something imports them (`from inaclink import sweeps`).
 """
+
+import importlib
+import types
 
 from .channel import (
     ChannelMoments,
@@ -13,7 +23,7 @@ from .channel import (
     effective_gain_cdf,
     rician_amplitude_moments,
 )
-from .config import ScenarioConfig, default_scene, load_config, load_scene
+from .config import McConfig, ScenarioConfig, default_scene, load_config, load_scene
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -34,26 +44,6 @@ from .geometry import (
     noise_power_watts,
     slant_range,
 )
-from .montecarlo import (
-    SAMPLER_VERSION,
-    McConfig,
-    McEstimate,
-    ks_distance,
-    mc_capacity,
-    mc_outage,
-    sample_cascaded_gains,
-)
-from .navigation import (
-    LsmControl,
-    NavScene,
-    PositionFix,
-    PseudorangeSet,
-    design_row,
-    dilution_of_precision,
-    lsm_solve,
-    range_noise_from_snr,
-    synthesize_pseudoranges,
-)
 from .noma import (
     OutageResult,
     PowerSplit,
@@ -66,6 +56,28 @@ from .noma import (
     outage_threshold,
 )
 from .specialfn import folded_normal_cdf, kummer_1f1_half
-from .sweeps import FIGURE_IDS, SweepReport, emit_csv, run_sweep
+
+#: lazily re-exported name -> the module that defines it
+_LAZY = {
+    **dict.fromkeys(
+        ("SAMPLER_VERSION", "McEstimate", "ks_distance", "mc_capacity", "mc_outage",
+         "sample_cascaded_gains"), "montecarlo"),
+    **dict.fromkeys(
+        ("LsmControl", "NavScene", "PositionFix", "PseudorangeSet", "design_row",
+         "dilution_of_precision", "lsm_solve", "range_noise_from_snr",
+         "synthesize_pseudoranges"), "navigation"),
+    **dict.fromkeys(("FIGURE_IDS", "SweepReport", "emit_csv", "run_sweep"), "sweeps"),
+}
+
+#: the eager names above, then the lazy ones
+__all__ = [n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, types.ModuleType)]
+__all__ += _LAZY
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

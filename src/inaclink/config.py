@@ -17,6 +17,10 @@ once at this boundary.  Each key is a ScenarioConfig field: its group from
 the field metadata, a dot, and the field name less any ``group_`` prefix;
 the value kind follows the annotation.  A value the library rejects is
 reported with its key and the value as written, before anything runs.
+McConfig, the Monte Carlo trial count and seed that ``mc.*`` builds, is
+defined here rather than in montecarlo, so that neither loading a config
+nor building its scenario imports numpy; the scene readers import numpy
+and navigation when first called.
 
 Navigation scene files use the same syntax with 3-vector values::
 
@@ -34,17 +38,18 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .channel import RicianParams, RisArray
 from .errors import ConfigError
 from .geometry import LinkBudget, OrbitGeometry, RfParams, link_budget
-from .montecarlo import McConfig
-from .navigation import NavScene
 from .noma import PowerSplit, RateTargets, Scenario
 
+if TYPE_CHECKING:
+    from .navigation import NavScene
+
 __all__ = [
+    "McConfig",
     "ScenarioConfig",
     "load_config",
     "parse_config_text",
@@ -55,6 +60,20 @@ __all__ = [
 
 #: split defaults per mode: (alpha_m_sq, alpha_u_sq)
 _MODE_SPLITS = {"CO": (0.6, 0.4), "NO": (0.1, 0.9)}
+
+
+@dataclass(frozen=True)
+class McConfig:
+    """Trial count and master seed of a Monte Carlo run."""
+
+    trials: int = 20_000
+    master_seed: int = 12345
+
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError("master_seed must fit in 64 bits")
 
 
 def _key(group: str, default, point=None, builds=None):
@@ -389,6 +408,10 @@ def _finite(raw: str) -> float:
 
 def parse_scene_text(text: str) -> NavScene:
     """Parse a scene file: six position 3-vectors (m) and the clock bias (s), all finite."""
+    import numpy as np
+
+    from .navigation import NavScene
+
     values: dict[str, object] = {}
     for lineno, key, raw in _key_value_lines(text):
         if key in _SCENE_VECTORS:
@@ -429,6 +452,10 @@ def default_scene() -> NavScene:
     above the user's horizon, giving a comfortably non-degenerate design
     matrix (GDOP of a few).
     """
+    import numpy as np
+
+    from .navigation import NavScene
+
     r_orbit = (6378.0 + 20000.0) * 1e3
 
     def on_sphere(direction) -> np.ndarray:

@@ -10,9 +10,10 @@ L * i (Philox emits 4 doubles per block).  Normals are produced by applying
 the inverse normal CDF to those uniforms; numpy's ziggurat normals would
 consume a data-dependent number of words and break the fixed stride.  As a
 result the gain vector is bit-identical no matter how trials are split into
-blocks or distributed, and every downstream estimate is too.  McConfig holds
-only the trial count and the master seed: a block is as many trials as fit
-in _MAX_BLOCK_DOUBLES, and the block size never changes the gains.
+blocks or distributed, and every downstream estimate is too.  A run is set
+by a config.McConfig, which holds only the trial count and the master seed:
+a block is as many trials as fit in _MAX_BLOCK_DOUBLES, and the block size
+never changes the gains.
 
 Sampler version 2 (SAMPLER_VERSION) keeps that stream of uniforms and
 normals and changes only the transform.  Each link stays a power
@@ -36,6 +37,8 @@ scipy.special's ndtri is imported inside sample_cascaded_gains, on the
 calling thread before any worker starts, not at module import: importing
 inaclink, or running a command that draws nothing, never loads
 scipy.special, whose import costs a fresh process more than numpy's own.
+This module, and numpy with it, is itself loaded only when one of its names
+is first used: inaclink re-exports them lazily.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -51,9 +55,11 @@ from numpy.random import Generator, Philox
 from .channel import RicianParams, RisArray, cascaded_moments, effective_gain_cdf
 from .noma import Scenario, first_decoded, sinr
 
+if TYPE_CHECKING:
+    from .config import McConfig
+
 __all__ = [
     "SAMPLER_VERSION",
-    "McConfig",
     "McEstimate",
     "sample_cascaded_gains",
     "outage_events",
@@ -78,20 +84,6 @@ _MIN_SPLIT_DOUBLES = 1 << 17
 
 #: threads that sample blocks concurrently: the CPUs this process may run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-@dataclass(frozen=True)
-class McConfig:
-    """Trial count and master seed."""
-
-    trials: int = 20_000
-    master_seed: int = 12345
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must fit in 64 bits")
 
 
 @dataclass(frozen=True)

@@ -167,7 +167,7 @@ class LsmControl:
     def __post_init__(self) -> None:
         if self.iters < 1:
             raise ValueError(f"iters must be >= 1, got {self.iters}")
-        if self.loss <= 0.0:
+        if not self.loss > 0.0:  # NaN fails too
             raise ValueError(f"loss must be > 0, got {self.loss}")
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (4,):
@@ -351,11 +351,12 @@ def range_noise_from_snr(snr: float, bandwidth: float, floor: float | None = Non
 
     sigma = c / (2 BW sqrt(2 snr)), floored at the code-resolution limit
     (default c / (2 BW)).  snr = 0 models the absent RIS link and yields an
-    infinite sigma (position error unbounded); negative snr is rejected.
+    infinite sigma (position error unbounded); negative or NaN snr is rejected.
     """
-    if bandwidth <= 0.0:
+    # written so that NaN fails both checks
+    if not bandwidth > 0.0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    if snr < 0.0:
+    if not snr >= 0.0:
         raise ValueError(f"snr must be >= 0, got {snr}")
     if floor is None:
         floor = SPEED_OF_LIGHT / (2.0 * bandwidth)

@@ -35,8 +35,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-import numpy as np
-
 from .channel import (
     ChannelMoments,
     RicianParams,
@@ -315,6 +313,8 @@ def diversity_order_estimate(
     grid cannot support a slope estimate and DegenerateGeometryError is
     raised.  The slope is reported next to m3 without asserting equality.
     """
+    import numpy as np
+
     _check_signal(signal)
     snrs = [float(s) for s in snr_grid]
     if any(s <= 0.0 for s in snrs):

@@ -16,9 +16,9 @@ array round trip (np.asarray, np.any, 0-d ufuncs, np.maximum) that costs
 several times the arithmetic.  It returns the array path's bits: both square
 roots are correctly rounded, _erfc is scipy's erfc bit for bit, and its clamp
 keeps np.maximum(out, 0.0)'s rules (NaN propagates; -0.0 and negatives become
-+0.0).  Arrays keep the array path, which imports scipy's erfc when first
-called; the closed forms therefore never load scipy.special, whose import
-costs a fresh process more than numpy's own.
++0.0).  Arrays keep the array path, which imports numpy and scipy's erfc when
+first called; the closed forms therefore load neither numpy nor
+scipy.special, the two costliest imports of a fresh process.
 
 _erfc is the Cephes ndtr.c erfc (with its erf below 1) that scipy's erfc
 ufunc runs: the same coefficients in the same Horner order, math.exp, and
@@ -33,8 +33,6 @@ benchmark's point-query catalogue moved by more than 1e-9 relative.
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import ConvergenceError
 
@@ -144,6 +142,7 @@ def folded_normal_cdf(x, m3: float, v3: float):
         out = 0.5 * (_erfc((m3 - r) / s) - _erfc((m3 + r) / s))
         # np.maximum(out, 0.0): NaN stays NaN, where max(out, 0.0) would keep -0.0
         return out if out > 0.0 or out != out else 0.0
+    import numpy as np
     from scipy.special import erfc  # only ks_distance passes arrays, after it has sampled
 
     arr = np.asarray(x, dtype=float)

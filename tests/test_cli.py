@@ -159,6 +159,36 @@ class TestPosition:
         assert res.returncode == 0, res.stderr
         assert res.stdout == f"{draws}\n"
 
+    @pytest.mark.parametrize("touch, loads", [
+        ("", False),
+        # the Monte Carlo names load it, so the check above is not vacuous
+        ("inaclink.sample_cascaded_gains\n", True),
+    ], ids=["closed-forms", "monte-carlo-name"])
+    def test_config_and_closed_forms_never_load_numpy(self, tmp_path, touch, loads):
+        # numpy's import is most of a fresh process's start-up cost, and a
+        # config, its scenario and the closed forms need none of it
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text("mc.trials = 5000\nfading.k_r = 3\nfading.k_g = 2\n", encoding="utf-8")
+        code = ("import sys, inaclink\n"
+                "from inaclink import noma\n"
+                "from inaclink.errors import RegionError\n"
+                f"cfg = inaclink.load_config({str(cfg)!r})\n"
+                "cfg.mc_config()\n"
+                "sc = cfg.scenario()\n"
+                "for signal in noma.SIGNALS:\n"
+                "    noma.outage_threshold(sc, signal)\n"
+                "    noma.outage_closed_form(sc, signal)\n"
+                "    noma.capacity_hardened(sc, signal)\n"
+                "    try:\n"
+                "        noma.outage_asymptotic(sc, signal)\n"
+                "    except RegionError:\n"
+                "        pass\n"
+                f"{touch}"
+                "print('numpy' in sys.modules)\n")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == f"{loads}\n"
+
 
 class TestValidateOnce:
     @pytest.fixture

@@ -12,11 +12,16 @@ PACKAGE_DIR = Path(inaclink.__file__).resolve().parent
 MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__")
 
 
-def _package_imports():
-    """(module, name) of each name inaclink/__init__.py imports from a sibling module."""
+def _eager_imports():
+    """Each name inaclink/__init__.py imports from a sibling module."""
     tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text(encoding="utf-8"))
-    return [(node.module, alias.name) for node in tree.body
+    return [alias.name for node in tree.body
             if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+
+
+def _exports(module):
+    """A module's __all__, or its public names if it has none (errors)."""
+    return getattr(module, "__all__", [n for n in vars(module) if not n.startswith("_")])
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -27,10 +32,20 @@ def test_every_export_exists(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+def test_package_all_lists_every_reexport():
+    eager = _eager_imports()
+    assert "cascaded_moments" in eager  # the parse found them
+    assert "sample_cascaded_gains" in inaclink._LAZY
+    assert len(set(inaclink.__all__)) == len(inaclink.__all__)
+    assert [n for n in [*eager, *inaclink._LAZY] if n not in inaclink.__all__] == []
+
+
 def test_package_reexports_only_exports():
-    imports = _package_imports()
-    assert ("channel", "cascaded_moments") in imports  # the parse found them
-    stale = [f"{mod}.{name}" for mod, name in imports
-             if hasattr(module := importlib.import_module(f"inaclink.{mod}"), "__all__")
-             and name not in module.__all__]
+    # getattr reaches a lazy name through the package's __getattr__, so a
+    # stale one fails here as well as an eager one
+    modules = [importlib.import_module(f"inaclink.{name}") for name in MODULES]
+    stale = [name for name in inaclink.__all__
+             if not hasattr(inaclink, name)
+             or not any(name in _exports(m) and getattr(m, name) is getattr(inaclink, name)
+                        for m in modules)]
     assert stale == []

@@ -257,6 +257,11 @@ class TestSolver:
         with pytest.raises(ValueError):
             LsmControl(x0=np.zeros(3))
 
+    def test_nan_loss_rejected(self):
+        # no cost is below NaN, so every fix would run to the cap unconverged
+        with pytest.raises(ValueError, match="loss must be > 0"):
+            LsmControl(loss=math.nan)
+
 
 class TestBitIdentity:
     """`lsm_solve` against the row-by-row loop: same bytes, not just close."""
@@ -405,3 +410,7 @@ class TestRangeNoise:
             range_noise_from_snr(-1.0, self.BW)
         with pytest.raises(ValueError):
             range_noise_from_snr(1.0, 0.0)
+        with pytest.raises(ValueError):
+            range_noise_from_snr(math.nan, self.BW)
+        with pytest.raises(ValueError):
+            range_noise_from_snr(1.0, math.nan)
