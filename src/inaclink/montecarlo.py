@@ -15,6 +15,14 @@ by a config.McConfig, which holds only the trial count and the master seed:
 a block is as many trials as fit in _MAX_BLOCK_DOUBLES, and the block size
 never changes the gains.
 
+Since trial i starts where trial i - 1 ends, the draw at (L, trials) is the
+first 4 L trials doubles of the seed's stream: a run of n trials is a prefix
+of a run of 2n, and at the same trial count the draw of an L that divides a
+larger L' is a prefix of the draw of L'.  The element sweeps share the stream
+that way: sample_cascaded_gains_by_array draws the largest L of a grid once
+and reads every L that divides it from the same normals, bit-identical to
+one sample_cascaded_gains call per array.
+
 Sampler version 2 (SAMPLER_VERSION) keeps that stream of uniforms and
 normals and changes only the transform.  Each link stays a power
 |s + sigma (z1 + j z2)|^2 (scale, shift when K > 0, square, add); the two
@@ -33,7 +41,7 @@ measured: on a 2-core host a two-way split cost ~1 ms of thread start-up,
 broke even near 2**16 doubles and saved 30-45% from 2**17 up.  A smaller
 call, a one-trial call, or a process with one usable CPU starts no thread.
 
-scipy.special's ndtri is imported inside sample_cascaded_gains, on the
+scipy.special's ndtri is imported when the sampler is called, on the
 calling thread before any worker starts, not at module import: importing
 inaclink, or running a command that draws nothing, never loads
 scipy.special, whose import costs a fresh process more than numpy's own.
@@ -45,6 +53,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -62,6 +71,7 @@ __all__ = [
     "SAMPLER_VERSION",
     "McEstimate",
     "sample_cascaded_gains",
+    "sample_cascaded_gains_by_array",
     "outage_events",
     "wilson_half_width",
     "mc_outage",
@@ -94,8 +104,8 @@ class McEstimate:
     half_width: float
 
     def __post_init__(self) -> None:
-        if self.half_width < 0.0:
-            raise ValueError("half_width must be >= 0")
+        if not self.half_width >= 0.0:  # NaN fails too
+            raise ValueError(f"half_width must be >= 0, got {self.half_width}")
 
 
 def _uniform_block(master_seed: int, start_trial: int, n_trials: int, words_per_trial: int) -> np.ndarray:
@@ -128,10 +138,45 @@ def _rician_powers(z1: np.ndarray, z2: np.ndarray, k: float) -> np.ndarray:
 
 def sample_cascaded_gains(ris: RisArray, rp: RicianParams, mc: McConfig) -> np.ndarray:
     """Power gains (sum_l beta |h_l| |g_l|)^2 for mc.trials independent trials."""
+    return sample_cascaded_gains_by_array((ris,), rp, mc)[ris]
+
+
+def sample_cascaded_gains_by_array(
+    arrays: Iterable[RisArray], rp: RicianParams, mc: McConfig
+) -> dict[RisArray, np.ndarray]:
+    """The gains of several RIS arrays, drawn in one pass and keyed by array.
+
+    Each array's gains equal sample_cascaded_gains(array, rp, mc) bit for
+    bit.  The draw at (L, trials) is the first 4 L trials doubles of the
+    seed's stream, so the largest L of a grid draws the stream once and every
+    L that divides it reads a prefix of the same normals; an L that does not
+    divide it starts the next such group.
+    """
+    arrays = dict.fromkeys(arrays)
+    sums: dict[int, np.ndarray] = {}
+    pending = sorted({ris.num_elements for ris in arrays}, reverse=True)
+    while pending:
+        group = [L for L in pending if pending[0] % L == 0]
+        pending = [L for L in pending if pending[0] % L]
+        sums.update(_element_sums(group, rp, mc))
+    gains = {}
+    for ris in arrays:
+        total = ris.amplitude * sums[ris.num_elements]
+        gains[ris] = total * total
+    return gains
+
+
+def _element_sums(group: list[int], rp: RicianParams, mc: McConfig) -> dict[int, np.ndarray]:
+    """Row sums sum_l |h_l| |g_l| of every L in group, largest first, from one draw.
+
+    Every L divides group[0], so a block of group[0]-element trials holds a
+    whole number of L-element trials; L reads the first 4 L rows doubles of
+    the block as its rows trials.
+    """
     from scipy.special import ndtri  # here, on the calling thread, before any worker starts
 
-    L = ris.num_elements
-    words = 4 * L
+    top = group[0]
+    words = 4 * top
     block = max(1, _MAX_BLOCK_DOUBLES // words)
     if mc.trials * words < _MIN_SPLIT_DOUBLES:
         workers = 1
@@ -142,19 +187,24 @@ def sample_cascaded_gains(ris: RisArray, rp: RicianParams, mc: McConfig) -> np.n
     if workers > 1:
         # the blocks in flight share the memory cap
         block = max(1, min(block, _MAX_BLOCK_DOUBLES // (workers * words)))
-    gains = np.empty(mc.trials)
+    sums = {L: np.empty(mc.trials) for L in group}
 
     def fill(start: int) -> None:
         # runs on worker threads, so it calls no public inaclink function:
         # span tracers that wrap those assume serial calls
         n = min(block, mc.trials - start)
         u = _uniform_block(mc.master_seed, start, n, words)
-        z = ndtri(u, out=u)
-        power = _rician_powers(z[:, :L], z[:, L : 2 * L], rp.k_r)
-        power *= _rician_powers(z[:, 2 * L : 3 * L], z[:, 3 * L :], rp.k_g)
-        # one square root per element: |h_l| |g_l| = sqrt(|h_l|^2 |g_l|^2)
-        total = ris.amplitude * np.sum(np.sqrt(power, out=power), axis=1)
-        gains[start : start + n] = total * total
+        z = ndtri(u, out=u).reshape(-1)
+        for L in group:
+            first = start * (top // L)
+            rows = min(n * (top // L), mc.trials - first)
+            if rows <= 0:
+                continue
+            zl = z[: 4 * L * rows].reshape(rows, 4 * L)
+            power = _rician_powers(zl[:, :L], zl[:, L : 2 * L], rp.k_r)
+            power *= _rician_powers(zl[:, 2 * L : 3 * L], zl[:, 3 * L :], rp.k_g)
+            # one square root per element: |h_l| |g_l| = sqrt(|h_l|^2 |g_l|^2)
+            sums[L][first : first + rows] = np.sum(np.sqrt(power, out=power), axis=1)
 
     starts = range(0, mc.trials, block)
     if workers == 1:
@@ -164,7 +214,7 @@ def sample_cascaded_gains(ris: RisArray, rp: RicianParams, mc: McConfig) -> np.n
         with ThreadPoolExecutor(max_workers=workers) as pool:
             # list() waits for every block and re-raises the first error
             list(pool.map(fill, starts))
-    return gains
+    return sums
 
 
 def outage_events(gains: np.ndarray, sc: Scenario, signal: str) -> np.ndarray:
@@ -186,6 +236,8 @@ def wilson_half_width(successes: int, n: int) -> float:
     """Half-width of the 95% Wilson score interval for a proportion."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not 0 <= successes <= n:
+        raise ValueError(f"successes must be in [0, n], got successes={successes}, n={n}")
     p = successes / n
     z2 = _Z95 * _Z95
     return (_Z95 * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n))) / (1.0 + z2 / n)

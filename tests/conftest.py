@@ -3,6 +3,7 @@ per-example deadline, so a slow host neither changes nor fails a property."""
 
 import warnings
 
+import pytest
 from hypothesis import settings
 
 settings.register_profile("inaclink", derandomize=True, deadline=None)
@@ -23,3 +24,23 @@ def pytest_runtest_makereport(item, call):
                 import hypothesis.extra._patching  # noqa: F401
             except ImportError:
                 pass
+
+
+@pytest.fixture
+def doubles_read(monkeypatch):
+    """A list that collects the size of each block of uniforms the sampler reads.
+
+    It wraps montecarlo._uniform_block, the sampler's one reader of the stream.
+    """
+    from inaclink import montecarlo
+
+    read = []
+    block = montecarlo._uniform_block
+
+    def counted(*args):
+        u = block(*args)
+        read.append(u.size)
+        return u
+
+    monkeypatch.setattr(montecarlo, "_uniform_block", counted)
+    return read

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from inaclink import FIGURE_IDS, ScenarioConfig, cli, navigation
+from inaclink.config import load_config
 
 CLI = [sys.executable, "-m", "inaclink.cli"]
 
@@ -371,6 +372,27 @@ class TestConstellationCommand:
         assert lines[0] == "r_m_km,elevation_deg,geocentric_angle_rad,coverage_area_km2,min_satellites"
         assert len([ln for ln in lines if ln]) == 1 + 8 * 7
         assert any(ln.startswith("500,75,") and ln.endswith(",10597") for ln in lines)
+
+
+class TestUniformsRead:
+    """Each command reads each uniform of the stream once: the element sweeps
+    read the largest L's draw, and every smaller L of their grid a prefix of it."""
+
+    @pytest.mark.parametrize("command, grid", [
+        (("reproduce", "op-vs-elements"), "sweep_elements_op"),
+        (("reproduce", "cap-vs-elements"), "sweep_elements_cap"),
+        (("reproduce", "op-vs-power"), None),
+        (("simulate",), None),
+    ], ids=lambda v: "-".join(v) if isinstance(v, tuple) else None)
+    def test_doubles_read_at_the_golden_config(self, command, grid, doubles_read, tmp_path):
+        cfg_path = tmp_path / "golden.cfg"
+        cfg_path.write_text(GOLDEN_CONFIG, encoding="utf-8")
+        cfg = load_config(cfg_path)
+        assert cli.main([*command, "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 0
+        elements = [cfg.elements] if grid is None else list(getattr(cfg, grid))
+        # a separate draw per L would read sum(elements), which differs here
+        assert grid is None or sum(elements) > max(elements)
+        assert sum(doubles_read) == 4 * max(elements) * cfg.trials
 
 
 class TestGoldenOutput:

@@ -6,6 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import inaclink
@@ -22,7 +24,7 @@ from inaclink import (
     sample_cascaded_gains,
 )
 from inaclink import montecarlo
-from inaclink.montecarlo import outage_events, wilson_half_width
+from inaclink.montecarlo import McEstimate, outage_events, sample_cascaded_gains_by_array, wilson_half_width
 
 RIS64 = RisArray(num_elements=64, amplitude=1.0)
 RICIAN = RicianParams(k_r=1.0, k_g=0.0)
@@ -144,11 +146,67 @@ class TestDeterminism:
         b = sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=100, master_seed=2))
         assert not np.array_equal(a, b)
 
+    def test_ks_distance_reads_each_uniform_once(self, doubles_read):
+        ks_distance(RisArray(32, 1.0), RICIAN, McConfig(trials=10_000))
+        assert sum(doubles_read) == 4 * 32 * 10_000
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             McConfig(trials=0)
         with pytest.raises(ValueError):
             McConfig(master_seed=2**64)
+
+
+#: element counts of which several divide others (48 = 2 * 24 = 3 * 16 ...)
+#: and several divide none of the larger ones (5, 7, 9, 96 against 48 ...)
+_ELEMENTS = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 24, 32, 48, 96])
+_AMPLITUDES = st.sampled_from([1.0, 0.5, 0.3])
+
+
+class TestByArray:
+    """One pass over several arrays equals one sample_cascaded_gains call per array."""
+
+    @settings(max_examples=60)
+    @given(
+        arrays=st.lists(st.builds(RisArray, _ELEMENTS, _AMPLITUDES), min_size=1, max_size=6),
+        trials=st.one_of(st.just(1), st.integers(2, 1_500)),
+        seed=st.integers(0, 2**32),
+        split=st.sampled_from([None, (1, 1), (3, 1), (3, 4 * 96 * 5), (8, 4 * 7 * 3)]),
+    )
+    # both sides of the split floor at the largest L: 4 * 96 * 341 < 2**17 <= 4 * 96 * 342
+    @example(arrays=[RisArray(96), RisArray(48), RisArray(5)], trials=341, seed=1, split=None)
+    @example(arrays=[RisArray(96), RisArray(48), RisArray(5)], trials=342, seed=1, split=None)
+    # duplicates, and two arrays that differ only in amplitude
+    @example(arrays=[RisArray(16), RisArray(16), RisArray(16, 0.5), RisArray(4)], trials=1, seed=0, split=None)
+    def test_gains_equal_separate_calls(self, arrays, trials, seed, split):
+        mc = McConfig(trials=trials, master_seed=seed)
+        separate = {ris: sample_cascaded_gains(ris, RICIAN, mc) for ris in arrays}
+        with pytest.MonkeyPatch.context() as mp:
+            if split is not None:
+                # more workers than cores, blocks of a few trials (or of one)
+                workers, max_block = split
+                mp.setattr(montecarlo, "_WORKERS", workers)
+                mp.setattr(montecarlo, "_MAX_BLOCK_DOUBLES", max_block)
+                mp.setattr(montecarlo, "_MIN_SPLIT_DOUBLES", 0)
+            together = sample_cascaded_gains_by_array(arrays, RICIAN, mc)
+        assert together.keys() == separate.keys()
+        for ris, gains in separate.items():
+            assert np.array_equal(together[ris], gains), ris
+
+    def test_a_dividing_grid_reads_the_largest_draw_alone(self, doubles_read):
+        grid = [RisArray(L) for L in (4, 8, 16, 32, 64)]
+        sample_cascaded_gains_by_array(grid, RICIAN, McConfig(trials=300))
+        assert sum(doubles_read) == 4 * 64 * 300
+
+    def test_a_grid_that_does_not_divide_draws_one_stream_per_group(self, doubles_read):
+        # 64 takes 32 and 16; 48 takes 24; 5 stands alone
+        grid = [RisArray(L) for L in (5, 16, 24, 32, 48, 64)]
+        sample_cascaded_gains_by_array(grid, RICIAN, McConfig(trials=300))
+        assert sum(doubles_read) == 4 * (64 + 48 + 5) * 300
+
+    def test_no_arrays_draw_nothing(self, doubles_read):
+        assert sample_cascaded_gains_by_array([], RICIAN, McConfig(trials=10)) == {}
+        assert doubles_read == []
 
 
 class TestSampledMoments:
@@ -236,6 +294,11 @@ class TestOutageAndCapacity:
         assert est.mean == pytest.approx(capacity_hardened(sc, "multicast"), abs=0.05)
         assert est.half_width > 0.0
 
+    def test_estimate_rejects_a_negative_or_nan_half_width(self):
+        for half_width in (-1e-12, math.nan):
+            with pytest.raises(ValueError, match="half_width"):
+                McEstimate(mean=math.nan, half_width=half_width)
+
     def test_single_trial_has_zero_half_width(self):
         cfg = ScenarioConfig(trials=1)
         sc = cfg.scenario()
@@ -254,6 +317,10 @@ class TestWilson:
     def test_validation(self):
         with pytest.raises(ValueError):
             wilson_half_width(0, 0)
+        # more successes than trials, or fewer than none, name both values
+        for successes, n in ((5, 3), (-1, 3)):
+            with pytest.raises(ValueError, match=rf"successes={successes}, n={n}"):
+                wilson_half_width(successes, n)
 
 
 class TestKsDistance:
