@@ -12,9 +12,9 @@ Flags: --config PATH (key=value file; defaults apply when omitted),
 --out PATH (write CSV there instead of stdout).
 
 Exit codes: 0 success, 2 configuration error (an unreadable --config or
-scene file, a bad value, an unwritable --out), 3 numeric/region error
-(a NumericError of the library).  Any other exception is a bug and is not
-reported under either class.
+scene file, a bad value, an --out or stdout that cannot be written), 3
+numeric/region error (a NumericError of the library).  Any other exception
+is a bug and is not reported under either class.
 """
 
 from __future__ import annotations
@@ -159,13 +159,11 @@ def main(argv=None) -> int:
             report = _COMMANDS[args.command](cfg)
         else:
             report = run_sweep(cfg, args.figure_id)
-        if args.out is None:
-            emit_csv(report, sys.stdout)
-        else:
-            try:
-                emit_csv(report, args.out)
-            except OSError as exc:
-                raise ConfigError(f"cannot write --out {args.out}: {exc}") from exc
+        try:
+            emit_csv(report, sys.stdout if args.out is None else args.out)
+        except OSError as exc:
+            where = "stdout" if args.out is None else f"--out {args.out}"
+            raise ConfigError(f"cannot write {where}: {exc}") from exc
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

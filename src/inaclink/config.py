@@ -80,17 +80,23 @@ def _key(group: str, default, point=None, builds=None):
     """A config field keyed ``group.`` + its name less any ``group_`` prefix.
 
     A scalar field names in builds the ScenarioConfig method that builds
-    the object its value feeds; a sweep grid carries point(cfg, x), which
-    builds the object of one grid value x.  validate builds them all, so a
-    bad value is named by its key before any sweep runs.
+    the object its value feeds.  A sweep grid carries point(cfg, base, x),
+    the one code that builds what a figure runs at grid value x, over the
+    base that builds names: the configured scenario in the figure's mode,
+    or the configured orbit.  validate builds them all, so a bad value is
+    named by its key before any sweep runs.
     """
     return field(default=default, metadata={"group": group, "point": point, "builds": builds})
 
 
-def _nav_elements_point(cfg: "ScenarioConfig", elements: int) -> RisArray | None:
+def _elements_point(cfg: "ScenarioConfig", base: Scenario, elements: int) -> Scenario:
+    return replace(base, ris=cfg.ris_array(elements))
+
+
+def _nav_elements_point(cfg: "ScenarioConfig", base: Scenario, elements: int) -> Scenario | None:
     if elements < 0:
         raise ValueError(f"element count must be >= 0 (0: no RIS), got {elements}")
-    return cfg.ris_array(elements) if elements else None
+    return _elements_point(cfg, base, elements) if elements else None
 
 
 @dataclass(frozen=True)
@@ -123,22 +129,23 @@ class ScenarioConfig:
     nav_repetitions: int = _key("nav", 200)
     sweep_tx_power_dbm: tuple[float, ...] = _key(
         "sweep", (38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50),
-        lambda cfg, dbm: cfg.link(10.0 ** (dbm / 10.0) * 1e-3))
+        lambda cfg, base, dbm: base.with_tx_power(10.0 ** (dbm / 10.0) * 1e-3), builds="scenario")
     sweep_elements_op: tuple[int, ...] = _key(
-        "sweep", (8, 16, 32, 64, 128, 256), lambda cfg, L: cfg.ris_array(L))
+        "sweep", (8, 16, 32, 64, 128, 256), _elements_point, builds="scenario")
     sweep_elements_cap: tuple[int, ...] = _key(
-        "sweep", (16, 64, 256, 1024, 4096, 16384), lambda cfg, L: cfg.ris_array(L))
+        "sweep", (16, 64, 256, 1024, 4096, 16384), _elements_point, builds="scenario")
     sweep_alpha_u_sq: tuple[float, ...] = _key(
         "sweep", (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95),
-        lambda cfg, a_u: PowerSplit(alpha_m_sq=1.0 - a_u, alpha_u_sq=a_u))
+        lambda cfg, base, a_u: replace(base, split=PowerSplit(alpha_m_sq=1.0 - a_u, alpha_u_sq=a_u)),
+        builds="scenario")
     sweep_r_m_km: tuple[float, ...] = _key(
         "sweep", (500, 1000, 2000, 4000, 8000, 12000, 20000, 30000),
-        lambda cfg, r_m: replace(cfg.orbit(), r_m=r_m * 1e3))
+        lambda cfg, base, r_m: replace(base, r_m=r_m * 1e3), builds="orbit")
     sweep_elevation_deg: tuple[float, ...] = _key(
         "sweep", (5, 15, 30, 45, 60, 75, 85),
-        lambda cfg, deg: replace(cfg.orbit(), elevation=math.radians(deg)))
+        lambda cfg, base, deg: replace(base, elevation=math.radians(deg)), builds="orbit")
     sweep_nav_elements: tuple[int, ...] = _key(
-        "sweep", (0, 16, 64, 256, 1024, 4096, 16384), _nav_elements_point)
+        "sweep", (0, 16, 64, 256, 1024, 4096, 16384), _nav_elements_point, builds="scenario")
 
     # --- SI conversions -----------------------------------------------------
 
@@ -217,6 +224,11 @@ class ScenarioConfig:
             rician=self.rician_params(),
         )
 
+    def grid_points(self, name: str, base) -> list:
+        """What a figure runs at each value of the grid field name, built over base."""
+        point = self.__dataclass_fields__[name].metadata["point"]
+        return [point(self, base, x) for x in getattr(self, name)]
+
     def nav_scene(self) -> NavScene:
         if self.scene_file:
             return load_scene(self.scene_file)
@@ -274,13 +286,15 @@ class ScenarioConfig:
                 f"(alpha_m_sq={sc.split.alpha_m_sq}, alpha_u_sq={sc.split.alpha_u_sq}) "
                 f"cannot decode the first {self.mode} signal at any SNR"
             )
+        bases = {"scenario": sc, "orbit": self.orbit()}
         for key, f in _GRIDS.items():
             values = getattr(self, f.name)
             if len(values) == 0:
                 raise ConfigError(f"{key} must not be empty")
+            point, base = f.metadata["point"], bases[f.metadata["builds"]]
             for x in values:
                 with _naming(f"{key} = {x}"):
-                    f.metadata["point"](self, x)
+                    point(self, base, x)
         return self
 
     def _set_keys(self, *builds: str) -> str:
@@ -325,7 +339,8 @@ _KEYMAP = {_config_key(f): (f.name, _KINDS[f.type]) for f in fields(ScenarioConf
 #: config key -> field of each sweep grid
 _GRIDS = {_config_key(f): f for f in fields(ScenarioConfig) if _KINDS[f.type].endswith("_list")}
 #: config key -> field of each scalar that builds a library object
-_SCALARS = {_config_key(f): f for f in fields(ScenarioConfig) if f.metadata["builds"]}
+_SCALARS = {_config_key(f): f for f in fields(ScenarioConfig)
+            if f.metadata["builds"] and not f.metadata["point"]}
 #: the builder methods of the scalars, in field order
 _BUILDS = tuple(dict.fromkeys(f.metadata["builds"] for f in _SCALARS.values()))
 _DEFAULTS = ScenarioConfig()

@@ -1,6 +1,7 @@
 """Figure-reproduction sweeps and deterministic CSV reports.
 
-Each figure id maps to one parameter sweep over the configured scenario:
+One table maps each figure id to its parameter sweep over the configured
+scenario, in the order listed here:
 
     op-vs-power      outage vs transmit power (closed form, asymptotic, MC)
     op-vs-elements   outage vs RIS element count
@@ -11,9 +12,12 @@ Each figure id maps to one parameter sweep over the configured scenario:
     constellation    minimal satellite count over height x elevation
     nav-accuracy     positioning RMSE vs element count for both modes
 
-Asymptotic cells outside the series validity region are reported as NA, not
-zero.  Per-point numeric failures are recorded in-row so a sweep never
-aborts halfway.  Reports serialize to RFC-4180-style CSV and are
+What a figure runs at each grid value is built by config
+(ScenarioConfig.grid_points), by the same code that validation runs, so a
+sweep only runs points that validation has built.  Asymptotic cells
+outside the series validity region are reported as NA, not zero.
+Per-point numeric failures are recorded in-row so a sweep never aborts
+halfway.  Reports serialize to RFC-4180-style CSV and are
 byte-reproducible for a fixed config and seed.
 """
 
@@ -23,7 +27,7 @@ import csv
 import io
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -31,24 +35,14 @@ from numpy.random import Generator, Philox
 from . import navigation, noma
 from .config import ScenarioConfig
 from .errors import DegenerateGeometryError, NumericError
-from .geometry import OrbitGeometry, coverage_area, geocentric_angle, min_satellites
+from .geometry import coverage_area, geocentric_angle, min_satellites
 from .montecarlo import mc_capacity, mc_outage, sample_cascaded_gains_by_array
 # not called here, but kept a name of this module: bench/tests/test_bench_trace.py
 # checks that a tracer restores this alias of the sampler
 from .montecarlo import sample_cascaded_gains
-from .noma import PowerSplit, Scenario
+from .noma import Scenario
 
 __all__ = ["FIGURE_IDS", "SweepReport", "run_sweep", "emit_csv", "report_to_csv_text"]
-
-FIGURE_IDS = (
-    "op-vs-power",
-    "op-vs-elements",
-    "cap-vs-power",
-    "cap-vs-elements",
-    "outage-vs-split",
-    "constellation",
-    "nav-accuracy",
-)
 
 #: seed-domain separator so navigation noise never aliases channel draws
 _NAV_SEED_SALT = 0x6E61765F
@@ -109,18 +103,40 @@ def emit_csv(report: SweepReport, path) -> None:
 class _McFigure:
     """A figure of analytic columns next to Monte Carlo, per signal, over one grid.
 
-    at(cfg, base, x) is the scenario at grid value x, where base is the
-    configured scenario in the figure's mode; analytic maps a column suffix
-    to f(scenario, signal); estimator(gains, scenario, signal) is the Monte
-    Carlo estimate.
+    analytic maps a column suffix to f(scenario, signal); by_mode does the
+    same for columns of both modes, written first; estimator(gains,
+    scenario, signal) is the Monte Carlo estimate in the figure's mode.
     """
 
     x_name: str
     grid: str  # ScenarioConfig field that holds the grid
-    at: Callable[[ScenarioConfig, Scenario, object], Scenario]
     analytic: dict[str, Callable[[Scenario, str], object]]
     estimator: Callable
     mode: str | None = None  # None: the configured mode
+    by_mode: dict[str, Callable[[Scenario, str], object]] = field(default_factory=dict)
+
+    def __call__(self, cfg: ScenarioConfig) -> SweepReport:
+        mode = self.mode or cfg.mode
+        modes = noma.MODES if self.by_mode else (mode,)
+        points = {m: cfg.grid_points(self.grid, cfg.scenario(mode=m)) for m in modes}
+        cols: dict[str, list] = {
+            f"{m.lower()}_{sig}_{name}": [column(sc, sig) for sc in points[m]]
+            for m in modes for sig in noma.SIGNALS for name, column in self.by_mode.items()
+        }
+        cols.update({
+            f"{sig}_{name}": [] for sig in noma.SIGNALS for name in (*self.analytic, "mc", "mc_half_width")
+        })
+        # the gains depend on the RIS array alone
+        gains = sample_cascaded_gains_by_array(
+            [sc.ris for sc in points[mode]], cfg.rician_params(), cfg.mc_config())
+        for sc in points[mode]:
+            for sig in noma.SIGNALS:
+                for name, column in self.analytic.items():
+                    cols[f"{sig}_{name}"].append(column(sc, sig))
+                est = self.estimator(gains[sc.ris], sc, sig)
+                cols[f"{sig}_mc"].append(est.mean)
+                cols[f"{sig}_mc_half_width"].append(est.half_width)
+        return SweepReport(self.x_name, list(getattr(cfg, self.grid)), cols)
 
 
 # The table holds these functions, not the library's: each looks the library
@@ -151,75 +167,7 @@ def _mc_capacity(gains, sc: Scenario, signal: str):
     return mc_capacity(gains, sc, signal)
 
 
-def _at_power(cfg: ScenarioConfig, base: Scenario, dbm: float) -> Scenario:
-    return base.with_tx_power(10.0 ** (dbm / 10.0) * 1e-3)
-
-
 _OUTAGE_COLUMNS = {"closed_form": _closed_form, "asymptotic": _asymptotic_or_none}
-
-_MC_FIGURES = {
-    "op-vs-power": _McFigure("tx_power_dbm", "sweep_tx_power_dbm", _at_power, _OUTAGE_COLUMNS, _mc_outage),
-    "op-vs-elements": _McFigure(
-        "elements", "sweep_elements_op",
-        lambda cfg, base, L: cfg.scenario(elements=L), _OUTAGE_COLUMNS, _mc_outage),
-    "cap-vs-power": _McFigure(
-        "tx_power_dbm", "sweep_tx_power_dbm", _at_power, {"hardened": _hardened}, _mc_capacity),
-    # NO mode: CO saturates immediately over the uni-cast share
-    "outage-vs-split": _McFigure(
-        "alpha_u_sq", "sweep_alpha_u_sq",
-        lambda cfg, base, a_u: replace(base, split=PowerSplit(alpha_m_sq=1.0 - a_u, alpha_u_sq=a_u)),
-        {"closed_form": _closed_form}, _mc_outage, mode="NO"),
-}
-
-
-def _run_mc_figure(cfg: ScenarioConfig, figure_id: str) -> SweepReport:
-    fig = _MC_FIGURES[figure_id]
-    base = cfg.scenario(mode=fig.mode)
-    grid = list(getattr(cfg, fig.grid))
-    cols: dict[str, list] = {
-        f"{sig}_{name}": [] for sig in noma.SIGNALS for name in (*fig.analytic, "mc", "mc_half_width")
-    }
-    scenarios = [fig.at(cfg, base, x) for x in grid]
-    # the gains depend on the RIS array alone
-    gains = sample_cascaded_gains_by_array([sc.ris for sc in scenarios], base.rician, cfg.mc_config())
-    for sc in scenarios:
-        for sig in noma.SIGNALS:
-            for name, column in fig.analytic.items():
-                cols[f"{sig}_{name}"].append(column(sc, sig))
-            est = fig.estimator(gains[sc.ris], sc, sig)
-            cols[f"{sig}_mc"].append(est.mean)
-            cols[f"{sig}_mc_half_width"].append(est.half_width)
-    return SweepReport(fig.x_name, grid, cols)
-
-
-def _sweep_cap_vs_elements(cfg: ScenarioConfig) -> SweepReport:
-    cols: dict[str, list] = {
-        name: []
-        for name in (
-            "co_multicast_hardened",
-            "co_unicast_hardened",
-            "no_multicast_hardened",
-            "no_unicast_hardened",
-            "multicast_mc",
-            "multicast_mc_half_width",
-            "unicast_mc",
-            "unicast_mc_half_width",
-        )
-    }
-    points = [{mode: cfg.scenario(mode=mode, elements=L) for mode in noma.MODES}
-              for L in cfg.sweep_elements_cap]
-    gains = sample_cascaded_gains_by_array(
-        [by_mode[cfg.mode].ris for by_mode in points], cfg.rician_params(), cfg.mc_config())
-    for by_mode in points:
-        for mode, sc in by_mode.items():
-            for sig in noma.SIGNALS:
-                cols[f"{mode.lower()}_{sig}_hardened"].append(noma.capacity_hardened(sc, sig))
-        sc = by_mode[cfg.mode]
-        for sig in noma.SIGNALS:
-            est = mc_capacity(gains[sc.ris], sc, sig)
-            cols[f"{sig}_mc"].append(est.mean)
-            cols[f"{sig}_mc_half_width"].append(est.half_width)
-    return SweepReport("elements", list(cfg.sweep_elements_cap), cols)
 
 
 def _sweep_constellation(cfg: ScenarioConfig) -> SweepReport:
@@ -230,10 +178,8 @@ def _sweep_constellation(cfg: ScenarioConfig) -> SweepReport:
         "coverage_area_km2": [],
         "min_satellites": [],
     }
-    r_e = cfg.r_e_km * 1e3
-    for r_m_km in cfg.sweep_r_m_km:
-        for elev_deg in cfg.sweep_elevation_deg:
-            geom = OrbitGeometry(r_e=r_e, r_m=r_m_km * 1e3, elevation=math.radians(elev_deg))
+    for r_m_km, orbit in zip(cfg.sweep_r_m_km, cfg.grid_points("sweep_r_m_km", cfg.orbit())):
+        for elev_deg, geom in zip(cfg.sweep_elevation_deg, cfg.grid_points("sweep_elevation_deg", orbit)):
             xs.append(r_m_km)
             cols["elevation_deg"].append(elev_deg)
             cols["geocentric_angle_rad"].append(geocentric_angle(geom))
@@ -249,16 +195,15 @@ _NAV_INTEGRATION_GAIN = 1.0e6  # correlator samples accumulated per range estima
 _NAV_CHIP_FRACTION = 0.01  # code-tracking resolution floor, as a fraction of one chip
 
 
-def _nav_sigma(cfg: ScenarioConfig, mode: str, elements: int) -> float:
-    """Pseudorange noise for a mode and element count via the hardened SNR.
+def _nav_sigma(cfg: ScenarioConfig, sc: Scenario | None) -> float:
+    """Pseudorange noise at a grid point's scenario via the hardened SNR.
 
     The delay estimator integrates _NAV_INTEGRATION_GAIN correlator samples,
     so the SNR entering the ranging bound is the hardened signal SNR times
     that gain; the floor is a fixed fraction of the code chip length.
     """
-    if elements < 1:
+    if sc is None:
         return math.inf  # no RIS: the relayed link does not exist
-    sc = cfg.scenario(mode=mode, elements=elements)
     snr = noma.sinr(sc.moments.m3 ** 2, sc, "multicast")
     chip = navigation.SPEED_OF_LIGHT / cfg.bandwidth_hz
     return navigation.range_noise_from_snr(
@@ -291,26 +236,35 @@ def _sweep_nav_accuracy(cfg: ScenarioConfig) -> SweepReport:
                 rmse_by_sigma[sigma] = None  # NA: a solve at this sigma hit a degenerate geometry
         return rmse_by_sigma[sigma]
 
-    cols: dict[str, list] = {"co_sigma_m": [], "co_rmse_m": [], "no_sigma_m": [], "no_rmse_m": []}
-    for L in cfg.sweep_nav_elements:
-        for mode in noma.MODES:
-            sigma = _nav_sigma(cfg, mode, L)
-            cols[f"{mode.lower()}_sigma_m"].append(sigma)
-            cols[f"{mode.lower()}_rmse_m"].append(rmse(sigma))
+    cols: dict[str, list] = {}
+    for mode in noma.MODES:
+        points = cfg.grid_points("sweep_nav_elements", cfg.scenario(mode=mode))
+        sigmas = [_nav_sigma(cfg, sc) for sc in points]
+        cols[f"{mode.lower()}_sigma_m"] = sigmas
+        cols[f"{mode.lower()}_rmse_m"] = [rmse(sigma) for sigma in sigmas]
     return SweepReport("elements", list(cfg.sweep_nav_elements), cols)
 
 
-_SWEEPS = {
-    "cap-vs-elements": _sweep_cap_vs_elements,
+#: every figure, in the order the CLI lists them
+_FIGURES: dict[str, Callable[[ScenarioConfig], SweepReport]] = {
+    "op-vs-power": _McFigure("tx_power_dbm", "sweep_tx_power_dbm", _OUTAGE_COLUMNS, _mc_outage),
+    "op-vs-elements": _McFigure("elements", "sweep_elements_op", _OUTAGE_COLUMNS, _mc_outage),
+    "cap-vs-power": _McFigure("tx_power_dbm", "sweep_tx_power_dbm", {"hardened": _hardened}, _mc_capacity),
+    # both modes' hardened curves, for the CO/NO crossing
+    "cap-vs-elements": _McFigure(
+        "elements", "sweep_elements_cap", {}, _mc_capacity, by_mode={"hardened": _hardened}),
+    # NO mode: CO saturates immediately over the uni-cast share
+    "outage-vs-split": _McFigure(
+        "alpha_u_sq", "sweep_alpha_u_sq", {"closed_form": _closed_form}, _mc_outage, mode="NO"),
     "constellation": _sweep_constellation,
     "nav-accuracy": _sweep_nav_accuracy,
 }
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def run_sweep(config: ScenarioConfig, figure_id: str) -> SweepReport:
     """Execute the sweep matching a figure id."""
-    if figure_id in _MC_FIGURES:
-        return _run_mc_figure(config, figure_id)
-    if figure_id not in _SWEEPS:
+    sweep = _FIGURES.get(figure_id)
+    if sweep is None:
         raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
-    return _SWEEPS[figure_id](config)
+    return sweep(config)

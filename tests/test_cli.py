@@ -1,6 +1,8 @@
 """End-to-end command-line checks through a real subprocess, or in-process
 where a test counts the calls a command makes."""
 
+import errno
+import io
 import subprocess
 import sys
 from pathlib import Path
@@ -279,6 +281,8 @@ class TestErrors:
         ("sweep.elevation_deg = 95", "constellation"),
         ("sweep.nav_elements = -3", "nav-accuracy"),
         ("sweep.r_m_km = nan", "constellation"),
+        ("sweep.tx_power_dbm = 38,nan", "op-vs-power"),
+        ("sweep.elements_cap = 16,0", "cap-vs-elements"),
     ])
     def test_bad_grid_value_exits_2_before_the_sweep(self, tmp_path, capsys, line, figure):
         cfg = tmp_path / "bad.cfg"
@@ -287,6 +291,29 @@ class TestErrors:
         assert not (tmp_path / "x.csv").exists()
         err = capsys.readouterr().err
         assert err.startswith("config error: " + line.split(" =")[0])
+
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["simulate", "--trials", "100"],
+        ["reproduce", "op-vs-power"], ["reproduce", "cap-vs-power"],
+    ])
+    def test_grid_power_is_checked_at_the_gain_the_figure_runs(self, tmp_path, capsys, command):
+        # the power sweep rescales the configured gain, which overflows here
+        # though a link budget built afresh at that power would not
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("link.spread_gain_db = 600\nsweep.tx_power_dbm = 38,2745\n", encoding="utf-8")
+        assert cli.main([*command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: sweep.tx_power_dbm = 2745.0: gamma must be finite and > 0, got inf")
+
+    def test_unwritable_stdout_exits_2(self, monkeypatch, capsys):
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        assert cli.main(["analyze"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: cannot write stdout: [Errno 28] No space left on device\n")
 
     @pytest.mark.parametrize("line, detail", [
         ("link.bandwidth_mhz = -1", "link.bandwidth_mhz = -1.0: bandwidth must be > 0"),

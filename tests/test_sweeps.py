@@ -16,6 +16,7 @@ from inaclink.sweeps import report_to_csv_text
 
 class TestRegistry:
     def test_figure_ids(self):
+        # the order of the figure table: the README and the CLI list it
         assert FIGURE_IDS == (
             "op-vs-power",
             "op-vs-elements",
