@@ -8,6 +8,7 @@ navigation-oriented one on the uni-cast stream.
 """
 
 import math
+from dataclasses import replace
 
 from inaclink import McConfig, ScenarioConfig, capacity_hardened, mc_capacity, sample_cascaded_gains
 
@@ -19,9 +20,10 @@ def main() -> None:
     print("hardened uni-cast capacity (bps/Hz) vs number of RIS elements")
     print(f"  {'L':>6}  {'CO mode':>9}  {'NO mode':>9}  {'CO - NO':>9}  {'NO mc':>9}")
     for L in cfg.sweep_elements_cap:
-        co = capacity_hardened(cfg.scenario(elements=L), "unicast")
-        no = capacity_hardened(cfg.scenario(mode="NO", elements=L), "unicast")
-        sc = cfg.scenario(mode="NO", elements=L)
+        at_l = replace(cfg, elements=L)
+        co = capacity_hardened(at_l.scenario(), "unicast")
+        sc = at_l.scenario(mode="NO")
+        no = capacity_hardened(sc, "unicast")
         est = mc_capacity(sample_cascaded_gains(sc.ris, sc.rician, mc), sc, "unicast")
         print(f"  {L:>6}  {co:>9.4f}  {no:>9.4f}  {co - no:>+9.4f}  {est.mean:>9.4f}")
     print()
@@ -34,8 +36,9 @@ def main() -> None:
     print(f"  NO uni-cast:   log2(1 + {no_u.split.alpha_u_sq:.1f}/{no_u.split.alpha_m_sq:.1f})"
           f" = {math.log2(1.0 + no_u.split.alpha_u_sq / no_u.split.alpha_m_sq):.4f}")
     big = McConfig(trials=20_000, master_seed=12345)
-    strong = cfg.scenario(elements=1024).with_tx_power(1e7)
-    strong_no = cfg.scenario(mode="NO", elements=1024).with_tx_power(1e7)
+    at_1024 = replace(cfg, elements=1024)
+    strong = at_1024.scenario().with_tx_power(1e7)
+    strong_no = at_1024.scenario(mode="NO").with_tx_power(1e7)
     # the mode changes the SINR, not the channel: one draw serves both
     gains = sample_cascaded_gains(strong.ris, strong.rician, big)
     print("  Monte Carlo at L=1024 and extreme power:"

@@ -30,7 +30,7 @@ def main() -> None:
     gdop, pdop = dilution_of_precision(scene)
     print(f"default scene: GDOP {gdop:.4f}  PDOP {pdop:.4f}")
 
-    clean = PseudorangeSet(rho=predicted_pseudoranges(scene, truth), sigma=np.zeros(4))
+    clean = PseudorangeSet(rho=predicted_pseudoranges(scene, truth))
     fix = lsm_solve(clean, scene, LsmControl(iters=20, loss=1e-12))
     err = np.linalg.norm(fix.position - scene.true_user)
     print(f"noiseless solve: position error {err:.2e} m, "

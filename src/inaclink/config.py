@@ -177,14 +177,9 @@ class ScenarioConfig:
             d_ru=self.d_ru_m,
         )
 
-    def link(self, tx_power_w: float | None = None) -> LinkBudget:
+    def link(self) -> LinkBudget:
         return link_budget(
-            self.orbit(),
-            self.rf_params(),
-            self.tx_power_w if tx_power_w is None else tx_power_w,
-            self.spread_gain_linear,
-            self.bandwidth_hz,
-        )
+            self.orbit(), self.rf_params(), self.tx_power_w, self.spread_gain_linear, self.bandwidth_hz)
 
     def ris_array(self, elements: int | None = None) -> RisArray:
         return RisArray(
@@ -213,14 +208,14 @@ class ScenarioConfig:
     def mc_config(self) -> McConfig:
         return McConfig(trials=self.trials, master_seed=self.seed)
 
-    def scenario(self, mode: str | None = None, elements: int | None = None) -> Scenario:
+    def scenario(self, mode: str | None = None) -> Scenario:
         mode = self.mode if mode is None else mode
         return Scenario(
             mode=mode,
             split=self.power_split(mode),
             targets=self.rate_targets(),
             budget=self.link(),
-            ris=self.ris_array(elements),
+            ris=self.ris_array(),
             rician=self.rician_params(),
         )
 

@@ -21,27 +21,27 @@ position`; `np.linalg.solve` (LU, not SVD) moves 1 of the benchmark's 400
 catalogue fixes by more than ~6 mm.
 
 `lsm_solve` builds its design matrix and model pseudoranges inline, but its
-arithmetic is that of `design_row` and `predicted_pseudoranges`, so a fix is
-bit-identical to the row-by-row loop: same state bytes, iteration count and
-final cost.  That holds only because each range keeps its own norm.  The
-design rows and the RIS-relayed range take |d| as sqrt(d . d) (what a 1-D
-`np.linalg.norm` does); the three direct ranges take it as
-sqrt(np.add.reduce(d * d, axis=1)) (what `norm(axis=1)` does).  The two sum
-in a different order and can differ in the last bit (on about one random row
-in ten with numpy 2.4 and OpenBLAS on x86-64).
+arithmetic is that of stacking design rows [(x - a)/|x - a|, 1] and calling
+`predicted_pseudoranges`, so a fix is bit-identical to the row-by-row loop:
+same state bytes, iteration count and final cost.  That holds only because
+each range keeps its own norm.  The design rows and the RIS-relayed range
+take |d| as sqrt(d . d) (what a 1-D `np.linalg.norm` does); the direct ranges
+as sqrt(np.add.reduce(d * d, axis=1)) (what `norm(axis=1)` does).  The two
+sum in another order and can differ in the last bit (on about one random row
+in ten with numpy 2.4 and OpenBLAS on x86-64).  Synthesis is the same model
+at the truth plus noise, and `dilution_of_precision` stacks the same rows.
 
-Which of them run on Python floats follows from how each is summed.
-add.reduce over a length-3 row adds left to right, (d0^2 + d1^2) + d2^2,
-and Python floats do the same, so the direct ranges, the residual, and in
-`synthesize_pseudoranges` the direct true ranges, are computed on floats
-from `ndarray.tolist()`, with no 0-d array round trips (a test pins numpy's
-order).  The dot kernel behind d . d, `ndarray.dot` and `b @ b` is
-OpenBLAS's ddot, which fuses multiply-adds; Python 3.11 floats have no fused
-multiply-add, and a float sum of four squares differs from ddot on about
-one random residual in four.  So the design-row norms stay one numpy matmul
-per iteration into a preallocated buffer, the cost stays `b.dot(b)` (the
-same ddot as `b @ b`, without the matmul dispatch), and the design fill and
-gelsd stay numpy.
+Which parts of `lsm_solve` run on Python floats follows from how each is
+summed.  add.reduce over a length-3 row adds left to right,
+(d0^2 + d1^2) + d2^2, and Python floats do the same, so the direct ranges
+and the residual are computed on floats from `ndarray.tolist()`, with no 0-d
+array round trips (a test pins numpy's order).  The dot kernel behind d . d,
+`ndarray.dot` and `b @ b` is OpenBLAS's ddot, which fuses multiply-adds;
+Python 3.11 floats have no fused multiply-add, and a float sum of four
+squares differs from ddot on about one random residual in four.  So the
+design-row norms stay one numpy matmul per iteration into a preallocated
+buffer, the cost stays `b.dot(b)` (the same ddot as `b @ b`, without the
+matmul dispatch), and the design fill and gelsd stay numpy.
 
 SNR enters through a delay-estimation noise model: sigma scales as
 1/sqrt(SNR) down to a code-resolution floor, so navigation accuracy
@@ -65,7 +65,6 @@ __all__ = [
     "LsmControl",
     "PositionFix",
     "synthesize_pseudoranges",
-    "design_row",
     "predicted_pseudoranges",
     "lsm_solve",
     "dilution_of_precision",
@@ -78,12 +77,6 @@ def _vec3(x) -> np.ndarray:
     if arr.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
     return arr
-
-
-def _four(x) -> np.ndarray:
-    """A fresh float 4-vector of x, broadcast from a scalar or a length-1 array."""
-    arr = np.asarray(x, dtype=float)
-    return (arr if arr.shape == (4,) else np.broadcast_to(arr, (4,))).copy()
 
 
 def _norm(d: np.ndarray) -> float:
@@ -124,36 +117,20 @@ class NavScene:
         """Anchor points of the four measurements: three satellites, then the RIS."""
         return np.concatenate((self.sat_positions, self.ris_position[None]))
 
-    def translated(self, t) -> "NavScene":
-        """The whole scene shifted by a vector (used by equivariance checks)."""
-        t = _vec3(t)
-        return NavScene(
-            sat_positions=self.sat_positions + t,
-            inac_sat_position=self.inac_sat_position + t,
-            ris_position=self.ris_position + t,
-            true_user=self.true_user + t,
-            clock_bias=self.clock_bias,
-        )
-
 
 @dataclass(frozen=True)
 class PseudorangeSet:
-    """Four measured pseudoranges and their noise standard deviations, m."""
+    """Four measured pseudoranges, m."""
 
     rho: np.ndarray  # (4,)
-    sigma: np.ndarray  # (4,)
 
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=float)
-        sigma = _four(self.sigma)
         if rho.shape != (4,):
             raise ValueError(f"rho must have shape (4,), got {rho.shape}")
         if not np.isfinite(rho).all():
             raise ValueError("pseudoranges must be finite")
-        if (sigma < 0.0).any():
-            raise ValueError("sigma must be >= 0")
         object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "sigma", sigma)
 
 
 @dataclass(frozen=True)
@@ -204,41 +181,17 @@ class PositionFix:
 
 
 def synthesize_pseudoranges(
-    scene: NavScene, noise_sigma, rng: np.random.Generator
+    scene: NavScene, noise_sigma: float, rng: np.random.Generator
 ) -> PseudorangeSet:
-    """Measured pseudoranges of the scene with Gaussian range noise.
+    """Measured pseudoranges: the model at the scene's truth plus Gaussian noise.
 
     Rows 1-3: |sat_i - user| + c dt + noise.  Row 4 relays through the RIS:
-    r_tauR + |ris - user| + c dt + noise.
+    r_tauR + |ris - user| + c dt + noise.  noise_sigma is in meters.
     """
-    sigma = _four(noise_sigma)
-    if (sigma < 0.0).any():
-        raise ValueError("noise_sigma must be >= 0")
-    clock_m = SPEED_OF_LIGHT * scene.clock_bias
-    sat0, sat1, sat2 = (scene.sat_positions - scene.true_user).tolist()
-    ranges = np.array([
-        _row_norm(*sat0), _row_norm(*sat1), _row_norm(*sat2),
-        scene.r_tau_r + _norm(scene.ris_position - scene.true_user),
-    ])
-    rho = ranges + clock_m + sigma * rng.standard_normal(4)
-    return PseudorangeSet(rho=rho, sigma=sigma)
-
-
-def design_row(anchor_position, linearization_point) -> np.ndarray:
-    """Gradient row of one predicted pseudorange at the linearization point.
-
-    [(x0 - xa)/r, (y0 - ya)/r, (z0 - za)/r, 1] - the unit vector from the
-    anchor to the linearization point plus the clock column.  For the
-    RIS-relayed measurement the anchor is the RIS itself (its satellite leg
-    is constant and drops out of the gradient).
-    """
-    anchor = _vec3(anchor_position)
-    point = _vec3(linearization_point)
-    diff = point - anchor
-    r = float(np.linalg.norm(diff))
-    if r == 0.0:
-        raise DegenerateGeometryError("linearization point coincides with the anchor")
-    return np.append(diff / r, 1.0)
+    if not noise_sigma >= 0.0:  # NaN fails too
+        raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+    truth = np.append(scene.true_user, SPEED_OF_LIGHT * scene.clock_bias)
+    return PseudorangeSet(rho=predicted_pseudoranges(scene, truth) + noise_sigma * rng.standard_normal(4))
 
 
 def predicted_pseudoranges(scene: NavScene, state: np.ndarray) -> np.ndarray:
@@ -279,7 +232,7 @@ def lsm_solve(pr: PseudorangeSet, scene: NavScene, ctrl: LsmControl = LsmControl
     solved by LAPACK's gelsd (SVD).  After ctrl.iters steps the cost at
     the last state is reported as it stands.  Only the known geometry of
     the scene (satellite and RIS positions) is used; truth fields never
-    leak into the solve.  Bit-identical to stacking `design_row` and
+    leak into the solve.  Bit-identical to stacking the design rows and
     calling `predicted_pseudoranges` each iteration (see the module notes).
 
     gelsd is called through `numpy.linalg.lapack_lite` on buffers this call
@@ -306,7 +259,7 @@ def lsm_solve(pr: PseudorangeSet, scene: NavScene, ctrl: LsmControl = LsmControl
     position, diff_t, ut_dirs, ut_clock = x[:3], diff.T, ut[:3], ut[3]
     for k in range(1, ctrl.iters + 2):  # pass iters + 1 only scores the last step
         np.subtract(position, anchors, out=diff)
-        # |d| as sqrt(d . d), as design_row takes it: a stacked (1x3)(3x1)
+        # |d| as sqrt(d . d), as a 1-D norm takes it: a stacked (1x3)(3x1)
         # matmul runs the same dot kernel as a 1-D ndarray.dot, row by row
         np.sqrt(np.matmul(rows, cols, out=dots), out=dots)
         r0, r1, r2, r3 = r.tolist()
@@ -340,10 +293,22 @@ def dilution_of_precision(scene: NavScene) -> tuple[float, float]:
 
     GDOP uses the full trace of (U^T U)^{-1}; PDOP only the position block.
     Unit range noise maps to state error with these amplification factors.
+    U's rows take |d| as sqrt(d . d), as `lsm_solve`'s do.  A user on an anchor
+    or a singular U^T U raises DegenerateGeometryError.
     """
-    u = np.vstack([design_row(anchor, scene.true_user) for anchor in scene.anchors()])
-    q = np.linalg.inv(u.T @ u)
-    return float(math.sqrt(np.trace(q))), float(math.sqrt(np.trace(q[:3, :3])))
+    diff = scene.true_user - scene.anchors()
+    r = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])).reshape(4, 1)
+    if not r.all():
+        raise DegenerateGeometryError("user coincides with an anchor: no DOP")
+    u = np.hstack((diff / r, np.ones((4, 1))))
+    try:
+        q = np.linalg.inv(u.T @ u)
+    except np.linalg.LinAlgError:
+        raise DegenerateGeometryError("design matrix is singular: no DOP") from None
+    g, p = float(np.trace(q)), float(np.trace(q[:3, :3]))
+    if not (0.0 < g < math.inf and 0.0 < p < math.inf):  # NaN fails too
+        raise DegenerateGeometryError(f"design matrix is near singular: DOP traces {g!r}, {p!r}")
+    return math.sqrt(g), math.sqrt(p)
 
 
 def range_noise_from_snr(snr: float, bandwidth: float, floor: float | None = None) -> float:

@@ -227,7 +227,7 @@ def _sweep_nav_accuracy(cfg: ScenarioConfig) -> SweepReport:
             sq = 0.0
             try:
                 for i in range(reps):
-                    pr = navigation.PseudorangeSet(rho=clean_rho + sigma * noise[i], sigma=np.full(4, sigma))
+                    pr = navigation.PseudorangeSet(rho=clean_rho + sigma * noise[i])
                     fix = navigation.lsm_solve(pr, scene, ctrl)
                     err = fix.position - scene.true_user
                     sq += float(err @ err)

@@ -271,12 +271,12 @@ def test_criterion_6_noiseless_positioning():
     worst_iters = 0
     for scene in scenes:
         truth = np.append(scene.true_user, SPEED_OF_LIGHT * scene.clock_bias)
-        pr = PseudorangeSet(rho=predicted_pseudoranges(scene, truth), sigma=np.zeros(4))
+        pr = PseudorangeSet(rho=predicted_pseudoranges(scene, truth))
         fix = lsm_solve(pr, scene, ctrl)
         worst_pos = max(worst_pos, float(np.linalg.norm(fix.position - scene.true_user)))
         worst_clk = max(worst_clk, abs(fix.clock_bias_s - scene.clock_bias))
         worst_iters = max(worst_iters, fix.iterations_used)
-        shifted = lsm_solve(PseudorangeSet(rho=pr.rho + 250.0, sigma=pr.sigma), scene, ctrl)
+        shifted = lsm_solve(PseudorangeSet(rho=pr.rho + 250.0), scene, ctrl)
         worst_shift = max(worst_shift, float(np.linalg.norm(shifted.position - fix.position)))
         worst_absorb = max(worst_absorb, abs(shifted.state[3] - fix.state[3] - 250.0))
     ok = (

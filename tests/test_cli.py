@@ -130,6 +130,33 @@ class TestPosition:
         assert res.stderr.startswith("numeric error:")
         assert "rank deficient" in res.stderr
 
+    def test_singular_dop_exits_3(self, tmp_path):
+        # every anchor sits 45 degrees off the user's +x axis: the fix solves,
+        # but U^T U at the user is singular, so there is no DOP
+        user = (6378000.0, 0.0, 0.0)
+        s = 0.5 ** 0.5
+
+        def at(dist, v):
+            return " ".join(repr(u + dist * c) for u, c in zip(user, v))
+
+        scene = tmp_path / "cone.scene"
+        scene.write_text(
+            f"sat1 = {at(2e7, (s, s, 0.0))}\n"
+            f"sat2 = {at(2e7, (s, -s, 0.0))}\n"
+            f"sat3 = {at(2e7, (s, 0.0, s))}\n"
+            f"inac_sat = {at(2e7, (s, 0.0, -s))}\n"
+            f"ris = {at(10.0, (s, 0.0, -s))}\n"
+            "user = 6378000 0 0\n"
+            "clock_bias_s = 2.5e-4\n",
+            encoding="utf-8",
+        )
+        cfg = tmp_path / "cone.cfg"
+        cfg.write_text(f"nav.scene_file = {scene}\n", encoding="utf-8")
+        res = run_cli("position", "--config", str(cfg))
+        assert (res.returncode, res.stdout) == (3, "")
+        assert res.stderr.startswith("numeric error:")
+        assert "singular" in res.stderr
+
     def test_position_never_loads_scipy_linalg(self, tmp_path):
         # the solver's LAPACK comes through numpy; scipy.linalg alone costs
         # tens of ms of import, on every fresh process

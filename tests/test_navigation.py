@@ -7,6 +7,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
+import scenegen
 from inaclink import (
     LsmControl,
     NavScene,
@@ -19,12 +20,41 @@ from inaclink import (
 )
 from inaclink import navigation
 from inaclink.errors import DegenerateGeometryError
-from inaclink.navigation import SPEED_OF_LIGHT, design_row, predicted_pseudoranges
+from inaclink.navigation import SPEED_OF_LIGHT, predicted_pseudoranges
 
 
 def noiseless_measurements(scene):
     truth = np.append(scene.true_user, SPEED_OF_LIGHT * scene.clock_bias)
-    return PseudorangeSet(rho=predicted_pseudoranges(scene, truth), sigma=np.zeros(4))
+    return PseudorangeSet(rho=predicted_pseudoranges(scene, truth))
+
+
+def shifted(scene, t):
+    """The whole scene moved by the vector t."""
+    return NavScene(sat_positions=scene.sat_positions + t, inac_sat_position=scene.inac_sat_position + t,
+                    ris_position=scene.ris_position + t, true_user=scene.true_user + t,
+                    clock_bias=scene.clock_bias)
+
+
+def design_row(anchor, point):
+    """Gradient row of one predicted pseudorange at the linearization point.
+
+    [(x0 - xa)/r, (y0 - ya)/r, (z0 - za)/r, 1]: the unit vector from the anchor
+    to the point plus the clock column, with r as a 1-D `np.linalg.norm` takes
+    it.  For the RIS-relayed measurement the anchor is the RIS itself (its
+    satellite leg is constant and drops out of the gradient).
+    """
+    diff = np.asarray(point, dtype=float) - np.asarray(anchor, dtype=float)
+    r = float(np.linalg.norm(diff))
+    if r == 0.0:
+        raise DegenerateGeometryError("linearization point coincides with the anchor")
+    return np.append(diff / r, 1.0)
+
+
+def _reference_dop(scene):
+    """(GDOP, PDOP) from the design rows stacked one by one."""
+    u = np.vstack([design_row(anchor, scene.true_user) for anchor in scene.anchors()])
+    q = np.linalg.inv(u.T @ u)
+    return math.sqrt(np.trace(q)), math.sqrt(np.trace(q[:3, :3]))
 
 
 def _reference_lsm_solve(pr, scene, ctrl=LsmControl()):
@@ -85,16 +115,6 @@ class TestNavScene:
             float(np.linalg.norm(scene.inac_sat_position - scene.ris_position)), rel=0
         )
 
-    def test_translated(self):
-        scene = default_scene()
-        t = np.array([10.0, -20.0, 5.0])
-        moved = scene.translated(t)
-        np.testing.assert_allclose(moved.true_user, scene.true_user + t)
-        np.testing.assert_allclose(moved.sat_positions, scene.sat_positions + t)
-        assert moved.clock_bias == scene.clock_bias
-        # relative geometry unchanged
-        assert moved.r_tau_r == pytest.approx(scene.r_tau_r, rel=1e-12)
-
 
 class TestSynthesis:
     def test_noiseless_rows(self):
@@ -117,22 +137,31 @@ class TestSynthesis:
         spread = np.std(draws - clean, axis=0)
         np.testing.assert_allclose(spread, 5.0, rtol=0.15)
 
+    def test_model_at_the_truth_plus_four_draws(self):
+        # the noise is sigma times the generator's next four normals, added to the model's bytes
+        scene = default_scene()
+        truth = np.append(scene.true_user, SPEED_OF_LIGHT * scene.clock_bias)
+        for seed in range(20):
+            pr = synthesize_pseudoranges(scene, 3.5, np.random.default_rng(seed))
+            want = predicted_pseudoranges(scene, truth) + 3.5 * np.random.default_rng(seed).standard_normal(4)
+            assert pr.rho.tobytes() == want.tobytes()
+
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            synthesize_pseudoranges(default_scene(), -1.0, np.random.default_rng(0))
+        for sigma in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
+                synthesize_pseudoranges(default_scene(), sigma, np.random.default_rng(0))
 
     def test_pseudorange_set_validation(self):
         with pytest.raises(ValueError):
-            PseudorangeSet(rho=np.zeros(3), sigma=np.zeros(4))
+            PseudorangeSet(rho=np.zeros(3))
         with pytest.raises(ValueError):
-            PseudorangeSet(rho=np.array([1.0, 2.0, 3.0, np.inf]), sigma=np.zeros(4))
-        with pytest.raises(ValueError):
-            PseudorangeSet(rho=np.zeros(4), sigma=-1.0)
-        pr = PseudorangeSet(rho=np.zeros(4), sigma=2.0)
-        np.testing.assert_array_equal(pr.sigma, np.full(4, 2.0))
+            PseudorangeSet(rho=np.array([1.0, 2.0, 3.0, np.inf]))
 
 
 class TestDesignRow:
+    """The oracle's rows are the range model's gradient, so `lsm_solve`, which
+    matches the oracle bit for bit, steps along the true Jacobian."""
+
     def test_unit_direction_plus_clock_column(self):
         anchor = np.array([1e7, 2e6, -3e6])
         point = np.array([6378000.0, 100.0, -200.0])
@@ -157,10 +186,6 @@ class TestDesignRow:
         row = design_row([0.0, 0.0, 2.6378e7], [0.0, 0.0, 0.0])
         np.testing.assert_allclose(row, [0.0, 0.0, -1.0, 1.0], atol=0)
 
-    def test_coincident_point_rejected(self):
-        with pytest.raises(DegenerateGeometryError):
-            design_row([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-
 
 class TestSolver:
     def test_noiseless_cold_start_recovers_truth(self):
@@ -183,12 +208,12 @@ class TestSolver:
         scene = default_scene()
         pr = noiseless_measurements(scene)
         base = lsm_solve(pr, scene)
-        shifted = lsm_solve(PseudorangeSet(rho=pr.rho + 250.0, sigma=pr.sigma), scene)
-        assert np.linalg.norm(shifted.position - base.position) < 1e-5
-        assert shifted.state[3] - base.state[3] == pytest.approx(250.0, abs=1e-5)
+        offset = lsm_solve(PseudorangeSet(rho=pr.rho + 250.0), scene)
+        assert np.linalg.norm(offset.position - base.position) < 1e-5
+        assert offset.state[3] - base.state[3] == pytest.approx(250.0, abs=1e-5)
 
     def test_translation_equivariance(self):
-        scene = default_scene().translated([1000.0, -2000.0, 500.0])
+        scene = shifted(default_scene(), [1000.0, -2000.0, 500.0])
         fix = lsm_solve(noiseless_measurements(scene), scene)
         assert np.linalg.norm(fix.position - scene.true_user) < 1e-3
 
@@ -268,7 +293,7 @@ class TestBitIdentity:
 
     CASES = [
         pytest.param(lambda: default_scene(), LsmControl(), id="default"),
-        pytest.param(lambda: default_scene().translated([1000.0, -2000.0, 500.0]), LsmControl(), id="translated"),
+        pytest.param(lambda: shifted(default_scene(), [1000.0, -2000.0, 500.0]), LsmControl(), id="translated"),
         pytest.param(lambda: default_scene(), LsmControl(iters=12), id="iters-12"),
     ]
 
@@ -324,7 +349,7 @@ class TestGelsdStep:
         scene = NavScene(sat_positions=anchors[:3], inac_sat_position=anchors[3] + 1e6,
                          ris_position=anchors[3], true_user=x0[:3], clock_bias=0.0)
         rho = predicted_pseudoranges(scene, x0) + 10.0 ** log10_scale * np.array(residual)
-        pr = PseudorangeSet(rho=rho, sigma=np.zeros(4))
+        pr = PseudorangeSet(rho=rho)
         # the second step runs on the design buffer gelsd overwrote in the first
         ctrl = LsmControl(iters=2, loss=1e-300, x0=x0)
         state, iterations, cost = _reference_lsm_solve(pr, scene, ctrl)
@@ -334,10 +359,10 @@ class TestGelsdStep:
 
 
 class TestFloatSumOrder:
-    """`lsm_solve` and `synthesize_pseudoranges` take each direct range on Python
-    floats in the order numpy's norm(axis=1) sums its squares, which is
-    add.reduce's over a length-3 row: (a0^2 + a1^2) + a2^2.  A numpy that sums
-    in another order fails here, before any fix moves by a bit."""
+    """`lsm_solve` takes each direct range on Python floats in the order
+    numpy's norm(axis=1) sums its squares, which is add.reduce's over a
+    length-3 row: (a0^2 + a1^2) + a2^2.  A numpy that sums in another order
+    fails here, before any fix moves by a bit."""
 
     def test_add_reduce_sums_each_row_left_to_right(self):
         rng = np.random.default_rng(20)
@@ -353,12 +378,61 @@ class TestFloatSumOrder:
         assert reordered > 0  # the rows tell the two orders apart
 
 
+def cone_scene():
+    """Every anchor 45 degrees off the user's +x axis: the x column of U is
+    -1/sqrt(2) times the clock column, so U^T U is singular."""
+    user = np.array([6378000.0, 0.0, 0.0])
+    s = math.sqrt(0.5)
+    far = [user + 2e7 * np.array(v) for v in ((s, s, 0.0), (s, -s, 0.0), (s, 0.0, s), (s, 0.0, -s))]
+    return NavScene(sat_positions=np.vstack(far[:3]), inac_sat_position=far[3],
+                    ris_position=user + 10.0 * np.array([s, 0.0, -s]), true_user=user, clock_bias=2.5e-4)
+
+
 class TestDop:
     def test_default_scene_values(self):
         gdop, pdop = dilution_of_precision(default_scene())
         assert gdop == pytest.approx(6.6671, abs=2e-3)
         assert pdop == pytest.approx(5.2783, abs=2e-3)
         assert gdop > pdop
+
+    def test_matches_the_row_by_row_oracle(self):
+        # structured scenes, and anchors anywhere around a random user: the
+        # second set also tells sqrt(d . d) from norm(axis=1)'s sum apart
+        rng = np.random.default_rng(16)
+        scenes = [default_scene(), *(scenegen.structured_scene(rng) for _ in range(200))]
+        for _ in range(300):
+            user = rng.standard_normal(3) * 10.0 ** rng.uniform(0.0, 7.0)
+            anchors = user + rng.standard_normal((4, 3)) * 10.0 ** rng.uniform(1.0, 7.5, (4, 1))
+            scenes.append(NavScene(sat_positions=anchors[:3], inac_sat_position=anchors[3] + 1e6,
+                                   ris_position=anchors[3], true_user=user, clock_bias=0.0))
+        other_norm = 0
+        for scene in scenes:
+            dop = dilution_of_precision(scene)
+            assert dop == _reference_dop(scene)
+            diff = scene.true_user - scene.anchors()
+            u = np.column_stack([diff / np.linalg.norm(diff, axis=1)[:, None], np.ones(4)])
+            q = np.linalg.inv(u.T @ u)
+            other_norm += dop != (math.sqrt(np.trace(q)), math.sqrt(np.trace(q[:3, :3])))
+        assert other_norm > 0
+
+    def test_user_on_an_anchor_is_degenerate(self):
+        scene = default_scene()
+        on_ris = NavScene(sat_positions=scene.sat_positions, inac_sat_position=scene.inac_sat_position,
+                          ris_position=scene.true_user, true_user=scene.true_user, clock_bias=0.0)
+        with pytest.raises(DegenerateGeometryError, match="user coincides with an anchor"):
+            dilution_of_precision(on_ris)
+
+    def test_singular_geometry_is_degenerate(self):
+        with pytest.raises(DegenerateGeometryError, match="singular"):
+            dilution_of_precision(cone_scene())
+
+    @pytest.mark.parametrize("diagonal", [[-1.0] * 4, [0.0] * 4, [math.nan] * 4, [math.inf] * 4,
+                                          [-3.0, 1.0, 1.0, 5.0]])  # the last: only PDOP's trace
+    def test_a_trace_with_no_square_root_is_degenerate(self, monkeypatch, diagonal):
+        # an inverse of a near-singular U^T U can come back with any diagonal
+        monkeypatch.setattr(navigation.np.linalg, "inv", lambda m: np.diag(diagonal))
+        with pytest.raises(DegenerateGeometryError, match="near singular"):
+            dilution_of_precision(default_scene())
 
     def test_predicts_error_amplification(self):
         # RMS state error over repeated solves ~ sigma * GDOP

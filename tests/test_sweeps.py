@@ -223,15 +223,24 @@ class TestNavAccuracy:
         cfg = replace(ScenarioConfig(), nav_repetitions=20)
         clean = run_sweep(cfg, "nav-accuracy")
         bad_sigma = clean.columns["co_sigma_m"][1]
+        # each finite sigma's repetitions are solved as one batch, in column
+        # order; the bad sigma's batch fails on its last solve
+        batches = list(dict.fromkeys(
+            s for mode in ("co", "no") for s in clean.columns[f"{mode}_sigma_m"] if s != math.inf))
+        fail_at = (batches.index(bad_sigma) + 1) * cfg.nav_repetitions
         solve = navigation.lsm_solve
+        calls = 0
 
         def fails_at_one_sigma(pr, scene, ctrl):
-            if pr.sigma[0] == bad_sigma:
+            nonlocal calls
+            calls += 1
+            if calls == fail_at:
                 raise DegenerateGeometryError("design matrix is rank deficient")
             return solve(pr, scene, ctrl)
 
         monkeypatch.setattr(navigation, "lsm_solve", fails_at_one_sigma)
         rep = run_sweep(cfg, "nav-accuracy")
+        assert calls == len(batches) * cfg.nav_repetitions
         assert rep.x == clean.x
         na_cells = 0
         for mode in ("co", "no"):
