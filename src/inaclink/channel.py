@@ -56,6 +56,11 @@ class RisArray:
             raise ValueError(f"num_elements must be >= 1, got {self.num_elements}")
         if not 0.0 < self.amplitude <= 1.0:
             raise ValueError(f"amplitude must be in (0, 1], got {self.amplitude}")
+        # below a normal double the CLT variance beta^2 L (...) underflows to 0
+        if not self.amplitude * self.amplitude * self.num_elements >= 2.0**-1022:
+            raise ValueError(
+                f"amplitude^2 * num_elements must be >= 2^-1022, got amplitude={self.amplitude}, "
+                f"num_elements={self.num_elements}")
 
 
 @dataclass(frozen=True)

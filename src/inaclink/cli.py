@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 from numpy.random import Generator, Philox
 
 from . import navigation, noma
-from .config import ScenarioConfig, load_config
-from .errors import ConfigError, NumericError
+from .config import ScenarioConfig, load_config, parse_config_text
+from .errors import ConfigError, InfeasibleError, NumericError
 from .geometry import slant_range
 from .montecarlo import mc_capacity, mc_outage, sample_cascaded_gains
 from .sweeps import FIGURE_IDS, SweepReport, _asymptotic_or_none, emit_csv, run_sweep
@@ -70,7 +69,7 @@ def _load_config(args) -> ScenarioConfig:
                  if (value := getattr(args, name)) is not None}
     if args.config:
         return load_config(args.config, **overrides)
-    return replace(ScenarioConfig(), **overrides).validate()
+    return parse_config_text("", **overrides)
 
 
 def _table(rows: list[tuple[str, object]]) -> SweepReport:
@@ -126,6 +125,8 @@ def _cmd_position(cfg: ScenarioConfig) -> SweepReport:
     scene = cfg.nav_scene()
     sc = cfg.scenario()
     snr = noma.sinr(sc.moments.m3 ** 2, sc, "multicast")
+    if not snr > 0.0:
+        raise InfeasibleError("the RIS-relayed link has zero SNR: its pseudorange cannot be measured")
     sigma = navigation.range_noise_from_snr(float(snr), cfg.bandwidth_hz)
     rng = Generator(Philox(key=cfg.seed ^ _POSITION_SEED_SALT))
     pr = navigation.synthesize_pseudoranges(scene, sigma, rng)

@@ -233,19 +233,8 @@ class ScenarioConfig:
 
     def to_text(self) -> str:
         """Canonical config text; parsing it back reproduces this config."""
-        lines = []
-        for key, (attr, kind) in _KEYMAP.items():
-            value = getattr(self, attr)
-            if value is None:
-                continue
-            if kind in ("float_list", "int_list"):
-                rendered = ",".join(repr(v) if kind == "float_list" else str(v) for v in value)
-            elif kind == "float":
-                rendered = repr(float(value))
-            else:
-                rendered = str(value)
-            lines.append(f"{key} = {rendered}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key} = {_CODECS[f.type][1](value)}\n" for key, f in _FIELDS.items()
+                       if (value := getattr(self, f.name)) is not None)
 
     def validate(self) -> "ScenarioConfig":
         """Checks each value, then the cross-field invariants.
@@ -313,14 +302,19 @@ def _naming(keys: str):
         raise ConfigError(f"{keys}: {exc}") from exc
 
 
-#: value kind of each field annotation
-_KINDS = {
-    "float": "float",
-    "float | None": "float",
-    "int": "int",
-    "str": "str",
-    "tuple[float, ...]": "float_list",
-    "tuple[int, ...]": "int_list",
+def _list(parse):
+    """The parser of a comma-separated list of values that parse reads."""
+    return lambda raw: tuple(parse(p) for p in raw.split(",") if p.strip())
+
+
+#: (parse, render) of the values of each field annotation
+_CODECS = {
+    "float": (float, lambda v: repr(float(v))),
+    "float | None": (float, lambda v: repr(float(v))),
+    "int": (int, str),
+    "str": (str, str),
+    "tuple[float, ...]": (_list(float), lambda v: ",".join(map(repr, v))),
+    "tuple[int, ...]": (_list(int), lambda v: ",".join(map(str, v))),
 }
 
 
@@ -329,32 +323,15 @@ def _config_key(f) -> str:
     return f"{group}.{f.name.removeprefix(group + '_')}"
 
 
-#: config key -> (field name, value kind), in field order
-_KEYMAP = {_config_key(f): (f.name, _KINDS[f.type]) for f in fields(ScenarioConfig)}
+#: config key -> field, in field order
+_FIELDS = {_config_key(f): f for f in fields(ScenarioConfig)}
 #: config key -> field of each sweep grid
-_GRIDS = {_config_key(f): f for f in fields(ScenarioConfig) if _KINDS[f.type].endswith("_list")}
+_GRIDS = {key: f for key, f in _FIELDS.items() if f.metadata["point"]}
 #: config key -> field of each scalar that builds a library object
-_SCALARS = {_config_key(f): f for f in fields(ScenarioConfig)
-            if f.metadata["builds"] and not f.metadata["point"]}
+_SCALARS = {key: f for key, f in _FIELDS.items() if f.metadata["builds"] and not f.metadata["point"]}
 #: the builder methods of the scalars, in field order
 _BUILDS = tuple(dict.fromkeys(f.metadata["builds"] for f in _SCALARS.values()))
 _DEFAULTS = ScenarioConfig()
-
-
-def _parse_value(raw: str, kind: str, key: str, lineno: int):
-    try:
-        if kind == "float":
-            return float(raw)
-        if kind == "int":
-            return int(raw)
-        if kind == "str":
-            return raw
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        if kind == "float_list":
-            return tuple(float(p) for p in parts)
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"line {lineno}: bad value for {key}: {raw!r}") from exc
 
 
 def _key_value_lines(text: str):
@@ -377,13 +354,16 @@ def parse_config_text(text: str, **overrides) -> ScenarioConfig:
     values: dict[str, object] = {}
     seen: dict[str, int] = {}
     for lineno, key, raw in _key_value_lines(text):
-        if key not in _KEYMAP:
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} (first at line {seen[key]})")
         seen[key] = lineno
-        attr, kind = _KEYMAP[key]
-        values[attr] = _parse_value(raw, kind, key, lineno)
+        f = _FIELDS[key]
+        try:
+            values[f.name] = _CODECS[f.type][0](raw)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key}: {raw!r}") from exc
     return replace(ScenarioConfig(), **{**values, **overrides}).validate()
 
 

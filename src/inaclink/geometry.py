@@ -88,10 +88,9 @@ class LinkBudget:
     gamma: float  # aggregate deterministic gain, linear
     noise_power: float  # rho^2, W
     tx_power: float  # p, W
-    spread_gain: float  # g_sp, linear
 
     def __post_init__(self) -> None:
-        for name in ("gamma", "noise_power", "tx_power", "spread_gain"):
+        for name in ("gamma", "noise_power", "tx_power"):
             value = getattr(self, name)
             # a float product overflows to inf without raising; NaN fails too
             if not 0.0 < value < math.inf:
@@ -103,7 +102,6 @@ class LinkBudget:
             gamma=self.gamma * tx_power / self.tx_power,
             noise_power=self.noise_power,
             tx_power=tx_power,
-            spread_gain=self.spread_gain,
         )
 
 
@@ -153,7 +151,6 @@ def link_budget(
         gamma=gamma,
         noise_power=noise_power_watts(bandwidth),
         tx_power=p,
-        spread_gain=g_sp,
     )
 
 

@@ -33,13 +33,15 @@ hypot calls and multiplied the amplitudes; the version 2 gains lie within
 316), but they are not bit-identical to it, which is why the version
 changed.
 
-Because each block of trials is keyed by its own counter, a call that draws
-at least 2**17 uniform doubles is split into at least one block per usable
-CPU, and its blocks are sampled concurrently, each writing its own slice of
-the result; the gains are bit-identical to a serial run.  The floor is
-measured: on a 2-core host a two-way split cost ~1 ms of thread start-up,
-broke even near 2**16 doubles and saved 30-45% from 2**17 up.  A smaller
-call, a one-trial call, or a process with one usable CPU starts no thread.
+Because each block of trials is keyed by its own counter, every call is
+split into at least one block per usable CPU (a call of fewer trials than
+CPUs gets one block per trial), and its blocks are sampled on a thread pool,
+each writing its own slice of the result; the gains are bit-identical to a
+pool of one.  There is no serial path.  A floor of 2**17 doubles once kept
+smaller calls on the calling thread; no benchmarked call came near it (the
+smallest draw of the CLI suite is 2.56e6 doubles), so it went.  Such a call
+now pays the pool's start-up: 0.2-0.6 ms on a 2-core host, measured at 1 and
+100 trials of L = 8.
 
 scipy.special's ndtri is imported when the sampler is called, on the
 calling thread before any worker starts, not at module import: importing
@@ -88,9 +90,6 @@ _Z95 = 1.959963984540054
 
 #: cap on doubles materialized per sampling block (~34 MB)
 _MAX_BLOCK_DOUBLES = 1 << 22
-
-#: doubles a call must draw before it is split across CPUs
-_MIN_SPLIT_DOUBLES = 1 << 17
 
 #: threads that sample blocks concurrently: the CPUs this process may run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -177,16 +176,8 @@ def _element_sums(group: list[int], rp: RicianParams, mc: McConfig) -> dict[int,
 
     top = group[0]
     words = 4 * top
-    block = max(1, _MAX_BLOCK_DOUBLES // words)
-    if mc.trials * words < _MIN_SPLIT_DOUBLES:
-        workers = 1
-    else:
-        # at least one block per usable CPU
-        block = min(block, -(-mc.trials // _WORKERS))
-        workers = min(_WORKERS, -(-mc.trials // block))
-    if workers > 1:
-        # the blocks in flight share the memory cap
-        block = max(1, min(block, _MAX_BLOCK_DOUBLES // (workers * words)))
+    # at least one block per usable CPU; the blocks in flight share the memory cap
+    block = max(1, min(-(-mc.trials // _WORKERS), _MAX_BLOCK_DOUBLES // (_WORKERS * words)))
     sums = {L: np.empty(mc.trials) for L in group}
 
     def fill(start: int) -> None:
@@ -206,14 +197,9 @@ def _element_sums(group: list[int], rp: RicianParams, mc: McConfig) -> dict[int,
             # one square root per element: |h_l| |g_l| = sqrt(|h_l|^2 |g_l|^2)
             sums[L][first : first + rows] = np.sum(np.sqrt(power, out=power), axis=1)
 
-    starts = range(0, mc.trials, block)
-    if workers == 1:
-        for start in starts:
-            fill(start)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # list() waits for every block and re-raises the first error
-            list(pool.map(fill, starts))
+    with ThreadPoolExecutor(max_workers=min(_WORKERS, -(-mc.trials // block))) as pool:
+        # list() waits for every block and re-raises the first error
+        list(pool.map(fill, range(0, mc.trials, block)))
     return sums
 
 
@@ -229,7 +215,7 @@ def outage_events(gains: np.ndarray, sc: Scenario, signal: str) -> np.ndarray:
     if signal == first:
         return first_fail
     second_fail = np.log2(1.0 + sinr(gains, sc, signal)) < sc.targets.rate(signal)
-    return first_fail | (~first_fail & second_fail)
+    return first_fail | second_fail
 
 
 def wilson_half_width(successes: int, n: int) -> float:

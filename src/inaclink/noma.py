@@ -106,9 +106,9 @@ class RateTargets:
     r_u: float
 
     def __post_init__(self) -> None:
-        # written so that NaN fails too
-        if not (0.0 < self.r_m < math.inf and 0.0 < self.r_u < math.inf):
-            raise ValueError("target rates must be finite and > 0")
+        # written so that NaN fails too; 2^R - 1 overflows from R = 1024
+        if not (0.0 < self.r_m < 1024.0 and 0.0 < self.r_u < 1024.0):
+            raise ValueError("target rates must be finite and in (0, 1024) bps/Hz, where 2^R - 1 is finite")
 
     def rate(self, signal: str) -> float:
         return self.r_m if signal == "multicast" else self.r_u

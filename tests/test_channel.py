@@ -85,6 +85,12 @@ class TestParamValidation:
             RisArray(num_elements=4, amplitude=0.0)
         with pytest.raises(ValueError):
             RisArray(num_elements=4, amplitude=1.1)
+        # beta^2 L must stay a normal double, or v3 underflows to 0
+        RisArray(num_elements=4, amplitude=2.0**-512)
+        with pytest.raises(ValueError, match="amplitude\\^2 \\* num_elements"):
+            RisArray(num_elements=2, amplitude=2.0**-512)
+        with pytest.raises(ValueError):
+            RisArray(num_elements=128, amplitude=1e-170)
 
 
 class TestCascadedMoments:

@@ -351,6 +351,11 @@ class TestErrors:
         ("fading.k_g = inf", "fading.k_g = inf: k_g must be finite and >= 0"),
         ("noma.multicast_rate_bpshz = nan", "noma.multicast_rate_bpshz = nan: target rates must be finite"),
         ("noma.unicast_rate_bpshz = inf", "noma.unicast_rate_bpshz = inf: target rates must be finite"),
+        # 2^R - 1 overflows from 1024 bps/Hz on
+        ("noma.unicast_rate_bpshz = 1100", "noma.unicast_rate_bpshz = 1100.0: target rates must be finite"),
+        ("noma.multicast_rate_bpshz = 1e300", "noma.multicast_rate_bpshz = 1e+300: target rates must be finite"),
+        # beta^2 L underflows, and with it the CLT variance v3
+        ("ris.amplitude = 1e-170", "ris.amplitude = 1e-170: amplitude^2 * num_elements must be >= 2^-1022"),
     ])
     def test_bad_scalar_value_is_named_by_its_key(self, tmp_path, capsys, line, detail):
         # a scalar is built over the defaults: orbit.r_e_km, checked before
@@ -359,6 +364,14 @@ class TestErrors:
         cfg.write_text(line + "\n", encoding="utf-8")
         assert cli.main(["analyze", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("config error: " + detail)
+
+    def test_zero_relayed_snr_position_exits_3(self, tmp_path, capsys):
+        # the hardened SNR underflows to 0, so no pseudorange noise is finite
+        cfg = tmp_path / "weak.cfg"
+        cfg.write_text("ris.amplitude = 1e-150\nlink.tx_power_dbm = -100\n", encoding="utf-8")
+        assert cli.main(["position", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err == (
+            "numeric error: the RIS-relayed link has zero SNR: its pseudorange cannot be measured\n")
 
     def test_link_budget_overflow_exits_2(self, tmp_path, capsys):
         # each value builds alone; their product overflows the float gain to inf

@@ -1,7 +1,7 @@
 """Config and scene file parsing, defaults, serialization round trips."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -94,6 +94,8 @@ class TestParsing:
     def test_bad_value_names_the_line(self):
         with pytest.raises(ConfigError, match=r"line 1.*bad value"):
             parse_config_text("ris.elements = many\n")
+        with pytest.raises(ConfigError, match=r"^line 2: bad value for sweep\.elements_op: '8,x'$"):
+            parse_config_text("ris.elements = 8\nsweep.elements_op = 8,x\n")
 
     def test_missing_equals_sign(self):
         with pytest.raises(ConfigError, match="expected key = value"):
@@ -144,9 +146,15 @@ class TestRoundTrip:
             elements=256,
             mode="NO",
             k_r=2.5,
+            alpha_m_sq=0.3,
+            alpha_u_sq=0.7,
             sweep_tx_power_dbm=(40.0, 44.0, 48.0),
             sweep_nav_elements=(0, 32, 1024),
         )
+        # a field of every annotation kind is off its default, a set float | None too
+        defaults = ScenarioConfig()
+        assert {f.type for f in fields(cfg) if getattr(cfg, f.name) != getattr(defaults, f.name)} == {
+            f.type for f in fields(cfg)}
         assert parse_config_text(cfg.to_text()) == cfg
 
     def test_default_round_trip(self):

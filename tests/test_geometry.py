@@ -124,13 +124,12 @@ class TestLinkBudget:
         b2 = b.rescaled(2.0 * b.tx_power)
         assert b2.gamma == pytest.approx(2.0 * b.gamma, rel=1e-13)
         assert b2.noise_power == b.noise_power
-        assert b2.spread_gain == b.spread_gain
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            LinkBudget(gamma=0.0, noise_power=1e-13, tx_power=1.0, spread_gain=1e3)
+            LinkBudget(gamma=0.0, noise_power=1e-13, tx_power=1.0)
         with pytest.raises(ValueError):
-            LinkBudget(gamma=1e-20, noise_power=-1.0, tx_power=1.0, spread_gain=1e3)
+            LinkBudget(gamma=1e-20, noise_power=-1.0, tx_power=1.0)
         with pytest.raises(ValueError):
             link_budget(default_geom(), default_rf(), 0.0, 1e3, 30e6)
 

@@ -73,25 +73,26 @@ class TestDeterminism:
         assert np.array_equal(a, b)
 
     def test_batch_size_does_not_change_the_stream(self, monkeypatch):
-        # the single block of the first run is sampled serially; a memory cap
-        # whose share per worker is 7 trials at L = 64 makes 43 blocks,
-        # sampled concurrently when more than one CPU is usable once the
-        # split floor is lowered below this small call
+        # the first run is one block on a pool of one; a memory cap whose
+        # share per worker is 7 trials at L = 64 makes 43 blocks, sampled
+        # concurrently when more than one CPU is usable
         mc = McConfig(trials=300, master_seed=7)
+        workers = montecarlo._WORKERS
+        monkeypatch.setattr(montecarlo, "_WORKERS", 1)
         b = sample_cascaded_gains(RIS64, RICIAN, mc)
-        monkeypatch.setattr(montecarlo, "_MAX_BLOCK_DOUBLES", montecarlo._WORKERS * 7 * 4 * 64)
-        monkeypatch.setattr(montecarlo, "_MIN_SPLIT_DOUBLES", 0)
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        monkeypatch.setattr(montecarlo, "_MAX_BLOCK_DOUBLES", workers * 7 * 4 * 64)
         a = sample_cascaded_gains(RIS64, RICIAN, mc)
         assert np.array_equal(a, b)
 
     def test_more_workers_than_cores_keep_the_stream(self, monkeypatch):
         # blocks write disjoint slices of one array; with 8 workers and a
-        # short switch interval, a lost or misplaced block would show (the
-        # serial reference is below the split floor, the threaded run is not)
+        # short switch interval, a lost or misplaced block would show against
+        # the one block of a pool of one
         mc = McConfig(trials=400, master_seed=11)
-        serial = sample_cascaded_gains(RIS64, RICIAN, mc)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+        reference = sample_cascaded_gains(RIS64, RICIAN, mc)
         monkeypatch.setattr(montecarlo, "_WORKERS", 8)
-        monkeypatch.setattr(montecarlo, "_MIN_SPLIT_DOUBLES", 0)
         # 8 workers share the cap: 3-trial blocks at L = 64
         monkeypatch.setattr(montecarlo, "_MAX_BLOCK_DOUBLES", 8 * 3 * 4 * 64)
         interval = sys.getswitchinterval()
@@ -100,14 +101,14 @@ class TestDeterminism:
             threaded = sample_cascaded_gains(RIS64, RICIAN, mc)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(threaded, serial)
+        assert np.array_equal(threaded, reference)
 
     def test_one_block_call_is_split_across_cpus(self, monkeypatch):
         # 5000 trials at L = 128 fit in one block of the memory cap; with two
-        # usable CPUs the call is still split in two, bit-identical to serial
+        # usable CPUs the call is still split in two, bit-identical to a pool of one
         ris, mc = RisArray(128, 1.0), McConfig(trials=5_000, master_seed=12345)
         monkeypatch.setattr(montecarlo, "_WORKERS", 1)
-        serial = sample_cascaded_gains(ris, RICIAN, mc)
+        reference = sample_cascaded_gains(ris, RICIAN, mc)
         pools = []
 
         class RecordingPool(ThreadPoolExecutor):
@@ -118,22 +119,10 @@ class TestDeterminism:
         monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(montecarlo, "_WORKERS", 2)
         split = sample_cascaded_gains(ris, RICIAN, mc)
-        assert pools == [2]
-        assert np.array_equal(split, serial)
-
-    def test_small_calls_start_no_thread(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was created")
-
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
-        # one trial, even one that draws as many doubles as the floor
-        sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=1))
-        sample_cascaded_gains(RisArray(montecarlo._MIN_SPLIT_DOUBLES // 4, 1.0), RICIAN, McConfig(trials=1))
-        # one trial short of the floor, with blocks small enough to split
-        below = montecarlo._MIN_SPLIT_DOUBLES // (4 * 64) - 1
-        monkeypatch.setattr(montecarlo, "_MAX_BLOCK_DOUBLES", 7 * 4 * 64)
-        sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=below))
+        assert np.array_equal(split, reference)
+        # a pool never outnumbers the blocks: one trial, one thread
+        sample_cascaded_gains(ris, RICIAN, McConfig(trials=1))
+        assert pools == [2, 1]
 
     def test_trial_i_is_a_fixed_substream(self):
         # extending the run must not disturb earlier trials
@@ -173,21 +162,22 @@ class TestByArray:
         seed=st.integers(0, 2**32),
         split=st.sampled_from([None, (1, 1), (3, 1), (3, 4 * 96 * 5), (8, 4 * 7 * 3)]),
     )
-    # both sides of the split floor at the largest L: 4 * 96 * 341 < 2**17 <= 4 * 96 * 342
-    @example(arrays=[RisArray(96), RisArray(48), RisArray(5)], trials=341, seed=1, split=None)
-    @example(arrays=[RisArray(96), RisArray(48), RisArray(5)], trials=342, seed=1, split=None)
+    # fewer trials than workers: one block per trial
+    @example(arrays=[RisArray(96), RisArray(48), RisArray(5)], trials=3, seed=1, split=(8, 4 * 96 * 5))
     # duplicates, and two arrays that differ only in amplitude
     @example(arrays=[RisArray(16), RisArray(16), RisArray(16, 0.5), RisArray(4)], trials=1, seed=0, split=None)
     def test_gains_equal_separate_calls(self, arrays, trials, seed, split):
         mc = McConfig(trials=trials, master_seed=seed)
-        separate = {ris: sample_cascaded_gains(ris, RICIAN, mc) for ris in arrays}
+        with pytest.MonkeyPatch.context() as mp:
+            # the reference: one block per call on a pool of one
+            mp.setattr(montecarlo, "_WORKERS", 1)
+            separate = {ris: sample_cascaded_gains(ris, RICIAN, mc) for ris in arrays}
         with pytest.MonkeyPatch.context() as mp:
             if split is not None:
                 # more workers than cores, blocks of a few trials (or of one)
                 workers, max_block = split
                 mp.setattr(montecarlo, "_WORKERS", workers)
                 mp.setattr(montecarlo, "_MAX_BLOCK_DOUBLES", max_block)
-                mp.setattr(montecarlo, "_MIN_SPLIT_DOUBLES", 0)
             together = sample_cascaded_gains_by_array(arrays, RICIAN, mc)
         assert together.keys() == separate.keys()
         for ris, gains in separate.items():

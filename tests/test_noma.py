@@ -134,11 +134,12 @@ class TestDataTypes:
             RateTargets(r_m=0.0, r_u=0.001)
         with pytest.raises(ValueError):
             RateTargets(r_m=0.001, r_u=-1.0)
-        for bad in (math.nan, math.inf):
+        for bad in (math.nan, math.inf, 1024.0, 1e300):  # from 1024 on, 2^R - 1 overflows
             with pytest.raises(ValueError):
                 RateTargets(r_m=bad, r_u=0.001)
             with pytest.raises(ValueError):
                 RateTargets(r_m=0.0005, r_u=bad)
+        assert math.isfinite(RateTargets(r_m=0.0005, r_u=1023.999).eps("unicast"))
 
     def test_outage_result_validation(self):
         OutageResult(value=0.5)
