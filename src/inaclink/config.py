@@ -82,9 +82,9 @@ def _key(group: str, default, point=None, builds=None):
     A scalar field names in builds the ScenarioConfig method that builds
     the object its value feeds.  A sweep grid carries point(cfg, base, x),
     the one code that builds what a figure runs at grid value x, over the
-    base that builds names: the configured scenario in the figure's mode,
-    or the configured orbit.  validate builds them all, so a bad value is
-    named by its key before any sweep runs.
+    base that builds names: the configured scenario (a point may set its
+    mode) or the configured orbit.  validate builds them all, so a bad
+    value is named by its key before any sweep runs.
     """
     return field(default=default, metadata={"group": group, "point": point, "builds": builds})
 
@@ -123,8 +123,8 @@ class ScenarioConfig:
     alpha_u_sq: float | None = _key("noma", None, builds="power_split")
     multicast_rate_bpshz: float = _key("noma", 0.0005, builds="rate_targets")
     unicast_rate_bpshz: float = _key("noma", 0.001, builds="rate_targets")
-    trials: int = _key("mc", 20_000, builds="mc_config")
-    seed: int = _key("mc", 12345, builds="mc_config")
+    trials: int = _key("mc", McConfig.trials, builds="mc_config")
+    seed: int = _key("mc", McConfig.master_seed, builds="mc_config")
     scene_file: str = _key("nav", "")
     nav_repetitions: int = _key("nav", 200)
     sweep_tx_power_dbm: tuple[float, ...] = _key(
@@ -136,8 +136,8 @@ class ScenarioConfig:
         "sweep", (16, 64, 256, 1024, 4096, 16384), _elements_point, builds="scenario")
     sweep_alpha_u_sq: tuple[float, ...] = _key(
         "sweep", (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95),
-        lambda cfg, base, a_u: replace(base, split=PowerSplit(alpha_m_sq=1.0 - a_u, alpha_u_sq=a_u)),
-        builds="scenario")
+        lambda cfg, base, a_u: replace(base, mode="NO", split=PowerSplit(1.0 - a_u, a_u)),
+        builds="scenario")  # NO mode: CO saturates at once over the uni-cast share
     sweep_r_m_km: tuple[float, ...] = _key(
         "sweep", (500, 1000, 2000, 4000, 8000, 12000, 20000, 30000),
         lambda cfg, base, r_m: replace(base, r_m=r_m * 1e3), builds="orbit")
@@ -256,14 +256,11 @@ class ScenarioConfig:
                 continue  # the defaults build
             with _naming(f"{key} = {value}"):
                 getattr(replace(_DEFAULTS, **{f.name: value}), f.metadata["builds"])()
-        try:
-            # what no single value decides: the split's sum, the link budget's product
-            sc = self.scenario()
-        except (ValueError, OverflowError) as exc:
-            for builds in _BUILDS:  # name the set keys of the object that fails
-                with _naming(self._set_keys(builds)):
-                    getattr(self, builds)()
-            raise ConfigError(str(exc)) from exc
+        # what no single value decides (split sum, budget product): name the failing object's set keys
+        for builds in _BUILDS:
+            with _naming(self._set_keys(builds)):
+                getattr(self, builds)()
+        sc = self.scenario()
         if not sc.feasible:
             raise ConfigError(
                 f"{self._set_keys('power_split', 'rate_targets')}: power split "
@@ -294,17 +291,15 @@ def _naming(keys: str):
     """Re-raise the library's rejection of a value as a ConfigError prefixed by keys and values."""
     try:
         yield
-    except ConfigError as exc:
-        raise ConfigError(f"{keys}: {exc}") from exc
     except OverflowError as exc:
         raise ConfigError(f"{keys}: out of the range of a double") from exc
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         raise ConfigError(f"{keys}: {exc}") from exc
 
 
 def _list(parse):
     """The parser of a comma-separated list of values that parse reads."""
-    return lambda raw: tuple(parse(p) for p in raw.split(",") if p.strip())
+    return lambda raw: tuple(parse(p) for p in raw.split(",")) if raw else ()
 
 
 #: (parse, render) of the values of each field annotation
@@ -335,15 +330,19 @@ _DEFAULTS = ScenarioConfig()
 
 
 def _key_value_lines(text: str):
-    """Yield (lineno, key, raw_value) from key=value text, skipping comments."""
+    """Yield (lineno, key, raw_value) from key=value text, skipping comments; a key may appear once."""
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
-        key, raw = stripped.split("=", 1)
-        yield lineno, key.strip(), raw.strip()
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r} (first at line {seen[key]})")
+        seen[key] = lineno
+        yield lineno, key, raw
 
 
 def parse_config_text(text: str, **overrides) -> ScenarioConfig:
@@ -352,13 +351,9 @@ def parse_config_text(text: str, **overrides) -> ScenarioConfig:
     Field overrides (``seed=``, ``trials=``) replace the parsed values before
     the one validation."""
     values: dict[str, object] = {}
-    seen: dict[str, int] = {}
     for lineno, key, raw in _key_value_lines(text):
         if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r} (first at line {seen[key]})")
-        seen[key] = lineno
         f = _FIELDS[key]
         try:
             values[f.name] = _CODECS[f.type][0](raw)
@@ -375,11 +370,11 @@ def load_config(path: str, **overrides) -> ScenarioConfig:
 
 
 def _read_text(path: str, what: str) -> str:
-    """The text of a file, with an OSError reported as a ConfigError naming what it is."""
+    """The text of a file; an OSError or non-UTF-8 bytes are a ConfigError naming what it is."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
 
 
@@ -398,8 +393,6 @@ def _finite(raw: str) -> float:
 
 def parse_scene_text(text: str) -> NavScene:
     """Parse a scene file: six position 3-vectors (m) and the clock bias (s), all finite."""
-    import numpy as np
-
     from .navigation import NavScene
 
     values: dict[str, object] = {}
@@ -409,7 +402,7 @@ def parse_scene_text(text: str) -> NavScene:
             if len(parts) != 3:
                 raise ConfigError(f"line {lineno}: {key} needs 3 coordinates, got {raw!r}")
             try:
-                values[key] = np.array([_finite(p) for p in parts])
+                values[key] = [_finite(p) for p in parts]
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: bad coordinate in {raw!r}") from exc
         elif key == "clock_bias_s":
@@ -423,7 +416,7 @@ def parse_scene_text(text: str) -> NavScene:
     if missing:
         raise ConfigError(f"scene file missing keys: {', '.join(missing)}")
     return NavScene(
-        sat_positions=np.vstack([values["sat1"], values["sat2"], values["sat3"]]),
+        sat_positions=[values["sat1"], values["sat2"], values["sat3"]],
         inac_sat_position=values["inac_sat"],
         ris_position=values["ris"],
         true_user=values["user"],

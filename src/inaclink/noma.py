@@ -155,20 +155,20 @@ class Scenario:
         """CLT moments of the cascaded channel sum."""
         return cascaded_moments(self.ris, self.rician)
 
-    @cached_property
+    @property
     def feasible(self) -> bool:
         """Whether the first-decoded signal can out-power its interference."""
-        first = first_decoded(self.mode)
-        own, other = self.split.shares(first)
-        return own - other * self.targets.eps(first) > 0.0
+        return self._thresholds is not None
 
     @cached_property
-    def _thresholds(self) -> dict[str, float]:
-        """Outage threshold omega of each signal; only a feasible scenario has them."""
+    def _thresholds(self) -> dict[str, float] | None:
+        """Outage threshold omega of each signal; None when the scenario is infeasible."""
         rho2, gamma = self.budget.noise_power, self.budget.gamma
         first_signal = first_decoded(self.mode)
         own, other = self.split.shares(first_signal)
         eps = self.targets.eps(first_signal)
+        if not own - other * eps > 0.0:
+            return None
         first = eps * rho2 / ((own - other * eps) * gamma)
         (second_signal,) = set(SIGNALS) - {first_signal}
         second = self.targets.eps(second_signal) * rho2 / (self.split.shares(second_signal)[0] * gamma)
@@ -259,8 +259,6 @@ def outage_asymptotic(sc: Scenario, signal: str) -> OutageResult:
         raise RegionError(
             f"asymptotic outage needs (m3+sqrt(omega))/sqrt(2 v3) < 1, got {z:.4f}"
         )
-    if omega == 0.0:
-        return OutageResult(value=0.0)
     total = 0.0
     for n in range(_SERIES_TERMS):
         inner = 0.0
@@ -283,9 +281,10 @@ def outage_asymptotic(sc: Scenario, signal: str) -> OutageResult:
 def capacity_hardened(sc: Scenario, signal: str) -> float:
     """Channel capacity with the gain hardened to its deterministic limit m3^2.
 
-    The first-decoded signal is interference limited and its capacity is a
-    constant in p; the second-decoded signal sees a clean channel and gains
-    exactly 1 bps/Hz per power doubling at high SNR.
+    The first-decoded signal gets log2(1 + own/other), the p -> inf ceiling
+    with the noise dropped (1.32 bps/Hz at the default config, where Monte
+    Carlo reads 2.8e-4 to 4.4e-3); the second-decoded signal sees a clean
+    channel and gains exactly 1 bps/Hz per power doubling at high SNR.
     """
     _check_signal(signal)
     own, other = sc.split.shares(signal)

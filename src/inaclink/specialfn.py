@@ -59,8 +59,6 @@ def kummer_1f1_half(x: float) -> float:
     x = float(x)
     if not x <= 0.0:  # NaN fails too
         raise ValueError(f"1F1(-1/2,1;x) is evaluated for x <= 0 only, got {x}")
-    if x == 0.0:
-        return 1.0
     # e^x * 1F1(3/2, 1; -x), all-positive terms
     y = -x
     term = 1.0
@@ -132,11 +130,11 @@ def folded_normal_cdf(x, m3: float, v3: float):
     evaluated through erfc so the deep-outage tail (F ~ 1e-12 and below)
     keeps full relative precision instead of cancelling.
     """
+    if v3 <= 0.0:
+        raise ValueError(f"variance v3 must be > 0, got {v3}")
     if isinstance(x, float):
         if x < 0.0:
             raise ValueError("power gain x must be >= 0")
-        if v3 <= 0.0:
-            raise ValueError(f"variance v3 must be > 0, got {v3}")
         r = math.sqrt(x)
         s = math.sqrt(2.0 * v3)
         out = 0.5 * (_erfc((m3 - r) / s) - _erfc((m3 + r) / s))
@@ -148,8 +146,6 @@ def folded_normal_cdf(x, m3: float, v3: float):
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 0.0):
         raise ValueError("power gain x must be >= 0")
-    if v3 <= 0.0:
-        raise ValueError(f"variance v3 must be > 0, got {v3}")
     r = np.sqrt(arr)
     s = math.sqrt(2.0 * v3)
     out = 0.5 * (erfc((m3 - r) / s) - erfc((m3 + r) / s))

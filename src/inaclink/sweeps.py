@@ -12,12 +12,13 @@ scenario, in the order listed here:
     constellation    minimal satellite count over height x elevation
     nav-accuracy     positioning RMSE vs element count for both modes
 
-What a figure runs at each grid value is built by config
-(ScenarioConfig.grid_points), by the same code that validation runs, so a
-sweep only runs points that validation has built.  Asymptotic cells
-outside the series validity region are reported as NA, not zero.
-Per-point numeric failures are recorded in-row so a sweep never aborts
-halfway.  Reports serialize to RFC-4180-style CSV and are
+What a figure runs at each grid value, its mode included, is built by
+config (ScenarioConfig.grid_points), by the same code that validation runs,
+so a sweep only runs points that validation has built.  nav-accuracy
+reseeds its noise per level, so every level scales the same draws.
+Asymptotic cells outside the series validity region are reported as NA,
+not zero.  Per-point numeric failures are recorded in-row so a sweep never
+aborts halfway.  Reports serialize to RFC-4180-style CSV and are
 byte-reproducible for a fixed config and seed.
 """
 
@@ -29,7 +30,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-import numpy as np
 from numpy.random import Generator, Philox
 
 from . import navigation, noma
@@ -71,8 +71,8 @@ def _fmt(value) -> str:
         return "NA"
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
     return f"{float(value):.12g}"
 
 
@@ -105,19 +105,18 @@ class _McFigure:
 
     analytic maps a column suffix to f(scenario, signal); by_mode does the
     same for columns of both modes, written first; estimator(gains,
-    scenario, signal) is the Monte Carlo estimate in the figure's mode.
+    scenario, signal) is the Monte Carlo estimate at each grid point of the
+    configured mode (a point may set its own mode).
     """
 
     x_name: str
     grid: str  # ScenarioConfig field that holds the grid
     analytic: dict[str, Callable[[Scenario, str], object]]
     estimator: Callable
-    mode: str | None = None  # None: the configured mode
     by_mode: dict[str, Callable[[Scenario, str], object]] = field(default_factory=dict)
 
     def __call__(self, cfg: ScenarioConfig) -> SweepReport:
-        mode = self.mode or cfg.mode
-        modes = noma.MODES if self.by_mode else (mode,)
+        modes = noma.MODES if self.by_mode else (cfg.mode,)
         points = {m: cfg.grid_points(self.grid, cfg.scenario(mode=m)) for m in modes}
         cols: dict[str, list] = {
             f"{m.lower()}_{sig}_{name}": [column(sc, sig) for sc in points[m]]
@@ -128,8 +127,8 @@ class _McFigure:
         })
         # the gains depend on the RIS array alone
         gains = sample_cascaded_gains_by_array(
-            [sc.ris for sc in points[mode]], cfg.rician_params(), cfg.mc_config())
-        for sc in points[mode]:
+            [sc.ris for sc in points[cfg.mode]], cfg.rician_params(), cfg.mc_config())
+        for sc in points[cfg.mode]:
             for sig in noma.SIGNALS:
                 for name, column in self.analytic.items():
                     cols[f"{sig}_{name}"].append(column(sc, sig))
@@ -214,20 +213,18 @@ def _nav_sigma(cfg: ScenarioConfig, sc: Scenario | None) -> float:
 def _sweep_nav_accuracy(cfg: ScenarioConfig) -> SweepReport:
     scene = cfg.nav_scene()
     reps = cfg.nav_repetitions
-    rng = Generator(Philox(key=cfg.seed ^ _NAV_SEED_SALT))
-    noise = rng.standard_normal((reps, 4))  # shared across modes and grid points
-    truth_state = np.append(scene.true_user, navigation.SPEED_OF_LIGHT * scene.clock_bias)
-    clean_rho = navigation.predicted_pseudoranges(scene, truth_state)
     ctrl = navigation.LsmControl(iters=12, loss=1e-6)
     # the RMSE depends on sigma alone, and cells on the chip floor share one
     rmse_by_sigma = {math.inf: math.inf}
 
     def rmse(sigma: float):
         if sigma not in rmse_by_sigma:
+            # a fresh generator per sigma: every sigma scales the same noise draws
+            rng = Generator(Philox(key=cfg.seed ^ _NAV_SEED_SALT))
             sq = 0.0
             try:
-                for i in range(reps):
-                    pr = navigation.PseudorangeSet(rho=clean_rho + sigma * noise[i])
+                for _ in range(reps):
+                    pr = navigation.synthesize_pseudoranges(scene, sigma, rng)
                     fix = navigation.lsm_solve(pr, scene, ctrl)
                     err = fix.position - scene.true_user
                     sq += float(err @ err)
@@ -253,9 +250,8 @@ _FIGURES: dict[str, Callable[[ScenarioConfig], SweepReport]] = {
     # both modes' hardened curves, for the CO/NO crossing
     "cap-vs-elements": _McFigure(
         "elements", "sweep_elements_cap", {}, _mc_capacity, by_mode={"hardened": _hardened}),
-    # NO mode: CO saturates immediately over the uni-cast share
     "outage-vs-split": _McFigure(
-        "alpha_u_sq", "sweep_alpha_u_sq", {"closed_form": _closed_form}, _mc_outage, mode="NO"),
+        "alpha_u_sq", "sweep_alpha_u_sq", {"closed_form": _closed_form}, _mc_outage),
     "constellation": _sweep_constellation,
     "nav-accuracy": _sweep_nav_accuracy,
 }

@@ -275,6 +275,18 @@ class TestErrors:
         assert res.returncode == 2
         assert res.stderr.startswith("config error:")
 
+    def test_non_utf8_config_and_scene_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"mc.trials = 5\xff\n")
+        assert cli.main(["analyze", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config file {bad}: ")
+        cfg = tmp_path / "scene.cfg"
+        cfg.write_text(f"nav.scene_file = {bad}\n", encoding="utf-8")
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert not (tmp_path / "x.csv").exists()
+        assert capsys.readouterr().err.startswith(
+            f"config error: nav.scene_file = {bad}: cannot read scene file {bad}: ")
+
     @pytest.mark.parametrize("out", ["absent/x.csv", "."])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, out):
         # a missing parent directory, then a directory in place of a file
@@ -285,6 +297,7 @@ class TestErrors:
     @pytest.mark.parametrize("scene, detail", [
         (None, "cannot read scene file"),
         ("sat1 = 1 2\n", "line 1: sat1 needs 3 coordinates"),
+        ("sat1 = 1 2 3\nsat1 = 4 5 6\n", "line 2: duplicate key 'sat1' (first at line 1)"),
     ])
     def test_bad_scene_file_exits_2_on_analyze(self, tmp_path, capsys, scene, detail):
         # validated up front, though analyze never reads the scene

@@ -96,6 +96,11 @@ class TestParsing:
             parse_config_text("ris.elements = many\n")
         with pytest.raises(ConfigError, match=r"^line 2: bad value for sweep\.elements_op: '8,x'$"):
             parse_config_text("ris.elements = 8\nsweep.elements_op = 8,x\n")
+        # an empty list item is a bad value, not a shorter grid
+        with pytest.raises(ConfigError, match=r"^line 1: bad value for sweep\.elements_op: '8,,16'$"):
+            parse_config_text("sweep.elements_op = 8,,16\n")
+        with pytest.raises(ConfigError, match=r"^line 2: bad value for sweep\.tx_power_dbm: '38,40,'$"):
+            parse_config_text("ris.elements = 8\nsweep.tx_power_dbm = 38,40,\n")
 
     def test_missing_equals_sign(self):
         with pytest.raises(ConfigError, match="expected key = value"):
@@ -193,6 +198,11 @@ class TestSceneFiles:
             parse_scene_text("user = nan 0.0 0.0\n")
         with pytest.raises(ConfigError, match=r"line 2.*bad clock bias"):
             parse_scene_text("ris = 6378005.0 8.0 3.0\nclock_bias_s = inf\n")
+
+    def test_duplicate_key_names_both_lines(self):
+        # as in a config file: a repeated key is an error, not a silent override
+        with pytest.raises(ConfigError, match=r"^line 2: duplicate key 'sat1' \(first at line 1\)$"):
+            parse_scene_text("sat1 = 1 2 3\nsat1 = 4 5 6\n")
 
     def test_unknown_scene_key(self):
         with pytest.raises(ConfigError, match="unknown scene key"):

@@ -396,6 +396,16 @@ class TestOutageAsymptotic:
         with pytest.raises(ConvergenceError):
             outage_asymptotic(sc_t, "multicast")
 
+    def test_zero_threshold_gives_zero(self):
+        # 2^R - 1 rounds to 0 at R = 1e-320, so omega = 0; the series' first
+        # term and the closed form both return 0 there
+        sc = ScenarioConfig(elements=1, k_r=0.0, k_g=0.0, multicast_rate_bpshz=1e-320,
+                            unicast_rate_bpshz=1e-320).scenario()
+        for signal in SIGNALS:
+            assert outage_threshold(sc, signal) == 0.0
+            assert outage_closed_form(sc, signal).value == 0.0
+            assert outage_asymptotic(sc, signal).value == 0.0
+
     def test_infeasible_split_saturates(self):
         sc = ScenarioConfig(alpha_m_sq=0.00001, alpha_u_sq=0.99999).scenario()
         res = outage_asymptotic(sc, "multicast")

@@ -18,6 +18,8 @@ from inaclink.errors import ConvergenceError
 class TestKummer:
     def test_at_zero(self):
         assert kummer_1f1_half(0.0) == 1.0
+        # -0.0 passes the x <= 0 check too; the series gives 1 at both zeros
+        assert kummer_1f1_half(-0.0) == 1.0
 
     def test_negative_axis_reference_values(self):
         # 1F1(-1/2, 1; -K) drives the Rician amplitude mean

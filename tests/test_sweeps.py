@@ -147,6 +147,12 @@ class TestOutageVsSplit:
         assert min(col) < col[0]
         assert col[-1] == 1.0
 
+    def test_runs_no_mode_whatever_the_configured_mode(self):
+        # the grid point sets the mode, so the configured one changes no byte
+        cfg = replace(ScenarioConfig(), trials=2000)
+        co = report_to_csv_text(run_sweep(cfg, "outage-vs-split"))
+        assert report_to_csv_text(run_sweep(replace(cfg, mode="NO"), "outage-vs-split")) == co
+
 
 class TestConstellation:
     def test_grid_layout_and_reference_cell(self):
