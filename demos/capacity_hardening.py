@@ -22,7 +22,7 @@ def main() -> None:
     for L in cfg.sweep_elements_cap:
         at_l = replace(cfg, elements=L)
         co = capacity_hardened(at_l.scenario(), "unicast")
-        sc = at_l.scenario(mode="NO")
+        sc = replace(at_l, mode="NO").scenario()
         no = capacity_hardened(sc, "unicast")
         est = mc_capacity(sample_cascaded_gains(sc.ris, sc.rician, mc), sc, "unicast")
         print(f"  {L:>6}  {co:>9.4f}  {no:>9.4f}  {co - no:>+9.4f}  {est.mean:>9.4f}")
@@ -30,7 +30,7 @@ def main() -> None:
 
     print("interference-limited ceilings (independent of power and L):")
     co_m = cfg.scenario()
-    no_u = cfg.scenario(mode="NO")
+    no_u = replace(cfg, mode="NO").scenario()
     print(f"  CO multi-cast: log2(1 + {co_m.split.alpha_m_sq:.1f}/{co_m.split.alpha_u_sq:.1f})"
           f" = {math.log2(1.0 + co_m.split.alpha_m_sq / co_m.split.alpha_u_sq):.4f}")
     print(f"  NO uni-cast:   log2(1 + {no_u.split.alpha_u_sq:.1f}/{no_u.split.alpha_m_sq:.1f})"
@@ -38,7 +38,7 @@ def main() -> None:
     big = McConfig(trials=20_000, master_seed=12345)
     at_1024 = replace(cfg, elements=1024)
     strong = at_1024.scenario().with_tx_power(1e7)
-    strong_no = at_1024.scenario(mode="NO").with_tx_power(1e7)
+    strong_no = replace(at_1024, mode="NO").scenario().with_tx_power(1e7)
     # the mode changes the SINR, not the channel: one draw serves both
     gains = sample_cascaded_gains(strong.ris, strong.rician, big)
     print("  Monte Carlo at L=1024 and extreme power:"

@@ -8,6 +8,8 @@ the exact expression; the last section shows it inside its validity
 region and the report it gives outside.
 """
 
+from dataclasses import replace
+
 from inaclink import (
     McConfig,
     ScenarioConfig,
@@ -32,7 +34,7 @@ def main() -> None:
         ("NO", "unicast"): (38, 40, 41, 42, 43, 44),
     }
     for mode in ("CO", "NO"):
-        sc0 = cfg.scenario(mode=mode)
+        sc0 = replace(cfg, mode=mode).scenario()
         # transmit power scales the SINR, not the channel: one draw serves the band
         gains = sample_cascaded_gains(sc0.ris, sc0.rician, mc)
         first = "multicast" if mode == "CO" else "unicast"

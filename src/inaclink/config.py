@@ -80,23 +80,23 @@ def _key(group: str, default, point=None, builds=None):
     """A config field keyed ``group.`` + its name less any ``group_`` prefix.
 
     A scalar field names in builds the ScenarioConfig method that builds
-    the object its value feeds.  A sweep grid carries point(cfg, base, x),
-    the one code that builds what a figure runs at grid value x, over the
-    base that builds names: the configured scenario (a point may set its
-    mode) or the configured orbit.  validate builds them all, so a bad
-    value is named by its key before any sweep runs.
+    the object its value feeds.  A sweep grid carries point(base, x), the
+    one code that builds what a figure runs at grid value x, over the base
+    that builds names: a scenario (a point may set its mode) or the
+    configured orbit.  validate builds them all, so a bad value is named by
+    its key before any sweep runs.
     """
     return field(default=default, metadata={"group": group, "point": point, "builds": builds})
 
 
-def _elements_point(cfg: "ScenarioConfig", base: Scenario, elements: int) -> Scenario:
-    return replace(base, ris=cfg.ris_array(elements))
+def _elements_point(base: Scenario, elements: int) -> Scenario:
+    return replace(base, ris=replace(base.ris, num_elements=elements))
 
 
-def _nav_elements_point(cfg: "ScenarioConfig", base: Scenario, elements: int) -> Scenario | None:
+def _nav_elements_point(base: Scenario, elements: int) -> Scenario | None:
     if elements < 0:
         raise ValueError(f"element count must be >= 0 (0: no RIS), got {elements}")
-    return _elements_point(cfg, base, elements) if elements else None
+    return _elements_point(base, elements) if elements else None
 
 
 @dataclass(frozen=True)
@@ -129,21 +129,21 @@ class ScenarioConfig:
     nav_repetitions: int = _key("nav", 200)
     sweep_tx_power_dbm: tuple[float, ...] = _key(
         "sweep", (38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50),
-        lambda cfg, base, dbm: base.with_tx_power(10.0 ** (dbm / 10.0) * 1e-3), builds="scenario")
+        lambda base, dbm: base.with_tx_power(10.0 ** (dbm / 10.0) * 1e-3), builds="scenario")
     sweep_elements_op: tuple[int, ...] = _key(
         "sweep", (8, 16, 32, 64, 128, 256), _elements_point, builds="scenario")
     sweep_elements_cap: tuple[int, ...] = _key(
         "sweep", (16, 64, 256, 1024, 4096, 16384), _elements_point, builds="scenario")
     sweep_alpha_u_sq: tuple[float, ...] = _key(
         "sweep", (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95),
-        lambda cfg, base, a_u: replace(base, mode="NO", split=PowerSplit(1.0 - a_u, a_u)),
+        lambda base, a_u: replace(base, mode="NO", split=PowerSplit(1.0 - a_u, a_u)),
         builds="scenario")  # NO mode: CO saturates at once over the uni-cast share
     sweep_r_m_km: tuple[float, ...] = _key(
         "sweep", (500, 1000, 2000, 4000, 8000, 12000, 20000, 30000),
-        lambda cfg, base, r_m: replace(base, r_m=r_m * 1e3), builds="orbit")
+        lambda base, r_m: replace(base, r_m=r_m * 1e3), builds="orbit")
     sweep_elevation_deg: tuple[float, ...] = _key(
         "sweep", (5, 15, 30, 45, 60, 75, 85),
-        lambda cfg, base, deg: replace(base, elevation=math.radians(deg)), builds="orbit")
+        lambda base, deg: replace(base, elevation=math.radians(deg)), builds="orbit")
     sweep_nav_elements: tuple[int, ...] = _key(
         "sweep", (0, 16, 64, 256, 1024, 4096, 16384), _nav_elements_point, builds="scenario")
 
@@ -181,21 +181,16 @@ class ScenarioConfig:
         return link_budget(
             self.orbit(), self.rf_params(), self.tx_power_w, self.spread_gain_linear, self.bandwidth_hz)
 
-    def ris_array(self, elements: int | None = None) -> RisArray:
-        return RisArray(
-            num_elements=self.elements if elements is None else elements,
-            amplitude=self.amplitude,
-        )
+    def ris_array(self) -> RisArray:
+        return RisArray(num_elements=self.elements, amplitude=self.amplitude)
 
     def rician_params(self) -> RicianParams:
         return RicianParams(k_r=self.k_r, k_g=self.k_g)
 
-    def power_split(self, mode: str | None = None) -> PowerSplit:
-        mode = self.mode if mode is None else mode
-        default_m, default_u = _MODE_SPLITS[mode]
+    def power_split(self) -> PowerSplit:
         a_m, a_u = self.alpha_m_sq, self.alpha_u_sq
         if a_m is None and a_u is None:
-            a_m, a_u = default_m, default_u
+            a_m, a_u = _MODE_SPLITS[self.mode]
         elif a_m is None:
             a_m = 1.0 - a_u
         elif a_u is None:
@@ -208,11 +203,10 @@ class ScenarioConfig:
     def mc_config(self) -> McConfig:
         return McConfig(trials=self.trials, master_seed=self.seed)
 
-    def scenario(self, mode: str | None = None) -> Scenario:
-        mode = self.mode if mode is None else mode
+    def scenario(self) -> Scenario:
         return Scenario(
-            mode=mode,
-            split=self.power_split(mode),
+            mode=self.mode,
+            split=self.power_split(),
             targets=self.rate_targets(),
             budget=self.link(),
             ris=self.ris_array(),
@@ -220,9 +214,9 @@ class ScenarioConfig:
         )
 
     def grid_points(self, name: str, base) -> list:
-        """What a figure runs at each value of the grid field name, built over base."""
+        """point(base, x) of the grid field name at each of its values x: what a figure runs."""
         point = self.__dataclass_fields__[name].metadata["point"]
-        return [point(self, base, x) for x in getattr(self, name)]
+        return [point(base, x) for x in getattr(self, name)]
 
     def nav_scene(self) -> NavScene:
         if self.scene_file:
@@ -275,7 +269,7 @@ class ScenarioConfig:
             point, base = f.metadata["point"], bases[f.metadata["builds"]]
             for x in values:
                 with _naming(f"{key} = {x}"):
-                    point(self, base, x)
+                    point(base, x)
         return self
 
     def _set_keys(self, *builds: str) -> str:
@@ -370,9 +364,9 @@ def load_config(path: str, **overrides) -> ScenarioConfig:
 
 
 def _read_text(path: str, what: str) -> str:
-    """The text of a file; an OSError or non-UTF-8 bytes are a ConfigError naming what it is."""
+    """A UTF-8 file's text less any byte-order mark; an OSError or bad bytes are a ConfigError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc

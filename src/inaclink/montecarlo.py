@@ -37,11 +37,9 @@ Because each block of trials is keyed by its own counter, every call is
 split into at least one block per usable CPU (a call of fewer trials than
 CPUs gets one block per trial), and its blocks are sampled on a thread pool,
 each writing its own slice of the result; the gains are bit-identical to a
-pool of one.  There is no serial path.  A floor of 2**17 doubles once kept
-smaller calls on the calling thread; no benchmarked call came near it (the
-smallest draw of the CLI suite is 2.56e6 doubles), so it went.  Such a call
-now pays the pool's start-up: 0.2-0.6 ms on a 2-core host, measured at 1 and
-100 trials of L = 8.
+pool of one.  There is no serial path, so a small call pays the pool's
+start-up: 0.2-0.6 ms on a 2-core host, measured at 1 and 100 trials of
+L = 8.
 
 scipy.special's ndtri is imported when the sampler is called, on the
 calling thread before any worker starts, not at module import: importing

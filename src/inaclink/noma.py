@@ -32,6 +32,7 @@ asymptotic form replaces erf by its Maclaurin series and is only valid while
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -61,7 +62,6 @@ __all__ = [
     "outage_closed_form",
     "outage_asymptotic",
     "capacity_hardened",
-    "DiversityEstimate",
     "diversity_order_estimate",
 ]
 
@@ -293,50 +293,32 @@ def capacity_hardened(sc: Scenario, signal: str) -> float:
     return math.log2(1.0 + own * (sc.moments.m3**2 * sc.budget.gamma / sc.budget.noise_power))
 
 
-@dataclass(frozen=True)
-class DiversityEstimate:
-    """Measured high-SNR slope next to the amplitude-mean prediction m3."""
-
-    slope: float
-    m3_prediction: float
-    points_used: int
-
-
-def diversity_order_estimate(
-    sc: Scenario, signal: str, snr_grid
-) -> DiversityEstimate:
+def diversity_order_estimate(sc: Scenario, signal: str, snr_grid) -> float:
     """Least-squares slope of -log10(OP) against log10(p / rho^2).
 
-    Only grid points whose closed-form OP lies in (1e-6, 0.5) enter the fit,
-    and those points must span at least two decades of SNR; otherwise the
-    grid cannot support a slope estimate and DegenerateGeometryError is
-    raised.  The slope is reported next to m3 without asserting equality.
+    Only grid points whose closed-form OP lies in (1e-6, 0.5) enter the fit
+    (an infeasible split reads OP = 1), and those points must span at least
+    two decades of SNR; otherwise the grid cannot support a slope estimate
+    and DegenerateGeometryError is raised.  The slope is not compared with
+    the paper's prediction from sc.moments.m3.
     """
-    import numpy as np
-
     _check_signal(signal)
     snrs = [float(s) for s in snr_grid]
     if any(s <= 0.0 for s in snrs):
         raise ValueError("snr grid entries must be > 0")
-    pts: list[tuple[float, float]] = []
+    xs: list[float] = []
+    ys: list[float] = []
     for s in snrs:
-        p = s * sc.budget.noise_power
-        res = outage_closed_form(sc.with_tx_power(p), signal)
-        if res.infeasible:
-            continue
-        if 1e-6 < res.value < 0.5:
-            pts.append((math.log10(s), -math.log10(res.value)))
-    if len(pts) < 2:
+        op = outage_closed_form(sc.with_tx_power(s * sc.budget.noise_power), signal).value
+        if 1e-6 < op < 0.5:
+            xs.append(math.log10(s))
+            ys.append(-math.log10(op))
+    if len(xs) < 2:
         raise DegenerateGeometryError(
             "fewer than 2 grid points fall in the OP window (1e-6, 0.5)"
         )
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    if xs.max() - xs.min() < 2.0:
+    if max(xs) - min(xs) < 2.0:
         raise DegenerateGeometryError(
-            f"usable grid spans {xs.max() - xs.min():.2f} decades, need >= 2"
+            f"usable grid spans {max(xs) - min(xs):.2f} decades, need >= 2"
         )
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return DiversityEstimate(
-        slope=slope, m3_prediction=sc.moments.m3, points_used=len(pts)
-    )
+    return statistics.linear_regression(xs, ys).slope

@@ -28,7 +28,7 @@ import csv
 import io
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from numpy.random import Generator, Philox
 
@@ -117,7 +117,7 @@ class _McFigure:
 
     def __call__(self, cfg: ScenarioConfig) -> SweepReport:
         modes = noma.MODES if self.by_mode else (cfg.mode,)
-        points = {m: cfg.grid_points(self.grid, cfg.scenario(mode=m)) for m in modes}
+        points = {m: cfg.grid_points(self.grid, replace(cfg, mode=m).scenario()) for m in modes}
         cols: dict[str, list] = {
             f"{m.lower()}_{sig}_{name}": [column(sc, sig) for sc in points[m]]
             for m in modes for sig in noma.SIGNALS for name, column in self.by_mode.items()
@@ -213,7 +213,7 @@ def _nav_sigma(cfg: ScenarioConfig, sc: Scenario | None) -> float:
 def _sweep_nav_accuracy(cfg: ScenarioConfig) -> SweepReport:
     scene = cfg.nav_scene()
     reps = cfg.nav_repetitions
-    ctrl = navigation.LsmControl(iters=12, loss=1e-6)
+    ctrl = navigation.LsmControl(iters=12)
     # the RMSE depends on sigma alone, and cells on the chip floor share one
     rmse_by_sigma = {math.inf: math.inf}
 
@@ -235,7 +235,7 @@ def _sweep_nav_accuracy(cfg: ScenarioConfig) -> SweepReport:
 
     cols: dict[str, list] = {}
     for mode in noma.MODES:
-        points = cfg.grid_points("sweep_nav_elements", cfg.scenario(mode=mode))
+        points = cfg.grid_points("sweep_nav_elements", replace(cfg, mode=mode).scenario())
         sigmas = [_nav_sigma(cfg, sc) for sc in points]
         cols[f"{mode.lower()}_sigma_m"] = sigmas
         cols[f"{mode.lower()}_rmse_m"] = [rmse(sigma) for sigma in sigmas]

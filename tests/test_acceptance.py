@@ -116,7 +116,7 @@ def test_criterion_2_outage_closed_form_vs_monte_carlo():
     worst_excess = -math.inf
     spans_ok = True
     for (mode, signal), powers in grids.items():
-        sc_mode = cfg.scenario(mode=mode)
+        sc_mode = replace(cfg, mode=mode).scenario()
         cfs = []
         for p in powers:
             sc = sc_mode.with_tx_power(float(p))

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from inaclink import FIGURE_IDS, ScenarioConfig, cli, navigation
+from inaclink import FIGURE_IDS, ScenarioConfig, cli, default_scene, navigation
 from inaclink.config import load_config
 
 CLI = [sys.executable, "-m", "inaclink.cli"]
@@ -67,6 +67,14 @@ class TestAnalyze:
         assert table["mode"] == "NO"
         assert float(table["unicast_capacity_hardened"]) == pytest.approx(3.321928094887362, rel=1e-9)
 
+    def test_config_file_with_byte_order_mark(self, tmp_path):
+        # as many Windows editors save UTF-8
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfris.elements = 8\n")
+        out = tmp_path / "a.csv"
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+        assert "m3,6.42659171282\r\n" in out.read_bytes().decode("utf-8")
+
     def test_out_flag_writes_the_same_bytes(self, tmp_path):
         out = tmp_path / "a.csv"
         res = run_cli("analyze", "--out", str(out))
@@ -110,6 +118,21 @@ class TestPosition:
         # heavy noise: the iteration cap is the documented stopping mode
         assert table["iterations_used"] == "20"
         assert 0.0 < float(table["position_error_m"]) < 1000.0
+
+    def test_scene_file_with_byte_order_mark(self, tmp_path):
+        scene = default_scene()
+        vectors = {"sat1": scene.sat_positions[0], "sat2": scene.sat_positions[1],
+                   "sat3": scene.sat_positions[2], "inac_sat": scene.inac_sat_position,
+                   "ris": scene.ris_position, "user": scene.true_user}
+        text = "".join(f"{key} = {' '.join(map(repr, map(float, v)))}\n" for key, v in vectors.items())
+        path = tmp_path / "bom.scene"
+        path.write_bytes(b"\xef\xbb\xbf" + f"{text}clock_bias_s = {scene.clock_bias!r}\n".encode("utf-8"))
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_text(f"nav.scene_file = {path}\n", encoding="utf-8")
+        # the same scene as the built-in one, so the same fix
+        assert cli.main(["position", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
+        assert cli.main(["position", "--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_degenerate_scene_exits_3(self, tmp_path):
         scene = tmp_path / "bad.scene"
@@ -193,7 +216,9 @@ class TestPosition:
         ("", False),
         # the Monte Carlo names load it, so the check above is not vacuous
         ("inaclink.sample_cascaded_gains\n", True),
-    ], ids=["closed-forms", "monte-carlo-name"])
+        ("noma.diversity_order_estimate(inaclink.ScenarioConfig(elements=4).scenario(), 'multicast',"
+         " [10.0 ** (13 + k / 4) for k in range(41)])\n", False),
+    ], ids=["closed-forms", "monte-carlo-name", "diversity-fit"])
     def test_config_and_closed_forms_never_load_numpy(self, tmp_path, touch, loads):
         # numpy's import is most of a fresh process's start-up cost, and a
         # config, its scenario and the closed forms need none of it

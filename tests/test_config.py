@@ -45,9 +45,9 @@ class TestDefaults:
 
     def test_mode_default_splits(self):
         cfg = ScenarioConfig()
-        co = cfg.power_split("CO")
+        co = replace(cfg, mode="CO").power_split()
         assert (co.alpha_m_sq, co.alpha_u_sq) == (0.6, 0.4)
-        no = cfg.power_split("NO")
+        no = replace(cfg, mode="NO").power_split()
         assert (no.alpha_m_sq, no.alpha_u_sq) == (0.1, 0.9)
 
     def test_partial_split_complemented(self):

@@ -449,7 +449,7 @@ class TestDiversityOrder:
 
     def test_slope_grows_with_elements(self):
         slopes = [
-            diversity_order_estimate(ScenarioConfig(elements=L).scenario(), "multicast", self.GRID).slope
+            diversity_order_estimate(ScenarioConfig(elements=L).scenario(), "multicast", self.GRID)
             for L in (2, 4, 8)
         ]
         assert all(a < b for a, b in zip(slopes, slopes[1:]))
@@ -457,19 +457,11 @@ class TestDiversityOrder:
 
     def test_slope_grows_with_k(self):
         slopes = [
-            diversity_order_estimate(
-                ScenarioConfig(elements=4, k_r=k).scenario(), "multicast", self.GRID
-            ).slope
+            diversity_order_estimate(ScenarioConfig(elements=4, k_r=k).scenario(), "multicast", self.GRID)
             for k in (0.0, 1.0, 10.0)
         ]
         assert all(a < b for a, b in zip(slopes, slopes[1:]))
         assert slopes == pytest.approx([0.5661, 0.6011, 0.7013], abs=0.005)
-
-    def test_prediction_field(self):
-        sc = ScenarioConfig(elements=4).scenario()
-        est = diversity_order_estimate(sc, "multicast", self.GRID)
-        assert est.m3_prediction == sc.moments.m3
-        assert est.points_used >= 5
 
     def test_narrow_op_window_raises(self):
         # at L = 128 the OP falls through the window in a fraction of a decade

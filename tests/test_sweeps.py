@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from inaclink import FIGURE_IDS, ScenarioConfig, SweepReport, emit_csv, run_sweep
-from inaclink import navigation, outage_closed_form, sample_cascaded_gains
+from inaclink import capacity_hardened, navigation, outage_closed_form, sample_cascaded_gains, sweeps
+from inaclink.config import parse_config_text
 from inaclink.errors import DegenerateGeometryError
 from inaclink.montecarlo import outage_events, wilson_half_width
 from inaclink.sweeps import report_to_csv_text
@@ -259,6 +260,25 @@ class TestNavAccuracy:
                 else:
                     assert got == want
         assert na_cells >= 1
+
+
+class TestBothModes:
+    def test_both_modes_read_the_configured_split(self):
+        # cap-vs-elements and nav-accuracy run CO and NO over one config: only
+        # the mode differs, and a set split holds in both
+        cfg = parse_config_text("noma.mode = NO\nnoma.alpha_u_sq = 0.7\nmc.trials = 200\nnav.repetitions = 5\n")
+
+        def at(mode, elements):
+            return replace(cfg, mode=mode, elements=elements).scenario() if elements else None
+
+        cap = run_sweep(cfg, "cap-vs-elements")
+        nav = run_sweep(cfg, "nav-accuracy")
+        for mode in ("CO", "NO"):
+            for sig in ("multicast", "unicast"):
+                assert cap.columns[f"{mode.lower()}_{sig}_hardened"] == [
+                    capacity_hardened(at(mode, L), sig) for L in cfg.sweep_elements_cap]
+            assert nav.columns[f"{mode.lower()}_sigma_m"] == [
+                sweeps._nav_sigma(cfg, at(mode, L)) for L in cfg.sweep_nav_elements]
 
 
 class TestReproducibility:
