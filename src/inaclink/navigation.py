@@ -166,11 +166,6 @@ class PositionFix:
     final_cost: float
     converged: bool
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "state", np.asarray(self.state, dtype=float))
-        if self.final_cost < 0.0:
-            raise ValueError("final_cost must be >= 0")
-
     @property
     def position(self) -> np.ndarray:
         return self.state[:3]

@@ -119,12 +119,9 @@ class RateTargets:
 
 @dataclass(frozen=True)
 class OutageResult:
-    """Outage probability; infeasible marks the degenerate case where the SIC
-    order cannot reach the target at any SNR and the probability saturates at 1.
-    """
+    """Outage probability, in [0, 1]."""
 
     value: float
-    infeasible: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.value <= 1.0:
@@ -226,12 +223,12 @@ def outage_threshold(sc: Scenario, signal: str) -> float:
 def outage_closed_form(sc: Scenario, signal: str) -> OutageResult:
     """Closed-form outage probability: folded-normal CDF at the threshold.
 
-    An infeasible power split yields OP = 1 (tagged) so sweeps can render the
+    An infeasible power split yields OP = 1 so sweeps can render the
     degenerate region; outage_threshold raises for it instead.
     """
     _check_signal(signal)
     if not sc.feasible:
-        return OutageResult(value=1.0, infeasible=True)
+        return OutageResult(value=1.0)
     omega = outage_threshold(sc, signal)
     return OutageResult(value=float(effective_gain_cdf(omega, sc.moments)))
 
@@ -250,7 +247,7 @@ def outage_asymptotic(sc: Scenario, signal: str) -> OutageResult:
     """
     _check_signal(signal)
     if not sc.feasible:
-        return OutageResult(value=1.0, infeasible=True)
+        return OutageResult(value=1.0)
     omega = outage_threshold(sc, signal)
     m3, v3 = sc.moments.m3, sc.moments.v3
     root = math.sqrt(omega)

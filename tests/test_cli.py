@@ -15,13 +15,17 @@ from inaclink.config import load_config
 
 CLI = [sys.executable, "-m", "inaclink.cli"]
 
-#: the CSV of every command at GOLDEN_CONFIG, compared byte for byte; only a
-#: deliberate change of output (a new sampler stream, say) re-records them, with
-#: `inaclink <command> --config <GOLDEN_CONFIG file> --out golden/cli/<command>.csv`
-#: (`reproduce <figure-id>` is saved as reproduce-<figure-id>.csv)
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "cli"
+#: the CSV of every command at GOLDEN_CONFIG, compared byte for byte with the
+#: benchmark's cli-suite references (`reproduce <figure-id>` as
+#: reproduce-<figure-id>.csv). Only a deliberate change of output (a new sampler
+#: stream, say) re-records them, by `python3 bench/record.py`: a change to the
+#: benchmark, as the script ignores its arguments and re-records every file
+#: under bench/reference/
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "bench" / "reference" / "cli"
 #: the default scenario with a quarter of its trials and nav repetitions, and
-#: cap-vs-elements stopped at L = 1024, so that all eleven commands take ~2 s
+#: cap-vs-elements stopped at L = 1024, so that all eleven commands take ~2 s;
+#: the same text as bench/workloads.py's CLI_CONFIG_TEXT, which records the
+#: references, so a drift between the two fails the byte comparison
 GOLDEN_CONFIG = """\
 mc.trials = 5000
 nav.repetitions = 50
@@ -501,6 +505,9 @@ class TestUniformsRead:
 
 
 class TestGoldenOutput:
+    def test_a_reference_for_each_command_and_no_other(self):
+        assert sorted(p.stem for p in GOLDEN_DIR.glob("*.csv")) == sorted("-".join(c) for c in GOLDEN_COMMANDS)
+
     def test_every_command_writes_the_recorded_bytes(self, tmp_path):
         cfg = tmp_path / "golden.cfg"
         cfg.write_text(GOLDEN_CONFIG, encoding="utf-8")

@@ -331,21 +331,19 @@ class TestOutageClosedForm:
         assert outage_closed_form(co, "unicast").value == pytest.approx(0.12158207711552355, rel=1e-10)
         assert outage_closed_form(no, "multicast").value == pytest.approx(0.9999984869384003, rel=1e-12)
         assert outage_closed_form(no, "unicast").value == pytest.approx(2.2495147411483174e-9, rel=1e-9)
-        assert not outage_closed_form(co, "multicast").infeasible
 
     def test_infeasible_split_saturates(self):
         sc = ScenarioConfig(alpha_m_sq=0.00001, alpha_u_sq=0.99999).scenario()
         assert not sc.feasible
         res = outage_closed_form(sc, "multicast")
         assert res.value == 1.0
-        assert res.infeasible
         with pytest.raises(InfeasibleError):
             outage_threshold(sc, "multicast")
 
     def test_no_mode_infeasible_split(self):
         sc = ScenarioConfig(mode="NO", alpha_m_sq=0.99999, alpha_u_sq=0.00001).scenario()
         assert not sc.feasible
-        assert outage_closed_form(sc, "unicast").infeasible
+        assert outage_closed_form(sc, "unicast").value == 1.0
 
     def test_monotone_in_power(self):
         sc = scenario("CO")
@@ -408,9 +406,8 @@ class TestOutageAsymptotic:
 
     def test_infeasible_split_saturates(self):
         sc = ScenarioConfig(alpha_m_sq=0.00001, alpha_u_sq=0.99999).scenario()
-        res = outage_asymptotic(sc, "multicast")
-        assert res.value == 1.0
-        assert res.infeasible
+        assert not sc.feasible
+        assert outage_asymptotic(sc, "multicast").value == 1.0
 
 
 class TestCapacity:
