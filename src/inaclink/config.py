@@ -76,27 +76,22 @@ class McConfig:
             raise ValueError("master_seed must fit in 64 bits")
 
 
-def _key(group: str, default, point=None, builds=None):
+def _key(group: str, default, builds=None):
     """A config field keyed ``group.`` + its name less any ``group_`` prefix.
 
-    A scalar field names in builds the ScenarioConfig method that builds
-    the object its value feeds.  A sweep grid carries point(base, x), the
-    one code that builds what a figure runs at grid value x, over the base
-    that builds names: a scenario (a point may set its mode) or the
-    configured orbit.  validate builds them all, so a bad value is named by
-    its key before any sweep runs.
-    """
-    return field(default=default, metadata={"group": group, "point": point, "builds": builds})
+    builds names the ScenarioConfig method that builds the object its value feeds."""
+    return field(default=default, metadata={"group": group, "builds": builds})
 
 
-def _elements_point(base: Scenario, elements: int) -> Scenario:
-    return replace(base, ris=replace(base.ris, num_elements=elements))
+def _grid(sweeps: str, default: tuple, builds: str, none_at=None, **fixed):
+    """A ``sweep.`` grid over the scalar field sweeps: value x runs as that field's key set to x.
 
-
-def _nav_elements_point(base: Scenario, elements: int) -> Scenario | None:
-    if elements < 0:
-        raise ValueError(f"element count must be >= 0 (0: no RIS), got {elements}")
-    return _elements_point(base, elements) if elements else None
+    Its point at x is the config with the fixed fields and sweeps = x
+    (grid_points).  validate calls the builder builds on each point, so a
+    bad value is named by its key before any sweep runs.  The value none_at
+    has no point: the figure runs without the swept object there."""
+    return field(default=default, metadata={
+        "group": "sweep", "builds": builds, "sweeps": sweeps, "fixed": fixed, "none_at": none_at})
 
 
 @dataclass(frozen=True)
@@ -127,25 +122,19 @@ class ScenarioConfig:
     seed: int = _key("mc", McConfig.master_seed, builds="mc_config")
     scene_file: str = _key("nav", "")
     nav_repetitions: int = _key("nav", 200)
-    sweep_tx_power_dbm: tuple[float, ...] = _key(
-        "sweep", (38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50),
-        lambda base, dbm: base.with_tx_power(10.0 ** (dbm / 10.0) * 1e-3), builds="scenario")
-    sweep_elements_op: tuple[int, ...] = _key(
-        "sweep", (8, 16, 32, 64, 128, 256), _elements_point, builds="scenario")
-    sweep_elements_cap: tuple[int, ...] = _key(
-        "sweep", (16, 64, 256, 1024, 4096, 16384), _elements_point, builds="scenario")
-    sweep_alpha_u_sq: tuple[float, ...] = _key(
-        "sweep", (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95),
-        lambda base, a_u: replace(base, mode="NO", split=PowerSplit(1.0 - a_u, a_u)),
-        builds="scenario")  # NO mode: CO saturates at once over the uni-cast share
-    sweep_r_m_km: tuple[float, ...] = _key(
-        "sweep", (500, 1000, 2000, 4000, 8000, 12000, 20000, 30000),
-        lambda base, r_m: replace(base, r_m=r_m * 1e3), builds="orbit")
-    sweep_elevation_deg: tuple[float, ...] = _key(
-        "sweep", (5, 15, 30, 45, 60, 75, 85),
-        lambda base, deg: replace(base, elevation=math.radians(deg)), builds="orbit")
-    sweep_nav_elements: tuple[int, ...] = _key(
-        "sweep", (0, 16, 64, 256, 1024, 4096, 16384), _nav_elements_point, builds="scenario")
+    sweep_tx_power_dbm: tuple[float, ...] = _grid(
+        "tx_power_dbm", (38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50), "link")
+    sweep_elements_op: tuple[int, ...] = _grid("elements", (8, 16, 32, 64, 128, 256), "ris_array")
+    sweep_elements_cap: tuple[int, ...] = _grid("elements", (16, 64, 256, 1024, 4096, 16384), "ris_array")
+    # NO mode, each value setting the whole split: CO saturates at once over the uni-cast share
+    sweep_alpha_u_sq: tuple[float, ...] = _grid(
+        "alpha_u_sq", (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95), "power_split",
+        mode="NO", alpha_m_sq=None)
+    sweep_r_m_km: tuple[float, ...] = _grid(
+        "r_m_km", (500, 1000, 2000, 4000, 8000, 12000, 20000, 30000), "orbit")
+    sweep_elevation_deg: tuple[float, ...] = _grid("elevation_deg", (5, 15, 30, 45, 60, 75, 85), "orbit")
+    sweep_nav_elements: tuple[int, ...] = _grid(
+        "elements", (0, 16, 64, 256, 1024, 4096, 16384), "ris_array", none_at=0)  # 0: no RIS
 
     # --- SI conversions -----------------------------------------------------
 
@@ -213,10 +202,11 @@ class ScenarioConfig:
             rician=self.rician_params(),
         )
 
-    def grid_points(self, name: str, base) -> list:
-        """point(base, x) of the grid field name at each of its values x: what a figure runs."""
-        point = self.__dataclass_fields__[name].metadata["point"]
-        return [point(base, x) for x in getattr(self, name)]
+    def grid_points(self, name: str) -> list:
+        """The config a figure runs at each value of the grid field name; None at its none_at."""
+        meta = self.__dataclass_fields__[name].metadata
+        return [None if x == meta["none_at"] else replace(self, **meta["fixed"], **{meta["sweeps"]: x})
+                for x in getattr(self, name)]
 
     def nav_scene(self) -> NavScene:
         if self.scene_file:
@@ -234,8 +224,9 @@ class ScenarioConfig:
         """Checks each value, then the cross-field invariants.
 
         Raises ConfigError naming the key and value, or the violated
-        invariant.  A scalar value is built over the defaults, so that it is
-        judged alone and another key's bad value is not blamed on it.
+        invariant.  An object that does not build names its first set value
+        that fails alone over the defaults (so that no other key is blamed),
+        else all its set keys.
         """
         if self.mode not in _MODE_SPLITS:
             raise ConfigError(f"noma.mode must be CO or NO, got {self.mode!r}")
@@ -244,16 +235,17 @@ class ScenarioConfig:
         if self.scene_file:
             with _naming(f"nav.scene_file = {self.scene_file}"):
                 load_scene(self.scene_file)
-        for key, f in _SCALARS.items():
-            value = getattr(self, f.name)
-            if value == getattr(_DEFAULTS, f.name):
-                continue  # the defaults build
-            with _naming(f"{key} = {value}"):
-                getattr(replace(_DEFAULTS, **{f.name: value}), f.metadata["builds"])()
-        # what no single value decides (split sum, budget product): name the failing object's set keys
         for builds in _BUILDS:
-            with _naming(self._set_keys(builds)):
+            try:
                 getattr(self, builds)()
+            except (ValueError, OverflowError):
+                for key, f in _SCALARS.items():
+                    value = getattr(self, f.name)
+                    if f.metadata["builds"] == builds and value != getattr(_DEFAULTS, f.name):
+                        with _naming(f"{key} = {value}"):
+                            getattr(replace(_DEFAULTS, **{f.name: value}), builds)()
+                with _naming(self._set_keys(builds)):
+                    raise
         sc = self.scenario()
         if not sc.feasible:
             raise ConfigError(
@@ -261,15 +253,14 @@ class ScenarioConfig:
                 f"(alpha_m_sq={sc.split.alpha_m_sq}, alpha_u_sq={sc.split.alpha_u_sq}) "
                 f"cannot decode the first {self.mode} signal at any SNR"
             )
-        bases = {"scenario": sc, "orbit": self.orbit()}
         for key, f in _GRIDS.items():
             values = getattr(self, f.name)
             if len(values) == 0:
                 raise ConfigError(f"{key} must not be empty")
-            point, base = f.metadata["point"], bases[f.metadata["builds"]]
-            for x in values:
-                with _naming(f"{key} = {x}"):
-                    point(base, x)
+            for x, point in zip(values, self.grid_points(f.name)):
+                if point is not None:
+                    with _naming(f"{key} = {x}"):
+                        getattr(point, f.metadata["builds"])()
         return self
 
     def _set_keys(self, *builds: str) -> str:
@@ -315,9 +306,9 @@ def _config_key(f) -> str:
 #: config key -> field, in field order
 _FIELDS = {_config_key(f): f for f in fields(ScenarioConfig)}
 #: config key -> field of each sweep grid
-_GRIDS = {key: f for key, f in _FIELDS.items() if f.metadata["point"]}
+_GRIDS = {key: f for key, f in _FIELDS.items() if "sweeps" in f.metadata}
 #: config key -> field of each scalar that builds a library object
-_SCALARS = {key: f for key, f in _FIELDS.items() if f.metadata["builds"] and not f.metadata["point"]}
+_SCALARS = {key: f for key, f in _FIELDS.items() if f.metadata["builds"] and key not in _GRIDS}
 #: the builder methods of the scalars, in field order
 _BUILDS = tuple(dict.fromkeys(f.metadata["builds"] for f in _SCALARS.values()))
 _DEFAULTS = ScenarioConfig()

@@ -99,7 +99,7 @@ class LinkBudget:
     def rescaled(self, tx_power: float) -> "LinkBudget":
         """Same link with a different transmit power (gamma scales linearly)."""
         return LinkBudget(
-            gamma=self.gamma * tx_power / self.tx_power,
+            gamma=self.gamma * (tx_power / self.tx_power),  # the ratio first: gamma * p may overflow
             noise_power=self.noise_power,
             tx_power=tx_power,
         )
@@ -117,7 +117,7 @@ def slant_range(geom: OrbitGeometry) -> float:
 
 def large_scale_gain_satellite(d: float, rf: RfParams) -> float:
     """Satellite-side large-scale gain G_T (c / (4 pi f_c))^2 d^(-alpha1)."""
-    if d <= 0.0:
+    if not d > 0.0:  # NaN fails too
         raise ValueError(f"distance must be > 0, got {d}")
     wavelength_term = SPEED_OF_LIGHT / (4.0 * math.pi * rf.f_c)
     return rf.g_t * wavelength_term**2 * d**-rf.alpha1
@@ -131,7 +131,7 @@ def large_scale_gain_ris_user(rf: RfParams) -> float:
 
 def noise_power_watts(bandwidth: float) -> float:
     """Thermal AWGN power over `bandwidth` Hz: -174 dBm/Hz + 10 log10(BW), in watts."""
-    if bandwidth <= 0.0:
+    if not bandwidth > 0.0:  # NaN fails too
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
     dbm = NOISE_DENSITY_DBM_PER_HZ + 10.0 * math.log10(bandwidth)
     return 10.0 ** (dbm / 10.0) * 1e-3
@@ -141,9 +141,9 @@ def link_budget(
     geom: OrbitGeometry, rf: RfParams, p: float, g_sp: float, bandwidth: float
 ) -> LinkBudget:
     """Compose the deterministic link budget of one scenario."""
-    if p <= 0.0:
+    if not p > 0.0:  # NaN fails too
         raise ValueError(f"tx power must be > 0, got {p}")
-    if g_sp <= 0.0:
+    if not g_sp > 0.0:
         raise ValueError(f"spread gain must be > 0, got {g_sp}")
     d = slant_range(geom)
     gamma = large_scale_gain_satellite(d, rf) * large_scale_gain_ris_user(rf) * p * g_sp

@@ -311,15 +311,17 @@ def range_noise_from_snr(snr: float, bandwidth: float, floor: float | None = Non
 
     sigma = c / (2 BW sqrt(2 snr)), floored at the code-resolution limit
     (default c / (2 BW)).  snr = 0 models the absent RIS link and yields an
-    infinite sigma (position error unbounded); negative or NaN snr is rejected.
+    infinite sigma (position error unbounded); a NaN or negative snr or floor is rejected.
     """
-    # written so that NaN fails both checks
+    # written so that NaN fails each check
     if not bandwidth > 0.0:
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
     if not snr >= 0.0:
         raise ValueError(f"snr must be >= 0, got {snr}")
     if floor is None:
         floor = SPEED_OF_LIGHT / (2.0 * bandwidth)
+    elif not 0.0 <= floor < math.inf:
+        raise ValueError(f"floor must be finite and >= 0, got {floor}")
     if snr == 0.0:
         return math.inf
     sigma = SPEED_OF_LIGHT / (2.0 * bandwidth * math.sqrt(2.0 * snr))

@@ -12,10 +12,10 @@ scenario, in the order listed here:
     constellation    minimal satellite count over height x elevation
     nav-accuracy     positioning RMSE vs element count for both modes
 
-What a figure runs at each grid value, its mode included, is built by
-config (ScenarioConfig.grid_points), by the same code that validation runs,
-so a sweep only runs points that validation has built.  nav-accuracy
-reseeds its noise per level, so every level scales the same draws.
+A figure runs grid value x as the config with the grid's scalar key set to
+x (ScenarioConfig.grid_points), through the config's own builders, which
+validation calls on every grid value first.  nav-accuracy reseeds its
+noise per level, so every level scales the same draws.
 Asymptotic cells outside the series validity region are reported as NA,
 not zero.  Per-point numeric failures are recorded in-row so a sweep never
 aborts halfway.  Reports serialize to RFC-4180-style CSV and are
@@ -106,7 +106,7 @@ class _McFigure:
     analytic maps a column suffix to f(scenario, signal); by_mode does the
     same for columns of both modes, written first; estimator(gains,
     scenario, signal) is the Monte Carlo estimate at each grid point of the
-    configured mode (a point may set its own mode).
+    configured mode (a grid may fix its own mode).
     """
 
     x_name: str
@@ -117,7 +117,7 @@ class _McFigure:
 
     def __call__(self, cfg: ScenarioConfig) -> SweepReport:
         modes = noma.MODES if self.by_mode else (cfg.mode,)
-        points = {m: cfg.grid_points(self.grid, replace(cfg, mode=m).scenario()) for m in modes}
+        points = {m: [p.scenario() for p in replace(cfg, mode=m).grid_points(self.grid)] for m in modes}
         cols: dict[str, list] = {
             f"{m.lower()}_{sig}_{name}": [column(sc, sig) for sc in points[m]]
             for m in modes for sig in noma.SIGNALS for name, column in self.by_mode.items()
@@ -177,10 +177,11 @@ def _sweep_constellation(cfg: ScenarioConfig) -> SweepReport:
         "coverage_area_km2": [],
         "min_satellites": [],
     }
-    for r_m_km, orbit in zip(cfg.sweep_r_m_km, cfg.grid_points("sweep_r_m_km", cfg.orbit())):
-        for elev_deg, geom in zip(cfg.sweep_elevation_deg, cfg.grid_points("sweep_elevation_deg", orbit)):
-            xs.append(r_m_km)
-            cols["elevation_deg"].append(elev_deg)
+    for at_height in cfg.grid_points("sweep_r_m_km"):
+        for point in at_height.grid_points("sweep_elevation_deg"):
+            geom = point.orbit()
+            xs.append(point.r_m_km)
+            cols["elevation_deg"].append(point.elevation_deg)
             cols["geocentric_angle_rad"].append(geocentric_angle(geom))
             cols["coverage_area_km2"].append(coverage_area(geom) / 1e6)
             try:
@@ -235,8 +236,8 @@ def _sweep_nav_accuracy(cfg: ScenarioConfig) -> SweepReport:
 
     cols: dict[str, list] = {}
     for mode in noma.MODES:
-        points = cfg.grid_points("sweep_nav_elements", replace(cfg, mode=mode).scenario())
-        sigmas = [_nav_sigma(cfg, sc) for sc in points]
+        points = replace(cfg, mode=mode).grid_points("sweep_nav_elements")
+        sigmas = [_nav_sigma(cfg, None if p is None else p.scenario()) for p in points]
         cols[f"{mode.lower()}_sigma_m"] = sigmas
         cols[f"{mode.lower()}_rmse_m"] = [rmse(sigma) for sigma in sigmas]
     return SweepReport("elements", list(cfg.sweep_nav_elements), cols)

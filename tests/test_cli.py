@@ -366,13 +366,13 @@ class TestErrors:
         ["reproduce", "op-vs-power"], ["reproduce", "cap-vs-power"],
     ])
     def test_grid_power_is_checked_at_the_gain_the_figure_runs(self, tmp_path, capsys, command):
-        # the power sweep rescales the configured gain, which overflows here
-        # though a link budget built afresh at that power would not
+        # the power sweep builds each point's link afresh, as link.tx_power_dbm
+        # would be built, and at 600 dB spread that gain overflows at 2760 dBm
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("link.spread_gain_db = 600\nsweep.tx_power_dbm = 38,2745\n", encoding="utf-8")
+        cfg.write_text("link.spread_gain_db = 600\nsweep.tx_power_dbm = 38,2760\n", encoding="utf-8")
         assert cli.main([*command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err.startswith(
-            "config error: sweep.tx_power_dbm = 2745.0: gamma must be finite and > 0, got inf")
+            "config error: sweep.tx_power_dbm = 2760.0: gamma must be finite and > 0, got inf")
 
     def test_unwritable_stdout_exits_2(self, monkeypatch, capsys):
         class FullStdout(io.StringIO):
@@ -423,6 +423,13 @@ class TestErrors:
         assert capsys.readouterr().err.startswith(
             "config error: link.tx_power_dbm = 3000.0, link.spread_gain_db = 3000.0: "
             "gamma must be finite and > 0, got inf")
+
+    def test_a_value_that_builds_beside_the_set_keys_is_accepted(self, tmp_path):
+        # beta^2 L underflows at the default 128 elements, but not at 1024
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("ris.amplitude = 1e-155\nris.elements = 1024\nsweep.elements_op = 1024\n"
+                       "sweep.elements_cap = 1024\nsweep.nav_elements = 0,1024\n", encoding="utf-8")
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
 
     def test_unexpected_value_error_is_not_a_numeric_error(self, monkeypatch, capsys):
         # only the library's NumericError exits 3; anything else is a bug and

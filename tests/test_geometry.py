@@ -87,6 +87,8 @@ class TestPathLoss:
             large_scale_gain_satellite(0.0, default_rf())
         with pytest.raises(ValueError):
             large_scale_gain_satellite(-1.0, default_rf())
+        with pytest.raises(ValueError):
+            large_scale_gain_satellite(math.nan, default_rf())
 
 
 class TestNoisePower:
@@ -100,6 +102,8 @@ class TestNoisePower:
     def test_positive_bandwidth_required(self):
         with pytest.raises(ValueError):
             noise_power_watts(0.0)
+        with pytest.raises(ValueError):
+            noise_power_watts(math.nan)
 
 
 class TestLinkBudget:
@@ -124,6 +128,10 @@ class TestLinkBudget:
         b2 = b.rescaled(2.0 * b.tx_power)
         assert b2.gamma == pytest.approx(2.0 * b.gamma, rel=1e-13)
         assert b2.noise_power == b.noise_power
+        # 2745 dBm at 600 dB spread: gamma * 10 W overflows, the gain at 10 W does not
+        huge = link_budget(default_geom(), default_rf(), 10.0 ** 271.5, 1e60, 30e6)
+        fresh = link_budget(default_geom(), default_rf(), 10.0, 1e60, 30e6)
+        assert huge.rescaled(10.0).gamma == pytest.approx(fresh.gamma, rel=1e-13)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -132,6 +140,10 @@ class TestLinkBudget:
             LinkBudget(gamma=1e-20, noise_power=-1.0, tx_power=1.0)
         with pytest.raises(ValueError):
             link_budget(default_geom(), default_rf(), 0.0, 1e3, 30e6)
+        with pytest.raises(ValueError):
+            link_budget(default_geom(), default_rf(), math.nan, 1e3, 30e6)
+        with pytest.raises(ValueError):
+            link_budget(default_geom(), default_rf(), 1.0, math.nan, 30e6)
 
     def test_transmit_gain_floor(self):
         with pytest.raises(ValueError):

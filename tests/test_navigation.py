@@ -488,3 +488,7 @@ class TestRangeNoise:
             range_noise_from_snr(math.nan, self.BW)
         with pytest.raises(ValueError):
             range_noise_from_snr(1.0, math.nan)
+        with pytest.raises(ValueError):
+            range_noise_from_snr(1e12, self.BW, floor=math.nan)
+        with pytest.raises(ValueError):
+            range_noise_from_snr(1e12, self.BW, floor=-1.0)

@@ -68,7 +68,7 @@ class TestOpVsPower:
         base = cfg.scenario()
         gains = sample_cascaded_gains(base.ris, base.rician, cfg.mc_config())
         for i, dbm in enumerate(rep.x):
-            sc = base.with_tx_power(10.0 ** (dbm / 10.0) * 1e-3)
+            sc = replace(cfg, tx_power_dbm=dbm).scenario()
             assert rep.columns["multicast_closed_form"][i] == outage_closed_form(sc, "multicast").value
             n = np.count_nonzero(outage_events(gains, sc, "unicast"))
             assert rep.columns["unicast_mc"][i] == n / cfg.trials
