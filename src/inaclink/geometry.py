@@ -146,7 +146,18 @@ def link_budget(
     if not g_sp > 0.0:
         raise ValueError(f"spread gain must be > 0, got {g_sp}")
     d = slant_range(geom)
-    gamma = large_scale_gain_satellite(d, rf) * large_scale_gain_ris_user(rf) * p * g_sp
+    # multiply the mantissas and sum the exponents: a partial product that the
+    # spread gain would scale back up cannot underflow to 0 on the way; where
+    # every partial product is normal this is the left-to-right product, bit for bit
+    mantissa, exponent = 1.0, 0
+    for factor in (large_scale_gain_satellite(d, rf), large_scale_gain_ris_user(rf), p, g_sp):
+        m, e = math.frexp(factor)
+        mantissa *= m
+        exponent += e
+    try:
+        gamma = math.ldexp(mantissa, exponent)
+    except OverflowError:
+        gamma = math.inf  # for LinkBudget to reject with its message
     return LinkBudget(
         gamma=gamma,
         noise_power=noise_power_watts(bandwidth),

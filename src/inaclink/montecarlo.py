@@ -12,8 +12,9 @@ consume a data-dependent number of words and break the fixed stride.  As a
 result the gain vector is bit-identical no matter how trials are split into
 blocks or distributed, and every downstream estimate is too.  A run is set
 by a config.McConfig, which holds only the trial count and the master seed:
-a block is as many trials as fit in _MAX_BLOCK_DOUBLES, and the block size
-never changes the gains.
+the blocks in flight hold at most _MAX_BLOCK_DOUBLES (or one trial per CPU,
+where a trial alone needs more than a CPU's share), and the block size never
+changes the gains.
 
 Since trial i starts where trial i - 1 ends, the draw at (L, trials) is the
 first 4 L trials doubles of the seed's stream: a run of n trials is a prefix
@@ -34,10 +35,10 @@ hypot calls and multiplied the amplitudes; the version 2 gains lie within
 changed.
 
 Because each block of trials is keyed by its own counter, every call is
-split into at least one block per usable CPU (a call of fewer trials than
-CPUs gets one block per trial), and its blocks are sampled on a thread pool,
-each writing its own slice of the result; the gains are bit-identical to a
-pool of one.  There is no serial path, so a small call pays the pool's
+split into rounds of one block per usable CPU: as few rounds as the memory
+cap allows, and blocks as even as those rounds allow (a call of fewer
+trials than CPUs gets one block per trial).  The blocks are sampled on a thread pool, each writing its own
+slice of the result; the gains are bit-identical to a pool of one.  There is no serial path, so a small call pays the pool's
 start-up: 0.2-0.6 ms on a 2-core host, measured at 1 and 100 trials of
 L = 8.
 
@@ -46,7 +47,7 @@ calling thread before any worker starts, not at module import: importing
 inaclink, or running a command that draws nothing, never loads
 scipy.special, whose import costs a fresh process more than numpy's own.
 This module, and numpy with it, is itself loaded only when one of its names
-is first used: inaclink re-exports them lazily.
+is first used, as every inaclink package name is lazy.
 """
 
 from __future__ import annotations
@@ -174,8 +175,11 @@ def _element_sums(group: list[int], rp: RicianParams, mc: McConfig) -> dict[int,
 
     top = group[0]
     words = 4 * top
-    # at least one block per usable CPU; the blocks in flight share the memory cap
-    block = max(1, min(-(-mc.trials // _WORKERS), _MAX_BLOCK_DOUBLES // (_WORKERS * words)))
+    # rounds of one block per usable CPU, as few as the blocks in flight allow
+    # when they share the memory cap, and blocks as even as the rounds allow
+    per = max(1, _MAX_BLOCK_DOUBLES // (_WORKERS * words))
+    rounds = -(-mc.trials // (_WORKERS * per))
+    block = -(-mc.trials // (_WORKERS * rounds))
     sums = {L: np.empty(mc.trials) for L in group}
 
     def fill(start: int) -> None:

@@ -32,7 +32,6 @@ asymptotic form replaces erf by its Maclaurin series and is only valid while
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -318,4 +317,5 @@ def diversity_order_estimate(sc: Scenario, signal: str, snr_grid) -> float:
         raise DegenerateGeometryError(
             f"usable grid spans {max(xs) - min(xs):.2f} decades, need >= 2"
         )
+    import statistics  # here, in its only reader, so a config or scenario never loads it
     return statistics.linear_regression(xs, ys).slope

@@ -63,13 +63,15 @@ def kummer_1f1_half(x: float) -> float:
     y = -x
     term = 1.0
     total = 1.0
-    for n in range(_1F1_TERMS):
-        term *= (1.5 + n) * y / ((n + 1) ** 2)
+    a = 0.5
+    for m in range(1, _1F1_TERMS + 1):
+        a += 1.0  # 1/2 + m, exactly
+        term *= a * y / (m * m)
         total += term
-        if not math.isfinite(total):
-            break  # overflow: the budget cannot resolve this argument
         if term <= _1F1_TOL * total:
-            return math.exp(x) * total
+            if total < math.inf:
+                return math.exp(x) * total
+            break  # overflow, which passes the test: the budget cannot resolve this argument
     raise ConvergenceError(
         f"1F1(-1/2,1;{x}) did not reach tol={_1F1_TOL} in {_1F1_TERMS} terms"
     )

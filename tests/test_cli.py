@@ -248,6 +248,20 @@ class TestPosition:
         assert res.returncode == 0, res.stderr
         assert res.stdout == f"{loads}\n"
 
+    def test_package_import_loads_no_submodule(self, tmp_path):
+        # every package name is lazy: its module loads on first use, and
+        # dir() still lists every name for tab completion
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text("fading.k_r = 3\n", encoding="utf-8")
+        code = ("import sys, inaclink\n"
+                "print(sorted(m for m in sys.modules if m.startswith('inaclink.') or m in ('numpy', 'statistics')))\n"
+                "print(set(inaclink.__all__) <= set(dir(inaclink)))\n"
+                f"inaclink.load_config({str(cfg)!r}).scenario()\n"
+                "print('statistics' in sys.modules)\n")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\nTrue\nFalse\n"
+
 
 class TestValidateOnce:
     @pytest.fixture
@@ -423,6 +437,12 @@ class TestErrors:
         assert capsys.readouterr().err.startswith(
             "config error: link.tx_power_dbm = 3000.0, link.spread_gain_db = 3000.0: "
             "gamma must be finite and > 0, got inf")
+
+    def test_link_budget_underflow_of_a_partial_product_is_accepted(self, tmp_path):
+        # -3100 dBm underflows p times the path gains; 600 dB of spread gain scales it back
+        cfg = tmp_path / "faint.cfg"
+        cfg.write_text("link.tx_power_dbm = -3100\nlink.spread_gain_db = 600\n", encoding="utf-8")
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
 
     def test_a_value_that_builds_beside_the_set_keys_is_accepted(self, tmp_path):
         # beta^2 L underflows at the default 128 elements, but not at 1024

@@ -1,14 +1,20 @@
 """Orbit geometry, path loss, link budget, constellation sizing."""
 
+import itertools
 import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from inaclink import (
     LinkBudget,
     OrbitGeometry,
     RfParams,
+    ScenarioConfig,
     coverage_area,
     geocentric_angle,
     link_budget,
@@ -132,6 +138,32 @@ class TestLinkBudget:
         huge = link_budget(default_geom(), default_rf(), 10.0 ** 271.5, 1e60, 30e6)
         fresh = link_budget(default_geom(), default_rf(), 10.0, 1e60, 30e6)
         assert huge.rescaled(10.0).gamma == pytest.approx(fresh.gamma, rel=1e-13)
+
+    #: a positive double m 2^e, subnormal to near the largest
+    POSITIVE = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1070, 1023))
+
+    @settings(max_examples=300)
+    @given(p=POSITIVE, g_sp=POSITIVE, g_t=st.floats(1.0, 1e6), d_ru=st.floats(1.0, 1e4))
+    @example(p=10.0 ** (-3100 / 10) * 1e-3, g_sp=10.0 ** (600 / 10), g_t=10.0**3.2, d_ru=10.0)
+    def test_gamma_is_the_product_of_the_four_gains(self, p, g_sp, g_t, d_ru):
+        geom, rf = default_geom(), RfParams(f_c=10e9, g_t=g_t, alpha1=2.0, alpha2=2.2, d_ru=d_ru)
+        factors = [large_scale_gain_satellite(slant_range(geom), rf), large_scale_gain_ris_user(rf), p, g_sp]
+        exact = math.prod(map(Fraction, factors))
+        assume(2.0**-1022 <= exact <= math.ldexp(1.0, 1023))  # the product is a normal double
+        gamma = link_budget(geom, rf, p, g_sp, 30e6).gamma
+        partials = list(itertools.accumulate(factors, operator.mul))[1:]
+        if all(2.0**-1022 <= x < math.inf for x in partials):
+            assert gamma == partials[-1]  # the left-to-right product, bit for bit
+        else:
+            # three roundings, each within 2^-53 relative, stay under 3 ulp of
+            # a result in [2^e, 2^(e+1)); 2 ulp is not a bound (2.02 ulp is reached)
+            assert abs(Fraction(gamma) - exact) < 3 * Fraction(math.ulp(gamma))
+
+    def test_a_partial_product_under_the_normal_range_is_scaled_back(self):
+        # 600 dB of spread gain restores what -3100 dBm takes away: the left-to-right
+        # product underflows to 0 at p times the path gains
+        cfg = ScenarioConfig(spread_gain_db=600, tx_power_dbm=-3100)
+        assert cfg.validate().link().gamma == 5.766872478139238e-278
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -124,6 +124,13 @@ class TestDeterminism:
         sample_cascaded_gains(ris, RICIAN, McConfig(trials=1))
         assert pools == [2, 1]
 
+    def test_every_round_gives_each_cpu_a_block(self, monkeypatch, doubles_read):
+        # 5000 trials at L = 256 need two rounds of the memory cap on two CPUs;
+        # blocks of 2048, 2048 and 904 trials would leave one CPU idle in the last
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        sample_cascaded_gains(RisArray(256, 1.0), RICIAN, McConfig(trials=5_000))
+        assert sorted(doubles_read) == [1250 * 4 * 256] * 4
+
     def test_trial_i_is_a_fixed_substream(self):
         # extending the run must not disturb earlier trials
         short = sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=50, master_seed=3))

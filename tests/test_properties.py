@@ -169,3 +169,27 @@ def test_closed_form_op_does_not_increase_along_power_or_elements(values, powers
         for sig in noma.SIGNALS:
             col = report.columns[f"{sig}_closed_form"]
             assert all(a >= b for a, b in zip(col, col[1:])), (figure, sig, col)
+
+
+#: rounding slack of an MC capacity, in bps/Hz per bps/Hz of the value and at least 1e-12.  Shared
+#: draws make each trial's rate nondecreasing in power, but the first-decoded SINR is a quotient of
+#: two rounded products: where it saturates at own/other, its true rise is below an ulp and it may
+#: read a few ulp lower, as may 1 + SINR and the mean's sum, all far inside this slack
+MC_CAPACITY_SLACK = 1e-12
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.filter_too_much])
+@given(values=CONFIGS, powers=st.lists(VALUES["sweep.tx_power_dbm"], min_size=2, max_size=6, unique=True))
+# saturated: NO's first-decoded unicast MC reads 3.321928094887362, then one ulp lower
+@example(values={"mc.trials": 280, "mc.seed": 479707, "noma.mode": "NO", "ris.elements": 1784,
+                 "ris.amplitude": 0.1, "rf.alpha2": 3.661277255548886, "link.spread_gain_db": 402.08741070851687},
+         powers=[9.396035249380015, 35.464342008261])
+def test_capacity_does_not_decrease_along_power(values, powers):
+    values = {**values, "sweep.tx_power_dbm": tuple(sorted(powers))}
+    assume(_validates(values))
+    report = run_sweep(parse_config_text(_text(values)), "cap-vs-power")
+    for sig in noma.SIGNALS:
+        col = report.columns[f"{sig}_hardened"]
+        assert all(a <= b for a, b in zip(col, col[1:])), (sig, col)
+        col = report.columns[f"{sig}_mc"]
+        assert all(a - MC_CAPACITY_SLACK * max(1.0, abs(a)) <= b for a, b in zip(col, col[1:])), (sig, col)
