@@ -1,8 +1,8 @@
 """Link-level analysis of a NOMA-RIS-aided MEO satellite INAC network.
 
 Closed-form effective-channel statistics, outage probabilities, capacities,
-diversity slopes, least-squares positioning, and constellation sizing, each
-cross-validated by an independent Monte Carlo oracle.
+least-squares positioning, and constellation sizing, each cross-validated by
+an independent Monte Carlo oracle.
 
 Every package name is lazy: `import inaclink` loads no submodule, and a name's
 module is imported on its first use.  Each access reads the module's current
@@ -29,7 +29,7 @@ _LAZY = {
          "min_satellites", "noise_power_watts", "slant_range"), "geometry"),
     **dict.fromkeys(
         ("OutageResult", "PowerSplit", "RateTargets", "Scenario", "capacity_hardened",
-         "diversity_order_estimate", "outage_asymptotic", "outage_closed_form", "outage_threshold"), "noma"),
+         "outage_asymptotic", "outage_closed_form", "outage_threshold"), "noma"),
     **dict.fromkeys(("folded_normal_cdf", "kummer_1f1_half"), "specialfn"),
     **dict.fromkeys(
         ("SAMPLER_VERSION", "McEstimate", "ks_distance", "mc_capacity", "mc_outage",

@@ -1,4 +1,4 @@
-"""NOMA superposition analysis: SINRs, outage, capacity, diversity.
+"""NOMA superposition analysis: SINRs, outage and capacity.
 
 Two power-allocation scenarios share one machinery and differ only in the
 decode order, which `first_decoded` states once:
@@ -44,7 +44,6 @@ from .channel import (
 )
 from .errors import (
     ConvergenceError,
-    DegenerateGeometryError,
     InfeasibleError,
     RegionError,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "outage_closed_form",
     "outage_asymptotic",
     "capacity_hardened",
-    "diversity_order_estimate",
 ]
 
 MODES = ("CO", "NO")
@@ -250,21 +248,21 @@ def outage_asymptotic(sc: Scenario, signal: str) -> OutageResult:
     omega = outage_threshold(sc, signal)
     m3, v3 = sc.moments.m3, sc.moments.v3
     root = math.sqrt(omega)
-    z = (m3 + root) / math.sqrt(2.0 * v3)
+    s = math.sqrt(2.0 * v3)
+    z = (m3 + root) / s
     if not z < 1.0:
         raise RegionError(
             f"asymptotic outage needs (m3+sqrt(omega))/sqrt(2 v3) < 1, got {z:.4f}"
         )
+    # in units of sqrt(2 v3) both bases lie in [0, 1) and the divisor is
+    # n! (2n+1): no factor overflows, and none underflows to a zero divisor
+    a, r = m3 / s, root / s
     total = 0.0
     for n in range(_SERIES_TERMS):
         inner = 0.0
         for k in range(1, 2 * n + 2, 2):
-            inner += math.comb(2 * n + 1, k) * m3 ** (2 * n + 1 - k) * root**k
-        term = (
-            (-1.0) ** n
-            / (math.factorial(n) * (2 * n + 1) * (2.0 * v3) ** (n + 0.5))
-            * inner
-        )
+            inner += math.comb(2 * n + 1, k) * a ** (2 * n + 1 - k) * r**k
+        term = (-1.0) ** n / (math.factorial(n) * (2 * n + 1)) * inner
         total += term
         if abs(term) <= _SERIES_TOL * abs(total):
             value = (2.0 / math.sqrt(math.pi)) * total
@@ -288,34 +286,3 @@ def capacity_hardened(sc: Scenario, signal: str) -> float:
         return math.log2(1.0 + own / other)
     return math.log2(1.0 + own * (sc.moments.m3**2 * sc.budget.gamma / sc.budget.noise_power))
 
-
-def diversity_order_estimate(sc: Scenario, signal: str, snr_grid) -> float:
-    """Least-squares slope of -log10(OP) against log10(p / rho^2).
-
-    Only grid points whose closed-form OP lies in (1e-6, 0.5) enter the fit
-    (an infeasible split reads OP = 1), and those points must span at least
-    two decades of SNR; otherwise the grid cannot support a slope estimate
-    and DegenerateGeometryError is raised.  The slope is not compared with
-    the paper's prediction from sc.moments.m3.
-    """
-    _check_signal(signal)
-    snrs = [float(s) for s in snr_grid]
-    if any(s <= 0.0 for s in snrs):
-        raise ValueError("snr grid entries must be > 0")
-    xs: list[float] = []
-    ys: list[float] = []
-    for s in snrs:
-        op = outage_closed_form(sc.with_tx_power(s * sc.budget.noise_power), signal).value
-        if 1e-6 < op < 0.5:
-            xs.append(math.log10(s))
-            ys.append(-math.log10(op))
-    if len(xs) < 2:
-        raise DegenerateGeometryError(
-            "fewer than 2 grid points fall in the OP window (1e-6, 0.5)"
-        )
-    if max(xs) - min(xs) < 2.0:
-        raise DegenerateGeometryError(
-            f"usable grid spans {max(xs) - min(xs):.2f} decades, need >= 2"
-        )
-    import statistics  # here, in its only reader, so a config or scenario never loads it
-    return statistics.linear_regression(xs, ys).slope

@@ -220,9 +220,7 @@ class TestPosition:
         ("", False),
         # the Monte Carlo names load it, so the check above is not vacuous
         ("inaclink.sample_cascaded_gains\n", True),
-        ("noma.diversity_order_estimate(inaclink.ScenarioConfig(elements=4).scenario(), 'multicast',"
-         " [10.0 ** (13 + k / 4) for k in range(41)])\n", False),
-    ], ids=["closed-forms", "monte-carlo-name", "diversity-fit"])
+    ], ids=["closed-forms", "monte-carlo-name"])
     def test_config_and_closed_forms_never_load_numpy(self, tmp_path, touch, loads):
         # numpy's import is most of a fresh process's start-up cost, and a
         # config, its scenario and the closed forms need none of it

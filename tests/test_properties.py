@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from inaclink import cli, noma, run_sweep
+from inaclink import FIGURE_IDS, cli, noma, run_sweep
 from inaclink.config import _CODECS, _FIELDS, parse_config_text
 from inaclink.errors import ConfigError
 
@@ -133,7 +133,8 @@ def test_a_grid_value_validates_iff_its_scalar_key_builds(values, grid_value):
     assert _validates({**values, scalar: x}) == builds
 
 
-COMMANDS = [["analyze"], ["position"], ["simulate", "--trials", "200"], ["reproduce", "op-vs-power"]]
+COMMANDS = [["analyze"], ["position"], ["simulate", "--trials", "200"], ["constellation"],
+            *(["reproduce", figure] for figure in FIGURE_IDS)]
 
 
 def _run(command, config_path) -> tuple[int, str, str]:
@@ -146,6 +147,11 @@ def _run(command, config_path) -> tuple[int, str, str]:
 @pytest.mark.parametrize("command", COMMANDS, ids=" ".join)
 @settings(max_examples=40)
 @given(values=CONFIGS)
+# m3 ~ 1e-30 and v3 ~ 1e-60, so (2 v3)^(n+1/2) alone underflows to 0 within the asymptotic series
+@example(values={"mc.trials": 100, "rf.f_c_ghz": 0.1, "rf.g_t_dbi": 60.0, "rf.alpha1": 1.5, "rf.d_ru_m": 1.0,
+                 "link.bandwidth_mhz": 0.1, "link.tx_power_dbm": 70.0, "link.spread_gain_db": 600.0,
+                 "ris.elements": 1, "ris.amplitude": 1e-30, "fading.k_r": 0.001, "fading.k_g": 0.001,
+                 "noma.multicast_rate_bpshz": 1e-5, "noma.unicast_rate_bpshz": 1e-5})
 def test_a_command_exits_by_class_and_reruns_byte_identical(tmp_path_factory, command, values):
     path = tmp_path_factory.mktemp("cfg") / "run.cfg"
     path.write_text(_text(values), encoding="utf-8")
