@@ -32,4 +32,4 @@ class InfeasibleError(NumericError):
 
 
 class DegenerateGeometryError(NumericError):
-    """Anchor geometry is rank deficient or a fit grid is unusable."""
+    """Anchor geometry is degenerate: a point on an anchor or a (near) singular design matrix."""

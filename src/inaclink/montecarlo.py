@@ -11,10 +11,7 @@ the inverse normal CDF to those uniforms; numpy's ziggurat normals would
 consume a data-dependent number of words and break the fixed stride.  As a
 result the gain vector is bit-identical no matter how trials are split into
 blocks or distributed, and every downstream estimate is too.  A run is set
-by a config.McConfig, which holds only the trial count and the master seed:
-the blocks in flight hold at most _MAX_BLOCK_DOUBLES (or one trial per CPU,
-where a trial alone needs more than a CPU's share), and the block size never
-changes the gains.
+by a config.McConfig, which holds only the trial count and the master seed.
 
 Since trial i starts where trial i - 1 ends, the draw at (L, trials) is the
 first 4 L trials doubles of the seed's stream: a run of n trials is a prefix
@@ -34,11 +31,17 @@ hypot calls and multiplied the amplitudes; the version 2 gains lie within
 316), but they are not bit-identical to it, which is why the version
 changed.
 
-Because each block of trials is keyed by its own counter, every call is
-split into rounds of one block per usable CPU: as few rounds as the memory
-cap allows, and blocks as even as those rounds allow (a call of fewer
-trials than CPUs gets one block per trial).  The blocks are sampled on a thread pool, each writing its own
-slice of the result; the gains are bit-identical to a pool of one.  There is no serial path, so a small call pays the pool's
+Because each block of trials is keyed by its own counter, a call cuts the
+trials of each group of L that divide the group's largest, top, into blocks
+of max(1, min(_BLOCK_DOUBLES // 4 top, ceil(trials / _WORKERS))) trials: a
+block holds at most _BLOCK_DOUBLES = 2^18 uniforms (2 MB, one core's L2
+cache) unless one trial needs more, and each group gets at least one block
+per usable CPU (a call of fewer trials than CPUs gets one block per trial).
+The blocks of all groups form one list, sampled on one pool of at most
+_WORKERS threads, each block writing its own slice of the result; the
+gains are bit-identical to a pool of one.  So at most _WORKERS blocks are
+in flight, each with at most 2 MB of uniforms plus its transform's
+temporaries.  There is no serial path, so a small call pays the pool's
 start-up: 0.2-0.6 ms on a 2-core host, measured at 1 and 100 trials of
 L = 8.
 
@@ -87,8 +90,9 @@ SAMPLER_VERSION = 2
 #: 95% two-sided normal quantile
 _Z95 = 1.959963984540054
 
-#: cap on doubles materialized per sampling block (~34 MB)
-_MAX_BLOCK_DOUBLES = 1 << 22
+#: uniforms per sampling block: 2^18 doubles are 2 MB, one core's L2 cache on
+#: the 2-core Xeon where ks-grid ran within noise at 2^17, 2^18 and 2^19
+_BLOCK_DOUBLES = 1 << 18
 
 #: threads that sample blocks concurrently: the CPUs this process may run on
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -150,43 +154,26 @@ def sample_cascaded_gains_by_array(
     L that divides it reads a prefix of the same normals; an L that does not
     divide it starts the next such group.
     """
+    from scipy.special import ndtri  # here, on the calling thread, before any worker starts
+
     arrays = dict.fromkeys(arrays)
-    sums: dict[int, np.ndarray] = {}
-    pending = sorted({ris.num_elements for ris in arrays}, reverse=True)
+    sums = {ris.num_elements: np.empty(mc.trials) for ris in arrays}
+    blocks = []
+    pending = sorted(sums, reverse=True)
     while pending:
         group = [L for L in pending if pending[0] % L == 0]
         pending = [L for L in pending if pending[0] % L]
-        sums.update(_element_sums(group, rp, mc))
-    gains = {}
-    for ris in arrays:
-        total = ris.amplitude * sums[ris.num_elements]
-        gains[ris] = total * total
-    return gains
+        size = max(1, min(_BLOCK_DOUBLES // (4 * group[0]), -(-mc.trials // _WORKERS)))
+        blocks += [(group, start, min(size, mc.trials - start)) for start in range(0, mc.trials, size)]
 
-
-def _element_sums(group: list[int], rp: RicianParams, mc: McConfig) -> dict[int, np.ndarray]:
-    """Row sums sum_l |h_l| |g_l| of every L in group, largest first, from one draw.
-
-    Every L divides group[0], so a block of group[0]-element trials holds a
-    whole number of L-element trials; L reads the first 4 L rows doubles of
-    the block as its rows trials.
-    """
-    from scipy.special import ndtri  # here, on the calling thread, before any worker starts
-
-    top = group[0]
-    words = 4 * top
-    # rounds of one block per usable CPU, as few as the blocks in flight allow
-    # when they share the memory cap, and blocks as even as the rounds allow
-    per = max(1, _MAX_BLOCK_DOUBLES // (_WORKERS * words))
-    rounds = -(-mc.trials // (_WORKERS * per))
-    block = -(-mc.trials // (_WORKERS * rounds))
-    sums = {L: np.empty(mc.trials) for L in group}
-
-    def fill(start: int) -> None:
+    def fill(block: tuple[list[int], int, int]) -> None:
         # runs on worker threads, so it calls no public inaclink function:
-        # span tracers that wrap those assume serial calls
-        n = min(block, mc.trials - start)
-        u = _uniform_block(mc.master_seed, start, n, words)
+        # span tracers that wrap those assume serial calls.  Every L of the
+        # group divides top, so the block's n top-element trials hold
+        # n top / L whole L-element trials, read from the front of the block
+        group, start, n = block
+        top = group[0]
+        u = _uniform_block(mc.master_seed, start, n, 4 * top)
         z = ndtri(u, out=u).reshape(-1)
         for L in group:
             first = start * (top // L)
@@ -199,10 +186,14 @@ def _element_sums(group: list[int], rp: RicianParams, mc: McConfig) -> dict[int,
             # one square root per element: |h_l| |g_l| = sqrt(|h_l|^2 |g_l|^2)
             sums[L][first : first + rows] = np.sum(np.sqrt(power, out=power), axis=1)
 
-    with ThreadPoolExecutor(max_workers=min(_WORKERS, -(-mc.trials // block))) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, min(_WORKERS, len(blocks)))) as pool:
         # list() waits for every block and re-raises the first error
-        list(pool.map(fill, range(0, mc.trials, block)))
-    return sums
+        list(pool.map(fill, blocks))
+    gains = {}
+    for ris in arrays:
+        total = ris.amplitude * sums[ris.num_elements]
+        gains[ris] = total * total
+    return gains
 
 
 def outage_events(gains: np.ndarray, sc: Scenario, signal: str) -> np.ndarray:

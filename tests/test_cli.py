@@ -410,6 +410,10 @@ class TestErrors:
         ("noma.multicast_rate_bpshz = 1e300", "noma.multicast_rate_bpshz = 1e+300: target rates must be finite"),
         # beta^2 L underflows, and with it the CLT variance v3
         ("ris.amplitude = 1e-170", "ris.amplitude = 1e-170: amplitude^2 * num_elements must be >= 2^-1022"),
+        ("rf.f_c_ghz = 0", "rf.f_c_ghz = 0.0: f_c must be > 0, got 0.0"),
+        ("rf.alpha1 = 0", "rf.alpha1 = 0.0: path-loss exponents must be > 0"),
+        ("rf.alpha2 = -1", "rf.alpha2 = -1.0: path-loss exponents must be > 0"),
+        ("rf.d_ru_m = 0", "rf.d_ru_m = 0.0: d_ru must be > 0, got 0.0"),
     ])
     def test_bad_scalar_value_is_named_by_its_key(self, tmp_path, capsys, line, detail):
         # a scalar is built over the defaults: orbit.r_e_km, checked before
@@ -506,6 +510,15 @@ class TestConstellationCommand:
         assert lines[0] == "r_m_km,elevation_deg,geocentric_angle_rad,coverage_area_km2,min_satellites"
         assert len([ln for ln in lines if ln]) == 1 + 8 * 7
         assert any(ln.startswith("500,75,") and ln.endswith(",10597") for ln in lines)
+
+    def test_zenith_row_has_no_satellite_count(self, tmp_path):
+        # at 90 degrees the coverage cap is a point: min_satellites is
+        # infeasible there, and the sweep writes NA instead of aborting
+        cfg, out = tmp_path / "zenith.cfg", tmp_path / "zenith.csv"
+        cfg.write_text("sweep.r_m_km = 20000\nsweep.elevation_deg = 85,90\n", encoding="utf-8")
+        assert cli.main(["reproduce", "constellation", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = out.read_bytes().decode("utf-8").split("\r\n")
+        assert rows[1].startswith("20000,85,") and rows[2:] == ["20000,90,0,0,NA", ""]
 
 
 class TestUniformsRead:

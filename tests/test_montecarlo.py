@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -73,15 +74,15 @@ class TestDeterminism:
         assert np.array_equal(a, b)
 
     def test_batch_size_does_not_change_the_stream(self, monkeypatch):
-        # the first run is one block on a pool of one; a memory cap whose
-        # share per worker is 7 trials at L = 64 makes 43 blocks, sampled
-        # concurrently when more than one CPU is usable
+        # the first run is one block on a pool of one; blocks of 7 trials at
+        # L = 64 make 43 blocks, sampled concurrently when more than one CPU
+        # is usable
         mc = McConfig(trials=300, master_seed=7)
         workers = montecarlo._WORKERS
         monkeypatch.setattr(montecarlo, "_WORKERS", 1)
         b = sample_cascaded_gains(RIS64, RICIAN, mc)
         monkeypatch.setattr(montecarlo, "_WORKERS", workers)
-        monkeypatch.setattr(montecarlo, "_MAX_BLOCK_DOUBLES", workers * 7 * 4 * 64)
+        monkeypatch.setattr(montecarlo, "_BLOCK_DOUBLES", 7 * 4 * 64)
         a = sample_cascaded_gains(RIS64, RICIAN, mc)
         assert np.array_equal(a, b)
 
@@ -93,8 +94,8 @@ class TestDeterminism:
         monkeypatch.setattr(montecarlo, "_WORKERS", 1)
         reference = sample_cascaded_gains(RIS64, RICIAN, mc)
         monkeypatch.setattr(montecarlo, "_WORKERS", 8)
-        # 8 workers share the cap: 3-trial blocks at L = 64
-        monkeypatch.setattr(montecarlo, "_MAX_BLOCK_DOUBLES", 8 * 3 * 4 * 64)
+        # 3-trial blocks at L = 64
+        monkeypatch.setattr(montecarlo, "_BLOCK_DOUBLES", 3 * 4 * 64)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -104,9 +105,9 @@ class TestDeterminism:
         assert np.array_equal(threaded, reference)
 
     def test_one_block_call_is_split_across_cpus(self, monkeypatch):
-        # 5000 trials at L = 128 fit in one block of the memory cap; with two
+        # 500 trials at L = 128 fit in one block of 2^18 uniforms; with two
         # usable CPUs the call is still split in two, bit-identical to a pool of one
-        ris, mc = RisArray(128, 1.0), McConfig(trials=5_000, master_seed=12345)
+        ris, mc = RisArray(128, 1.0), McConfig(trials=500, master_seed=12345)
         monkeypatch.setattr(montecarlo, "_WORKERS", 1)
         reference = sample_cascaded_gains(ris, RICIAN, mc)
         pools = []
@@ -122,14 +123,25 @@ class TestDeterminism:
         assert np.array_equal(split, reference)
         # a pool never outnumbers the blocks: one trial, one thread
         sample_cascaded_gains(ris, RICIAN, McConfig(trials=1))
-        assert pools == [2, 1]
+        # and the blocks of every divisor group of a grid share one pool
+        sample_cascaded_gains_by_array([RisArray(L) for L in (5, 48, 64)], RICIAN, mc)
+        assert pools == [2, 1, 2]
 
-    def test_every_round_gives_each_cpu_a_block(self, monkeypatch, doubles_read):
-        # 5000 trials at L = 256 need two rounds of the memory cap on two CPUs;
-        # blocks of 2048, 2048 and 904 trials would leave one CPU idle in the last
+    def test_each_block_holds_at_most_2mb_of_uniforms_and_each_cpu_gets_one(self, monkeypatch, doubles_read):
         monkeypatch.setattr(montecarlo, "_WORKERS", 2)
-        sample_cascaded_gains(RisArray(256, 1.0), RICIAN, McConfig(trials=5_000))
-        assert sorted(doubles_read) == [1250 * 4 * 256] * 4
+        for L, trials, sizes in [
+            # 2^18 uniforms are 256 trials at L = 256
+            (256, 5_000, [256] * 19 + [136]),
+            # a call that fits in one block still gets a block per CPU
+            (256, 301, [151, 150]),
+            # or one per trial, where there are fewer trials than CPUs
+            (256, 1, [1]),
+            # a trial of more than 2^18 uniforms is a block alone
+            (2**17, 3, [1, 1, 1]),
+        ]:
+            doubles_read.clear()
+            sample_cascaded_gains(RisArray(L, 1.0), RICIAN, McConfig(trials=trials))
+            assert sorted(doubles_read) == sorted(4 * L * n for n in sizes), (L, trials)
 
     def test_trial_i_is_a_fixed_substream(self):
         # extending the run must not disturb earlier trials
@@ -167,10 +179,10 @@ class TestByArray:
         arrays=st.lists(st.builds(RisArray, _ELEMENTS, _AMPLITUDES), min_size=1, max_size=6),
         trials=st.one_of(st.just(1), st.integers(2, 1_500)),
         seed=st.integers(0, 2**32),
-        split=st.sampled_from([None, (1, 1), (3, 1), (3, 4 * 96 * 5), (8, 4 * 7 * 3)]),
+        split=st.sampled_from([None, (1, 1), (3, 1), (3, 4 * 32 * 5), (8, 10)]),
     )
     # fewer trials than workers: one block per trial
-    @example(arrays=[RisArray(96), RisArray(48), RisArray(5)], trials=3, seed=1, split=(8, 4 * 96 * 5))
+    @example(arrays=[RisArray(96), RisArray(48), RisArray(5)], trials=3, seed=1, split=(8, 4 * 5 * 12))
     # duplicates, and two arrays that differ only in amplitude
     @example(arrays=[RisArray(16), RisArray(16), RisArray(16, 0.5), RisArray(4)], trials=1, seed=0, split=None)
     def test_gains_equal_separate_calls(self, arrays, trials, seed, split):
@@ -182,9 +194,9 @@ class TestByArray:
         with pytest.MonkeyPatch.context() as mp:
             if split is not None:
                 # more workers than cores, blocks of a few trials (or of one)
-                workers, max_block = split
+                workers, block_doubles = split
                 mp.setattr(montecarlo, "_WORKERS", workers)
-                mp.setattr(montecarlo, "_MAX_BLOCK_DOUBLES", max_block)
+                mp.setattr(montecarlo, "_BLOCK_DOUBLES", block_doubles)
             together = sample_cascaded_gains_by_array(arrays, RICIAN, mc)
         assert together.keys() == separate.keys()
         for ris, gains in separate.items():
@@ -204,6 +216,22 @@ class TestByArray:
     def test_no_arrays_draw_nothing(self, doubles_read):
         assert sample_cascaded_gains_by_array([], RICIAN, McConfig(trials=10)) == {}
         assert doubles_read == []
+
+    @pytest.mark.parametrize("elements, trials", [
+        ((128,), 100_000),
+        ((16, 64, 256, 1024, 4096, 16384), 2_000),
+    ], ids=["L128", "cap-grid"])
+    def test_blocks_in_flight_bound_the_memory_peak(self, elements, trials):
+        # at most _WORKERS blocks are in flight, each holding its uniforms
+        # (the normals overwrite them) and its transform's temporaries
+        bound = 4 * montecarlo._WORKERS * 8 * montecarlo._BLOCK_DOUBLES
+        tracemalloc.start()
+        try:
+            gains = sample_cascaded_gains_by_array([RisArray(L) for L in elements], RICIAN, McConfig(trials=trials))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - sum(g.nbytes for g in gains.values()) <= bound
 
 
 class TestSampledMoments:
