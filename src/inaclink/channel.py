@@ -39,9 +39,11 @@ class RicianParams:
     k_g: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("k_r", "k_g"):
-            if not 0.0 <= getattr(self, name) < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be finite and >= 0")
+        # each check is written so that NaN fails it
+        if not 0.0 <= self.k_r < math.inf:
+            raise ValueError("k_r must be finite and >= 0")
+        if not 0.0 <= self.k_g < math.inf:
+            raise ValueError("k_g must be finite and >= 0")
 
 
 @dataclass(frozen=True)

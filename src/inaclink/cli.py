@@ -130,9 +130,15 @@ def _cmd_position(cfg: ScenarioConfig) -> SweepReport:
     sigma = navigation.range_noise_from_snr(float(snr), cfg.bandwidth_hz)
     rng = Generator(Philox(key=cfg.seed ^ _POSITION_SEED_SALT))
     pr = navigation.synthesize_pseudoranges(scene, sigma, rng)
-    fix = navigation.lsm_solve(pr, scene)
+    try:
+        # at a vanishing SNR (a subnormal link gain, say) the ranges reach ~1e154 m,
+        # and the solver's squared distances overflow a double
+        with np.errstate(over="raise", invalid="raise"):
+            fix = navigation.lsm_solve(pr, scene)
+            pos_err = float(np.linalg.norm(fix.position - scene.true_user))
+    except FloatingPointError as exc:
+        raise InfeasibleError(f"the position fix overflows a double at sigma_m = {sigma:.3g}") from exc
     gdop, pdop = navigation.dilution_of_precision(scene)
-    pos_err = float(np.linalg.norm(fix.position - scene.true_user))
     rows: list[tuple[str, object]] = [
         ("sigma_m", sigma),
         ("gdop", gdop),

@@ -90,11 +90,13 @@ class LinkBudget:
     tx_power: float  # p, W
 
     def __post_init__(self) -> None:
-        for name in ("gamma", "noise_power", "tx_power"):
-            value = getattr(self, name)
-            # a float product overflows to inf without raising; NaN fails too
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        # a float product overflows to inf without raising; NaN fails too
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+        if not 0.0 < self.noise_power < math.inf:
+            raise ValueError(f"noise_power must be finite and > 0, got {self.noise_power}")
+        if not 0.0 < self.tx_power < math.inf:
+            raise ValueError(f"tx_power must be finite and > 0, got {self.tx_power}")
 
     def rescaled(self, tx_power: float) -> "LinkBudget":
         """Same link with a different transmit power (gamma scales linearly)."""

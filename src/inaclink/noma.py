@@ -14,12 +14,16 @@ other signal's power share; feasibility, outage thresholds, hardened
 capacities and the Monte Carlo outage events all follow the same order.
 
 A `Scenario` is built from its physical inputs alone: mode, power split,
-rate targets, link budget, RIS array and Rician factors.  It derives its
-CLT moments, its feasibility and both outage thresholds once, on first
-use, and keeps them on the instance (`functools.cached_property` writes
-past the frozen dataclass's `__setattr__`), since one `analyze`-style point
-reads them from every closed form; the moments therefore always belong to
-the `ris` and `rician` stored beside them.  Nothing is cached across
+rate targets, link budget, RIS array and Rician factors.  It works out
+both outage thresholds (and so its feasibility) when it is built, in
+`__post_init__`: they are a few float operations that every closed form
+reads, and a plain attribute spares each read the Python-level `__get__`
+and lock of `functools.cached_property`.  The CLT moments stay a lazy
+`cached_property`: they sum two 1F1 series, which raise ConvergenceError
+for a Rician K past the series budget, and a command that reads no moments
+(`constellation`, say) must not fail on such a K.  Either way the values
+are kept on the instance (past the frozen dataclass's `__setattr__`) and
+always belong to the inputs stored beside them.  Nothing is cached across
 instances: `dataclasses.replace` and `with_tx_power` build a new scenario
 that derives its own values, and there is no cache keyed on inputs.
 
@@ -131,6 +135,9 @@ class Scenario:
 
     ris and rician give the CLT moments that every analytic result reads,
     and the Monte Carlo oracle draws raw channel realizations from them.
+    Both outage thresholds are worked out on construction, where they
+    cannot fail (an underflowing denominator gives +inf); the moments are
+    worked out on first read, since they fail past the 1F1 budget.
     """
 
     mode: str
@@ -143,6 +150,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        object.__setattr__(self, "_thresholds", self._derive_thresholds())
 
     @cached_property
     def moments(self) -> ChannelMoments:
@@ -154,18 +162,17 @@ class Scenario:
         """Whether the first-decoded signal can out-power its interference."""
         return self._thresholds is not None
 
-    @cached_property
-    def _thresholds(self) -> dict[str, float] | None:
+    def _derive_thresholds(self) -> dict[str, float] | None:
         """Outage threshold omega of each signal; None when the scenario is infeasible."""
         rho2, gamma = self.budget.noise_power, self.budget.gamma
         first_signal = first_decoded(self.mode)
+        second_signal = "unicast" if first_signal == "multicast" else "multicast"
         own, other = self.split.shares(first_signal)
         eps = self.targets.eps(first_signal)
         if not own - other * eps > 0.0:
             return None
-        first = eps * rho2 / ((own - other * eps) * gamma)
-        (second_signal,) = set(SIGNALS) - {first_signal}
-        second = self.targets.eps(second_signal) * rho2 / (self.split.shares(second_signal)[0] * gamma)
+        first = _omega(eps * rho2, (own - other * eps) * gamma)
+        second = _omega(self.targets.eps(second_signal) * rho2, self.split.shares(second_signal)[0] * gamma)
         return {first_signal: first, second_signal: max(first, second)}
 
     def with_tx_power(self, p: float) -> "Scenario":
@@ -179,6 +186,12 @@ class Scenario:
 def first_decoded(mode: str) -> str:
     """The signal SIC decodes first: multi-cast in CO, uni-cast in NO."""
     return "multicast" if mode == "CO" else "unicast"
+
+
+def _omega(numerator: float, denominator: float) -> float:
+    """A threshold eps rho^2 / (share gamma); +inf where the share times a
+    subnormal gamma underflows to 0, since no finite gain then decodes."""
+    return numerator / denominator if denominator > 0.0 else math.inf
 
 
 def _check_signal(signal: str) -> None:

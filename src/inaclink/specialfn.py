@@ -43,9 +43,24 @@ __all__ = [
 
 
 #: term budget and relative tolerance of the 1F1 series; the budget
-#: resolves arguments down to about -116
+#: resolves arguments down to about -116.86
 _1F1_TERMS = 200
 _1F1_TOL = 1e-12
+
+
+def _1f1_steps(terms: int) -> tuple[tuple[float, float], ...]:
+    """(1/2 + m, m^2) of the series steps m = 1..terms, as floats.
+
+    Both are exact (m^2 < 2^53), so a * y / m^2 rounds as it would with an
+    int m^2, and the series loop spends no interpreter work per step on
+    counting a and m, which took about a third of a call's time.
+    """
+    return tuple((0.5 + m, float(m * m)) for m in range(1, terms + 1))
+
+
+#: the steps of the default budget, built once; under another _1F1_TERMS (a
+#: test may patch it) each call builds its own, so the budget is always honoured
+_1F1_STEPS = _1f1_steps(_1F1_TERMS)
 
 
 def kummer_1f1_half(x: float) -> float:
@@ -59,16 +74,16 @@ def kummer_1f1_half(x: float) -> float:
     x = float(x)
     if not x <= 0.0:  # NaN fails too
         raise ValueError(f"1F1(-1/2,1;x) is evaluated for x <= 0 only, got {x}")
+    steps = _1F1_STEPS if len(_1F1_STEPS) == _1F1_TERMS else _1f1_steps(_1F1_TERMS)
+    tol = _1F1_TOL
     # e^x * 1F1(3/2, 1; -x), all-positive terms
     y = -x
     term = 1.0
     total = 1.0
-    a = 0.5
-    for m in range(1, _1F1_TERMS + 1):
-        a += 1.0  # 1/2 + m, exactly
-        term *= a * y / (m * m)
+    for a, m_sq in steps:
+        term *= a * y / m_sq
         total += term
-        if term <= _1F1_TOL * total:
+        if term <= tol * total:
             if total < math.inf:
                 return math.exp(x) * total
             break  # overflow, which passes the test: the budget cannot resolve this argument

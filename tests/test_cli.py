@@ -446,6 +446,36 @@ class TestErrors:
         cfg.write_text("link.tx_power_dbm = -3100\nlink.spread_gain_db = 600\n", encoding="utf-8")
         assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
 
+    def test_subnormal_link_gain_gives_an_infinite_threshold(self, tmp_path):
+        # gamma is subnormal here, and the uni-cast share times gamma underflows
+        # to 0: no finite gain decodes that signal, so its omega is inf and its
+        # outage certain (at -2985 dBm the same omega reads 8.4e306)
+        cfg, out = tmp_path / "faint.cfg", tmp_path / "x.csv"
+        cfg.write_text("link.tx_power_dbm = -2990\n", encoding="utf-8")
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+        table = parse_table(out.read_bytes().decode("utf-8"))
+        assert table["unicast_omega"] == "inf"
+        for sig in ("multicast", "unicast"):
+            assert table[f"{sig}_op_closed_form"] == "1"
+            assert table[f"{sig}_op_asymptotic"] == "NA"
+        assert cli.main(["constellation", "--config", str(cfg), "--out", str(tmp_path / "c.csv")]) == 0
+
+    def test_a_fix_that_overflows_exits_3(self, tmp_path, capsys):
+        # the same link: sigma is ~7e153 m, so the solver's squared distances overflow
+        cfg = tmp_path / "faint.cfg"
+        cfg.write_text("link.tx_power_dbm = -2990\n", encoding="utf-8")
+        assert cli.main(["position", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err == "numeric error: the position fix overflows a double at sigma_m = 6.9e+153\n"
+
+    @pytest.mark.parametrize("command, code", [
+        (["analyze"], 3), (["constellation"], 0), (["reproduce", "constellation"], 0)])
+    def test_a_k_past_the_1f1_budget_fails_only_what_reads_moments(self, tmp_path, command, code):
+        # the moments stay lazy: constellation reads the scenario's feasibility
+        # through validate, never its moments, so the 1F1 budget cannot fail it
+        cfg = tmp_path / "k.cfg"
+        cfg.write_text("fading.k_r = 117\n", encoding="utf-8")
+        assert cli.main([*command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == code
+
     def test_a_value_that_builds_beside_the_set_keys_is_accepted(self, tmp_path):
         # beta^2 L underflows at the default 128 elements, but not at 1024
         cfg = tmp_path / "ok.cfg"

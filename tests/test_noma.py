@@ -27,6 +27,7 @@ from inaclink.errors import (
     InfeasibleError,
     RegionError,
 )
+from inaclink.geometry import LinkBudget
 from inaclink.montecarlo import outage_events
 from inaclink.noma import MODES, SIGNALS, Scenario, first_decoded, sinr
 
@@ -166,6 +167,15 @@ class TestDataTypes:
         smaller = replace(sc, ris=RisArray(num_elements=4))
         assert smaller.moments == cascaded_moments(RisArray(num_elements=4), sc.rician)
         assert smaller.moments.m3 < sc.moments.m3
+
+    def test_moments_stay_lazy(self):
+        # K = 117 is past the 1F1 budget: building the scenario and reading its
+        # feasibility and thresholds must not sum the series, reading the moments must
+        sc = scenario(k_r=117.0)
+        assert sc.feasible
+        assert outage_threshold(sc, "unicast") > 0.0
+        with pytest.raises(ConvergenceError):
+            sc.moments
 
     def test_with_tx_power_rescales_gamma(self):
         sc = scenario()
@@ -310,6 +320,25 @@ class TestOutageThreshold:
         # is the binding constraint for both signals
         sc = ScenarioConfig(alpha_m_sq=0.01, alpha_u_sq=0.99).scenario()
         assert outage_threshold(sc, "unicast") == outage_threshold(sc, "multicast")
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("first_share", [0.3, 0.7])
+    def test_an_underflowing_denominator_gives_inf(self, mode, first_share):
+        # at the smallest subnormal gamma, a share below 1/2 times gamma rounds
+        # to 0: no finite gain decodes that stage, and the second-decoded signal
+        # must pass both stages, so its threshold is inf either way
+        first = first_decoded(mode)
+        (second,) = set(SIGNALS) - {first}
+        shares = {first: first_share, second: 1.0 - first_share}
+        sc = replace(scenario(mode), split=PowerSplit(shares["multicast"], shares["unicast"]),
+                     budget=LinkBudget(gamma=5e-324, noise_power=1e-13, tx_power=1.0))
+        assert sc.feasible
+        assert (outage_threshold(sc, first) == math.inf) == (first_share < 0.5)
+        assert outage_threshold(sc, second) == math.inf
+        for signal in SIGNALS:
+            assert outage_closed_form(sc, signal).value == 1.0
+            with pytest.raises(RegionError):
+                outage_asymptotic(sc, signal)
 
     def test_scales_inversely_with_power(self):
         sc = scenario("CO")

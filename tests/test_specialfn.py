@@ -55,6 +55,75 @@ class TestKummer:
             kummer_1f1_half(-1e9)
 
 
+def _ref_kummer_1f1_half(x):
+    """The series loop that the step table replaces, kept verbatim (renamed)."""
+    x = float(x)
+    if not x <= 0.0:  # NaN fails too
+        raise ValueError(f"1F1(-1/2,1;x) is evaluated for x <= 0 only, got {x}")
+    # e^x * 1F1(3/2, 1; -x), all-positive terms
+    y = -x
+    term = 1.0
+    total = 1.0
+    a = 0.5
+    for m in range(1, specialfn._1F1_TERMS + 1):
+        a += 1.0  # 1/2 + m, exactly
+        term *= a * y / (m * m)
+        total += term
+        if term <= specialfn._1F1_TOL * total:
+            if total < math.inf:
+                return math.exp(x) * total
+            break  # overflow, which passes the test: the budget cannot resolve this argument
+    raise ConvergenceError(
+        f"1F1(-1/2,1;{x}) did not reach tol={specialfn._1F1_TOL} in {specialfn._1F1_TERMS} terms"
+    )
+
+
+def _kummer_outcome(f, x):
+    """f(x) as exact bits, or the type and message of what it raised."""
+    try:
+        return f(x).hex()
+    except (ValueError, ConvergenceError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+#: the last argument the 200-term default resolves, and the first it does not
+LAST_RESOLVED = -116.85609134697371
+FIRST_UNRESOLVED = math.nextafter(LAST_RESOLVED, -math.inf)
+
+
+class TestKummerSteps:
+    """The series over the step table reads the bits of the loop it replaced."""
+
+    @settings(max_examples=1000)
+    @given(x=st.floats(LAST_RESOLVED, 0.0))
+    @example(x=0.0)
+    @example(x=-0.0)
+    @example(x=-5e-324)
+    @example(x=-1e-300)
+    @example(x=LAST_RESOLVED)
+    def test_same_bits_as_the_loop(self, x):
+        assert _kummer_outcome(kummer_1f1_half, x) == _kummer_outcome(_ref_kummer_1f1_half, x)
+
+    def test_budget_boundary(self):
+        assert isinstance(_kummer_outcome(kummer_1f1_half, LAST_RESOLVED), str)
+        for x in (FIRST_UNRESOLVED, -117.0, -1e9, -math.inf, 5e-324, math.nan):
+            ours = _kummer_outcome(kummer_1f1_half, x)
+            assert isinstance(ours, tuple)
+            assert ours == _kummer_outcome(_ref_kummer_1f1_half, x)
+
+    def test_patched_budget(self, monkeypatch):
+        # a budget other than the default's table is still honoured, message and all
+        monkeypatch.setattr(specialfn, "_1F1_TERMS", 400)
+        for x in (FIRST_UNRESOLVED, -120.0, -200.0, -400.0, -1e9):
+            assert _kummer_outcome(kummer_1f1_half, x) == _kummer_outcome(_ref_kummer_1f1_half, x)
+        assert isinstance(_kummer_outcome(kummer_1f1_half, FIRST_UNRESOLVED), str)
+        assert _kummer_outcome(kummer_1f1_half, -1e9) == (
+            "ConvergenceError", "1F1(-1/2,1;-1000000000.0) did not reach tol=1e-12 in 400 terms")
+        monkeypatch.setattr(specialfn, "_1F1_TERMS", 10)
+        for x in (-0.5, -1.0, -5.0, -50.0):
+            assert _kummer_outcome(kummer_1f1_half, x) == _kummer_outcome(_ref_kummer_1f1_half, x)
+
+
 class TestFoldedNormal:
     # X = S^2 with S = |N(m3, v3)|, so scipy's foldnorm of S is an
     # independent oracle after the square-root change of variables.
