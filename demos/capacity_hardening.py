@@ -36,9 +36,9 @@ def main() -> None:
     print(f"  NO uni-cast:   log2(1 + {no_u.split.alpha_u_sq:.1f}/{no_u.split.alpha_m_sq:.1f})"
           f" = {math.log2(1.0 + no_u.split.alpha_u_sq / no_u.split.alpha_m_sq):.4f}")
     big = McConfig(trials=20_000, master_seed=12345)
-    at_1024 = replace(cfg, elements=1024)
-    strong = at_1024.scenario().with_tx_power(1e7)
-    strong_no = replace(at_1024, mode="NO").scenario().with_tx_power(1e7)
+    at_1024 = replace(cfg, elements=1024, tx_power_dbm=100.0)  # 1e7 W
+    strong = at_1024.scenario()
+    strong_no = replace(at_1024, mode="NO").scenario()
     # the mode changes the SINR, not the channel: one draw serves both
     gains = sample_cascaded_gains(strong.ris, strong.rician, big)
     print("  Monte Carlo at L=1024 and extreme power:"

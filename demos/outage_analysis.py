@@ -8,6 +8,7 @@ the exact expression; the last section shows it inside its validity
 region and the report it gives outside.
 """
 
+import math
 from dataclasses import replace
 
 from inaclink import (
@@ -20,6 +21,7 @@ from inaclink import (
     sample_cascaded_gains,
 )
 from inaclink.errors import RegionError
+from inaclink.noma import first_decoded
 
 
 def main() -> None:
@@ -37,25 +39,25 @@ def main() -> None:
         sc0 = replace(cfg, mode=mode).scenario()
         # transmit power scales the SINR, not the channel: one draw serves the band
         gains = sample_cascaded_gains(sc0.ris, sc0.rician, mc)
-        first = "multicast" if mode == "CO" else "unicast"
-        print(f"mode {mode}: decodes the {first} signal first "
+        print(f"mode {mode}: decodes the {first_decoded(mode)} signal first "
               f"(split {sc0.split.alpha_m_sq:.1f}/{sc0.split.alpha_u_sq:.1f})")
         for signal in ("multicast", "unicast"):
             print(f"  {signal} outage vs transmit power, L={cfg.elements}")
             print(f"    {'dBm':>5}  {'closed form':>12}  {'monte carlo':>12}")
             for dbm in bands[(mode, signal)]:
-                sc = sc0.with_tx_power(10.0 ** (dbm / 10.0) * 1e-3)
+                sc = replace(cfg, mode=mode, tx_power_dbm=dbm).scenario()
                 cf = outage_closed_form(sc, signal).value
                 est = mc_outage(gains, sc, signal)
                 print(f"    {dbm:>5}  {cf:>12.4e}  {est.mean:>12.4e}")
         print()
 
     print("series expansion near zero threshold (single element, no LoS):")
-    sc1 = ScenarioConfig(elements=1, k_r=0.0, k_g=0.0).scenario()
-    base = outage_threshold(sc1, "multicast")
+    cfg1 = ScenarioConfig(elements=1, k_r=0.0, k_g=0.0)
+    base = outage_threshold(cfg1.scenario(), "multicast")
     print(f"    {'threshold':>10}  {'closed form':>12}  {'series':>12}")
     for omega in (1e-3, 1e-4, 1e-5):
-        sc = sc1.with_tx_power(sc1.budget.tx_power * base / omega)
+        # the threshold falls as the power rises: base / omega more power puts it at omega
+        sc = replace(cfg1, tx_power_dbm=cfg1.tx_power_dbm + 10.0 * math.log10(base / omega)).scenario()
         cf = outage_closed_form(sc, "multicast").value
         series = outage_asymptotic(sc, "multicast").value
         print(f"    {omega:>10.0e}  {cf:>12.4e}  {series:>12.4e}")

@@ -35,8 +35,8 @@ class RicianParams:
     K = 0 is pure NLoS (Rayleigh); larger K means a stronger LoS component.
     """
 
-    k_r: float = 0.0
-    k_g: float = 0.0
+    k_r: float
+    k_g: float
 
     def __post_init__(self) -> None:
         # each check is written so that NaN fails it

@@ -82,12 +82,13 @@ class LinkBudget:
     """Aggregate deterministic gain and noise power of one scenario.
 
     gamma = l(d) * l(d_RU) * p * g_sp multiplies the random squared channel
-    sum; noise_power is the AWGN power over the receive bandwidth.
+    sum; noise_power is the AWGN power over the receive bandwidth.  The
+    transmit power p is kept only inside gamma: another power is another
+    budget, built by `link_budget` (from a config, its `tx_power_dbm`).
     """
 
     gamma: float  # aggregate deterministic gain, linear
     noise_power: float  # rho^2, W
-    tx_power: float  # p, W
 
     def __post_init__(self) -> None:
         # a float product overflows to inf without raising; NaN fails too
@@ -95,16 +96,6 @@ class LinkBudget:
             raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if not 0.0 < self.noise_power < math.inf:
             raise ValueError(f"noise_power must be finite and > 0, got {self.noise_power}")
-        if not 0.0 < self.tx_power < math.inf:
-            raise ValueError(f"tx_power must be finite and > 0, got {self.tx_power}")
-
-    def rescaled(self, tx_power: float) -> "LinkBudget":
-        """Same link with a different transmit power (gamma scales linearly)."""
-        return LinkBudget(
-            gamma=self.gamma * (tx_power / self.tx_power),  # the ratio first: gamma * p may overflow
-            noise_power=self.noise_power,
-            tx_power=tx_power,
-        )
 
 
 def slant_range(geom: OrbitGeometry) -> float:
@@ -160,11 +151,7 @@ def link_budget(
         gamma = math.ldexp(mantissa, exponent)
     except OverflowError:
         gamma = math.inf  # for LinkBudget to reject with its message
-    return LinkBudget(
-        gamma=gamma,
-        noise_power=noise_power_watts(bandwidth),
-        tx_power=p,
-    )
+    return LinkBudget(gamma=gamma, noise_power=noise_power_watts(bandwidth))
 
 
 def geocentric_angle(geom: OrbitGeometry) -> float:

@@ -24,8 +24,10 @@ for a Rician K past the series budget, and a command that reads no moments
 (`constellation`, say) must not fail on such a K.  Either way the values
 are kept on the instance (past the frozen dataclass's `__setattr__`) and
 always belong to the inputs stored beside them.  Nothing is cached across
-instances: `dataclasses.replace` and `with_tx_power` build a new scenario
-that derives its own values, and there is no cache keyed on inputs.
+instances: `dataclasses.replace` builds a new scenario that derives its
+own values, and there is no cache keyed on inputs.  A different transmit
+power is a different link budget, so it comes from the config
+(`replace(cfg, tx_power_dbm=...).scenario()`).
 
 Closed-form outage follows from the folded-normal gain law evaluated at a
 threshold omega assembled from the rate targets and the link budget; the
@@ -36,7 +38,7 @@ asymptotic form replaces erf by its Maclaurin series and is only valid while
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 from .channel import (
@@ -174,10 +176,6 @@ class Scenario:
         first = _omega(eps * rho2, (own - other * eps) * gamma)
         second = _omega(self.targets.eps(second_signal) * rho2, self.split.shares(second_signal)[0] * gamma)
         return {first_signal: first, second_signal: max(first, second)}
-
-    def with_tx_power(self, p: float) -> "Scenario":
-        """Same scenario at a different transmit power."""
-        return replace(self, budget=self.budget.rescaled(p))
 
 
 # --- decode order and instantaneous SINRs -----------------------------------

@@ -116,10 +116,9 @@ def test_criterion_2_outage_closed_form_vs_monte_carlo():
     worst_excess = -math.inf
     spans_ok = True
     for (mode, signal), powers in grids.items():
-        sc_mode = replace(cfg, mode=mode).scenario()
         cfs = []
         for p in powers:
-            sc = sc_mode.with_tx_power(float(p))
+            sc = replace(cfg, mode=mode, tx_power_dbm=30.0 + 10.0 * math.log10(p)).scenario()
             cf = outage_closed_form(sc, signal).value
             cfs.append(cf)
             count = int(np.count_nonzero(outage_events(gains, sc, signal)))
@@ -143,19 +142,20 @@ def test_criterion_2_outage_closed_form_vs_monte_carlo():
 def test_criterion_3_asymptotic_outage_region():
     # series outage within 5% of the closed form wherever the expansion is
     # valid; a region violation is reported, not silently extrapolated
-    sc1 = ScenarioConfig(elements=1, k_r=0.0, k_g=0.0).scenario()
-    base_omega = outage_threshold(sc1, "multicast")
+    def at_threshold(cfg, omega):
+        # the power, in dB above cfg's, that puts the multi-cast threshold at omega
+        base = outage_threshold(cfg.scenario(), "multicast")
+        return replace(cfg, tx_power_dbm=cfg.tx_power_dbm + 10.0 * math.log10(base / omega)).scenario()
+
     worst_rel = 0.0
     for omega in (1e-4, 1e-3, 5e-3, 7e-3):
-        sc = sc1.with_tx_power(sc1.budget.tx_power * base_omega / omega)
+        sc = at_threshold(ScenarioConfig(elements=1, k_r=0.0, k_g=0.0), omega)
         a = outage_asymptotic(sc, "multicast").value
         e = outage_closed_form(sc, "multicast").value
         worst_rel = max(worst_rel, abs(a - e) / e)
-    sc2 = ScenarioConfig(elements=2, k_r=0.0, k_g=0.0).scenario()
-    base2 = outage_threshold(sc2, "multicast")
     out_of_region_reported = False
     try:
-        outage_asymptotic(sc2.with_tx_power(sc2.budget.tx_power * base2 / 1e-6), "multicast")
+        outage_asymptotic(at_threshold(ScenarioConfig(elements=2, k_r=0.0, k_g=0.0), 1e-6), "multicast")
     except RegionError:
         out_of_region_reported = True
     ok = worst_rel <= 0.05 and out_of_region_reported
@@ -173,9 +173,9 @@ def test_criterion_4_capacity_hardening():
     # MC capacity at L = 1024 against the hardened ceilings, and the mean
     # sampled gain against m3^2 at L = 1e4
     mc = McConfig(trials=20_000, master_seed=SEED)
-    p = 1e7  # deep in the interference-limited regime for the first decode
-    co = ScenarioConfig(elements=1024).scenario().with_tx_power(p)
-    no = ScenarioConfig(mode="NO", elements=1024).scenario().with_tx_power(p)
+    dbm = 100.0  # 1e7 W: deep in the interference-limited regime for the first decode
+    co = ScenarioConfig(elements=1024, tx_power_dbm=dbm).scenario()
+    no = ScenarioConfig(mode="NO", elements=1024, tx_power_dbm=dbm).scenario()
     # the mode changes the SINR, not the channel: one draw serves both
     drawn = sample_cascaded_gains(co.ris, co.rician, mc)
     dev_co = abs(mc_capacity(drawn, co, "multicast").mean - math.log2(2.5))
@@ -199,10 +199,9 @@ def test_criterion_4_capacity_hardening():
 def test_criterion_5_parameter_trends():
     cfg = ScenarioConfig()
     # (a) outage falls strictly with power, elements, and K factor
-    sc = cfg.scenario()
     by_p = [
-        outage_closed_form(sc.with_tx_power(float(p)), "multicast").value
-        for p in np.geomspace(9.633, 19.79, 12)
+        outage_closed_form(replace(cfg, tx_power_dbm=float(dbm)).scenario(), "multicast").value
+        for dbm in 30.0 + 10.0 * np.log10(np.geomspace(9.633, 19.79, 12))  # 9.6 to 19.8 W
     ]
     by_l = [
         outage_closed_form(ScenarioConfig(elements=L).scenario(), "multicast").value

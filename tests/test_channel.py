@@ -70,12 +70,12 @@ class TestParamValidation:
     def test_rician_params(self):
         RicianParams(k_r=0.0, k_g=0.0)
         with pytest.raises(ValueError):
-            RicianParams(k_r=-1.0)
+            RicianParams(k_r=-1.0, k_g=0.0)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
-                RicianParams(k_g=bad)
+                RicianParams(k_r=0.0, k_g=bad)
         with pytest.raises(ValueError):
-            RicianParams(k_g=-0.1)
+            RicianParams(k_r=0.0, k_g=-0.1)
 
     def test_ris_array(self):
         RisArray(num_elements=1, amplitude=1.0)

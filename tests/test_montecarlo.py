@@ -295,9 +295,9 @@ class TestOutageAndCapacity:
         assert mc_outage(gains, sc, "unicast").mean == freq
 
     def test_second_decode_includes_first_stage_failures(self):
-        cfg = ScenarioConfig(trials=5_000)
-        # reduced power so the first decode actually fails in some trials
-        sc = cfg.scenario().with_tx_power(15.0)
+        # reduced power (15 W) so the first decode actually fails in some trials
+        cfg = ScenarioConfig(trials=5_000, tx_power_dbm=30.0 + 10.0 * math.log10(15.0))
+        sc = cfg.scenario()
         gains = sample_cascaded_gains(sc.ris, sc.rician, cfg.mc_config())
         first = outage_events(gains, sc, "multicast")
         second = outage_events(gains, sc, "unicast")
@@ -305,16 +305,16 @@ class TestOutageAndCapacity:
         assert np.all(second[first])  # SIC failure fails the second decode too
 
     def test_vanishing_power_forces_outage(self):
-        cfg = ScenarioConfig(trials=1_000)
-        sc = cfg.scenario().with_tx_power(1e-12)
+        cfg = ScenarioConfig(trials=1_000, tx_power_dbm=-90.0)  # 1e-12 W
+        sc = cfg.scenario()
         est = mc_outage(sample_cascaded_gains(sc.ris, sc.rician, cfg.mc_config()), sc, "multicast")
         assert est.mean == 1.0
 
     def test_mc_capacity_tracks_hardened_limit_at_scale(self):
         from inaclink import capacity_hardened
 
-        cfg = ScenarioConfig(elements=1024, trials=2_000)
-        sc = cfg.scenario().with_tx_power(1e7)
+        cfg = ScenarioConfig(elements=1024, trials=2_000, tx_power_dbm=100.0)  # 1e7 W
+        sc = cfg.scenario()
         est = mc_capacity(sample_cascaded_gains(sc.ris, sc.rician, cfg.mc_config()), sc, "multicast")
         assert est.mean == pytest.approx(capacity_hardened(sc, "multicast"), abs=0.05)
         assert est.half_width > 0.0

@@ -177,10 +177,11 @@ class TestDataTypes:
         with pytest.raises(ConvergenceError):
             sc.moments
 
-    def test_with_tx_power_rescales_gamma(self):
+    def test_power_scales_gamma_not_the_moments(self):
         sc = scenario()
-        sc2 = sc.with_tx_power(2.0 * sc.budget.tx_power)
+        sc2 = scenario(tx_power_dbm=46.0 + 10.0 * math.log10(2.0))
         assert sc2.budget.gamma == pytest.approx(2.0 * sc.budget.gamma, rel=1e-13)
+        assert sc2.budget.noise_power == sc.budget.noise_power
         assert sc2.moments == sc.moments
 
 
@@ -275,12 +276,13 @@ class TestDerivedValues:
     def test_ordered_monotone_and_not_inherited(
         self, mode, alpha_u, other_alpha_u, r_m, r_u, dbm, gain_db, elements, k_r, k_g
     ):
-        sc = ScenarioConfig(
+        cfg = ScenarioConfig(
             mode=mode, alpha_m_sq=1.0 - alpha_u, alpha_u_sq=alpha_u, multicast_rate_bpshz=r_m,
             unicast_rate_bpshz=r_u, tx_power_dbm=dbm, elements=elements, k_r=k_r, k_g=k_g,
-        ).scenario()
+        )
+        sc = cfg.scenario()
         before = _derived(sc)  # sc keeps these from here on
-        louder = sc.with_tx_power(sc.budget.tx_power * 10.0 ** (gain_db / 10.0))
+        louder = replace(sc, budget=replace(cfg, tx_power_dbm=dbm + gain_db).link())
         resplit = replace(sc, split=PowerSplit(alpha_m_sq=1.0 - other_alpha_u, alpha_u_sq=other_alpha_u))
         assert _derived(louder) == _derived(_fresh(louder))
         assert _derived(resplit) == _derived(_fresh(resplit))
@@ -331,7 +333,7 @@ class TestOutageThreshold:
         (second,) = set(SIGNALS) - {first}
         shares = {first: first_share, second: 1.0 - first_share}
         sc = replace(scenario(mode), split=PowerSplit(shares["multicast"], shares["unicast"]),
-                     budget=LinkBudget(gamma=5e-324, noise_power=1e-13, tx_power=1.0))
+                     budget=LinkBudget(gamma=5e-324, noise_power=1e-13))
         assert sc.feasible
         assert (outage_threshold(sc, first) == math.inf) == (first_share < 0.5)
         assert outage_threshold(sc, second) == math.inf
@@ -343,7 +345,7 @@ class TestOutageThreshold:
     def test_scales_inversely_with_power(self):
         sc = scenario("CO")
         w1 = outage_threshold(sc, "multicast")
-        w2 = outage_threshold(sc.with_tx_power(2.0 * sc.budget.tx_power), "multicast")
+        w2 = outage_threshold(scenario("CO", tx_power_dbm=46.0 + 10.0 * math.log10(2.0)), "multicast")
         assert w2 == pytest.approx(0.5 * w1, rel=1e-13)
 
     def test_bad_signal_name(self):
@@ -373,50 +375,47 @@ class TestOutageClosedForm:
         assert outage_closed_form(sc, "unicast").value == 1.0
 
     def test_monotone_in_power(self):
-        sc = scenario("CO")
         ops = [
-            outage_closed_form(sc.with_tx_power(p), "unicast").value
+            outage_closed_form(scenario("CO", tx_power_dbm=30.0 + 10.0 * math.log10(p)), "unicast").value
             for p in np.geomspace(20.0, 60.0, 8)
         ]
         assert all(a > b for a, b in zip(ops, ops[1:]))
 
 
 class TestOutageAsymptotic:
-    def low_snr_scenario(self):
-        # one Rayleigh-Rayleigh element keeps (m3 + sqrt(w)) / sqrt(2 v3)
-        # below 1 once the threshold is small enough
-        return ScenarioConfig(elements=1, k_r=0.0, k_g=0.0).scenario()
+    #: one Rayleigh-Rayleigh element keeps (m3 + sqrt(w)) / sqrt(2 v3)
+    #: below 1 once the threshold is small enough
+    LOW_SNR = ScenarioConfig(elements=1, k_r=0.0, k_g=0.0)
 
-    def at_threshold(self, sc, omega):
-        base = outage_threshold(sc, "multicast")
-        return sc.with_tx_power(sc.budget.tx_power * base / omega)
+    def at_threshold(self, cfg, omega):
+        """The scenario of cfg at the power that puts its multi-cast threshold at omega."""
+        base = outage_threshold(cfg.scenario(), "multicast")
+        return replace(cfg, tx_power_dbm=cfg.tx_power_dbm + 10.0 * math.log10(base / omega)).scenario()
 
     def test_matches_closed_form_in_region(self):
-        sc = self.low_snr_scenario()
         for omega in (1e-4, 1e-3, 5e-3, 7e-3):
-            sc_t = self.at_threshold(sc, omega)
+            sc_t = self.at_threshold(self.LOW_SNR, omega)
             asym = outage_asymptotic(sc_t, "multicast")
             exact = outage_closed_form(sc_t, "multicast")
             assert asym.value == pytest.approx(exact.value, rel=1e-9)
 
     def test_relative_error_bound_in_region(self):
-        sc = self.low_snr_scenario()
         for omega in (1e-4, 1e-3, 5e-3, 7e-3):
-            sc_t = self.at_threshold(sc, omega)
+            sc_t = self.at_threshold(self.LOW_SNR, omega)
             a = outage_asymptotic(sc_t, "multicast").value
             e = outage_closed_form(sc_t, "multicast").value
             assert abs(a - e) / e <= 0.05
 
     def test_out_of_region_raises(self):
         # already at L = 2 the region condition fails for every threshold
-        sc = ScenarioConfig(elements=2, k_r=0.0, k_g=0.0).scenario()
+        cfg = ScenarioConfig(elements=2, k_r=0.0, k_g=0.0)
         with pytest.raises(RegionError):
-            outage_asymptotic(self.at_threshold(sc, 1e-6), "multicast")
+            outage_asymptotic(self.at_threshold(cfg, 1e-6), "multicast")
         with pytest.raises(RegionError):
             outage_asymptotic(scenario(), "multicast")
 
     def test_exhausted_budget_raises(self, monkeypatch):
-        sc_t = self.at_threshold(self.low_snr_scenario(), 5e-3)
+        sc_t = self.at_threshold(self.LOW_SNR, 5e-3)
         monkeypatch.setattr(noma, "_SERIES_TERMS", 1)
         with pytest.raises(ConvergenceError):
             outage_asymptotic(sc_t, "multicast")
@@ -455,7 +454,7 @@ class TestCapacity:
         assert capacity_hardened(co, "multicast") == pytest.approx(math.log2(2.5), rel=1e-14)
         assert capacity_hardened(no, "unicast") == pytest.approx(math.log2(10.0), rel=1e-14)
         # independent of transmit power
-        assert capacity_hardened(co.with_tx_power(1e9), "multicast") == pytest.approx(
+        assert capacity_hardened(scenario("CO", tx_power_dbm=120.0), "multicast") == pytest.approx(
             math.log2(2.5), rel=1e-14
         )
 
@@ -468,14 +467,14 @@ class TestCapacity:
         )
 
     def test_clean_link_gains_two_bits_per_power_quadrupling(self):
-        co = scenario("CO")
-        diff = capacity_hardened(co.with_tx_power(4e7), "unicast") - capacity_hardened(
-            co.with_tx_power(1e7), "unicast"
+        # 1e7 W is 100 dBm, and four times the power is 10 log10(4) dB more
+        quadrupled = 100.0 + 10.0 * math.log10(4.0)
+        diff = capacity_hardened(scenario("CO", tx_power_dbm=quadrupled), "unicast") - capacity_hardened(
+            scenario("CO", tx_power_dbm=100.0), "unicast"
         )
         assert 1.9 < diff < 2.0001
-        no = scenario("NO")
-        diff = capacity_hardened(no.with_tx_power(4e7), "multicast") - capacity_hardened(
-            no.with_tx_power(1e7), "multicast"
+        diff = capacity_hardened(scenario("NO", tx_power_dbm=quadrupled), "multicast") - capacity_hardened(
+            scenario("NO", tx_power_dbm=100.0), "multicast"
         )
         assert 1.9 < diff < 2.0001
 
