@@ -311,11 +311,17 @@ _GRIDS = {key: f for key, f in _FIELDS.items() if "sweeps" in f.metadata}
 _SCALARS = {key: f for key, f in _FIELDS.items() if f.metadata["builds"] and key not in _GRIDS}
 #: the builder methods of the scalars, in field order
 _BUILDS = tuple(dict.fromkeys(f.metadata["builds"] for f in _SCALARS.values()))
+#: config key -> the parser of its values
+_PARSERS = {key: _CODECS[f.type][0] for key, f in _FIELDS.items()}
 _DEFAULTS = ScenarioConfig()
 
 
-def _key_value_lines(text: str):
-    """Yield (lineno, key, raw_value) from key=value text, skipping comments; a key may appear once."""
+def _parse_lines(text: str, parsers: dict, what: str) -> dict:
+    """{key: parsers[key](raw)} of key = value text, skipping comments; a key may appear once.
+
+    A malformed line, a repeated or unknown key and a value that its parser
+    rejects (ValueError) are ConfigErrors naming the line."""
+    values: dict[str, object] = {}
     seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -326,8 +332,14 @@ def _key_value_lines(text: str):
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r} (first at line {seen[key]})")
+        if key not in parsers:
+            raise ConfigError(f"line {lineno}: unknown {what} {key!r}")
         seen[key] = lineno
-        yield lineno, key, raw
+        try:
+            values[key] = parsers[key](raw)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key}: {raw!r}") from exc
+    return values
 
 
 def parse_config_text(text: str, **overrides) -> ScenarioConfig:
@@ -335,15 +347,7 @@ def parse_config_text(text: str, **overrides) -> ScenarioConfig:
 
     Field overrides (``seed=``, ``trials=``) replace the parsed values before
     the one validation."""
-    values: dict[str, object] = {}
-    for lineno, key, raw in _key_value_lines(text):
-        if key not in _FIELDS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        f = _FIELDS[key]
-        try:
-            values[f.name] = _CODECS[f.type][0](raw)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {raw!r}") from exc
+    values = {_FIELDS[key].name: value for key, value in _parse_lines(text, _PARSERS, "key").items()}
     return replace(ScenarioConfig(), **{**values, **overrides}).validate()
 
 
@@ -365,9 +369,6 @@ def _read_text(path: str, what: str) -> str:
 
 # --- navigation scenes ------------------------------------------------------
 
-_SCENE_VECTORS = ("sat1", "sat2", "sat3", "inac_sat", "ris", "user")
-
-
 def _finite(raw: str) -> float:
     """float(raw), with NaN and infinities rejected as bad values too."""
     value = float(raw)
@@ -376,28 +377,23 @@ def _finite(raw: str) -> float:
     return value
 
 
+def _vector(raw: str) -> list[float]:
+    """Three finite coordinates separated by blanks; another count fails to unpack."""
+    x, y, z = raw.split()
+    return [_finite(x), _finite(y), _finite(z)]
+
+
+#: scene key -> the parser of its value
+_SCENE_PARSERS = {**dict.fromkeys(("sat1", "sat2", "sat3", "inac_sat", "ris", "user"), _vector),
+                  "clock_bias_s": _finite}
+
+
 def parse_scene_text(text: str) -> NavScene:
     """Parse a scene file: six position 3-vectors (m) and the clock bias (s), all finite."""
     from .navigation import NavScene
 
-    values: dict[str, object] = {}
-    for lineno, key, raw in _key_value_lines(text):
-        if key in _SCENE_VECTORS:
-            parts = raw.split()
-            if len(parts) != 3:
-                raise ConfigError(f"line {lineno}: {key} needs 3 coordinates, got {raw!r}")
-            try:
-                values[key] = [_finite(p) for p in parts]
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad coordinate in {raw!r}") from exc
-        elif key == "clock_bias_s":
-            try:
-                values[key] = _finite(raw)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad clock bias {raw!r}") from exc
-        else:
-            raise ConfigError(f"line {lineno}: unknown scene key {key!r}")
-    missing = [k for k in (*_SCENE_VECTORS, "clock_bias_s") if k not in values]
+    values = _parse_lines(text, _SCENE_PARSERS, "scene key")
+    missing = [k for k in _SCENE_PARSERS if k not in values]
     if missing:
         raise ConfigError(f"scene file missing keys: {', '.join(missing)}")
     return NavScene(

@@ -1,8 +1,12 @@
-"""Figure-reproduction sweeps and deterministic CSV reports.
+"""Every command's report, and deterministic CSV reports.
 
-One table maps each figure id to its parameter sweep over the configured
-scenario, in the order listed here:
+One table maps each report name to its builder, in this order; run_sweep is
+the only path from a name to its report, and the last seven names are the
+figure sweeps, FIGURE_IDS:
 
+    analyze          closed forms at the configured point (quantity,value)
+    simulate         Monte Carlo vs closed forms at the configured point
+    position         one synthetic positioning fix at the configured point
     op-vs-power      outage vs transmit power (closed form, asymptotic, MC)
     op-vs-elements   outage vs RIS element count
     cap-vs-power     capacity vs transmit power (hardened limit vs MC)
@@ -30,22 +34,21 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
+import numpy as np
 from numpy.random import Generator, Philox
 
 from . import navigation, noma
 from .config import ScenarioConfig
-from .errors import DegenerateGeometryError, NumericError
-from .geometry import coverage_area, geocentric_angle, min_satellites
-from .montecarlo import mc_capacity, mc_outage, sample_cascaded_gains_by_array
-# not called here, but kept a name of this module: bench/tests/test_bench_trace.py
-# checks that a tracer restores this alias of the sampler
-from .montecarlo import sample_cascaded_gains
+from .errors import DegenerateGeometryError, InfeasibleError, NumericError
+from .geometry import coverage_area, geocentric_angle, min_satellites, slant_range
+from .montecarlo import mc_capacity, mc_outage, sample_cascaded_gains, sample_cascaded_gains_by_array
 from .noma import Scenario
 
 __all__ = ["FIGURE_IDS", "SweepReport", "run_sweep", "emit_csv", "report_to_csv_text"]
 
-#: seed-domain separator so navigation noise never aliases channel draws
+#: seed-domain separators so navigation noise never aliases channel draws
 _NAV_SEED_SALT = 0x6E61765F
+_POSITION_SEED_SALT = 0x706F7369
 
 
 @dataclass(frozen=True)
@@ -96,7 +99,7 @@ def emit_csv(report: SweepReport, path) -> None:
         fh.write(text)
 
 
-# --- per-figure sweep builders ----------------------------------------------
+# --- report builders ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -167,6 +170,83 @@ def _mc_capacity(gains, sc: Scenario, signal: str):
 
 
 _OUTAGE_COLUMNS = {"closed_form": _closed_form, "asymptotic": _asymptotic_or_none}
+
+
+def _table(rows: dict[str, object]) -> SweepReport:
+    """A two-column quantity,value report; a str value is written as is."""
+    return SweepReport("quantity", list(rows), {"value": list(rows.values())})
+
+
+def _analyze(cfg: ScenarioConfig) -> SweepReport:
+    sc = cfg.scenario()
+    cm = sc.moments
+    rows: dict[str, object] = {
+        "mode": cfg.mode,
+        "slant_range_m": slant_range(cfg.orbit()),
+        "gamma": sc.budget.gamma,
+        "noise_power_w": sc.budget.noise_power,
+        "m1": cm.m1, "v1": cm.v1,
+        "m2": cm.m2, "v2": cm.v2,
+        "m3": cm.m3, "v3": cm.v3,
+        "hardened_gain": cm.m3 ** 2,
+    }
+    for sig in noma.SIGNALS:
+        rows[f"{sig}_omega"] = noma.outage_threshold(sc, sig)
+        rows[f"{sig}_op_closed_form"] = _closed_form(sc, sig)
+        rows[f"{sig}_op_asymptotic"] = _asymptotic_or_none(sc, sig)
+        rows[f"{sig}_capacity_hardened"] = _hardened(sc, sig)
+    rows["diversity_m3_prediction"] = cm.m3
+    return _table(rows)
+
+
+def _simulate(cfg: ScenarioConfig) -> SweepReport:
+    sc = cfg.scenario()
+    mc = cfg.mc_config()
+    gains = sample_cascaded_gains(sc.ris, sc.rician, mc)
+    rows: dict[str, object] = {"mode": cfg.mode, "trials": mc.trials, "seed": mc.master_seed}
+    for sig in noma.SIGNALS:
+        est = mc_outage(gains, sc, sig)
+        cap = mc_capacity(gains, sc, sig)
+        rows[f"{sig}_op_closed_form"] = _closed_form(sc, sig)
+        rows[f"{sig}_op_mc"] = est.mean
+        rows[f"{sig}_op_mc_half_width"] = est.half_width
+        rows[f"{sig}_capacity_hardened"] = _hardened(sc, sig)
+        rows[f"{sig}_capacity_mc"] = cap.mean
+        rows[f"{sig}_capacity_mc_half_width"] = cap.half_width
+    return _table(rows)
+
+
+def _position(cfg: ScenarioConfig) -> SweepReport:
+    scene = cfg.nav_scene()
+    sc = cfg.scenario()
+    snr = noma.sinr(sc.moments.m3 ** 2, sc, "multicast")
+    if not snr > 0.0:
+        raise InfeasibleError("the RIS-relayed link has zero SNR: its pseudorange cannot be measured")
+    sigma = navigation.range_noise_from_snr(float(snr), cfg.bandwidth_hz)
+    rng = Generator(Philox(key=cfg.seed ^ _POSITION_SEED_SALT))
+    pr = navigation.synthesize_pseudoranges(scene, sigma, rng)
+    try:
+        # at a vanishing SNR (a subnormal link gain, say) the ranges reach ~1e154 m,
+        # and the solver's squared distances overflow a double
+        with np.errstate(over="raise", invalid="raise"):
+            fix = navigation.lsm_solve(pr, scene)
+            pos_err = float(np.linalg.norm(fix.position - scene.true_user))
+    except FloatingPointError as exc:
+        raise InfeasibleError(f"the position fix overflows a double at sigma_m = {sigma:.3g}") from exc
+    gdop, pdop = navigation.dilution_of_precision(scene)
+    return _table({
+        "sigma_m": sigma,
+        "gdop": gdop,
+        "pdop": pdop,
+        "solved_x_m": fix.state[0],
+        "solved_y_m": fix.state[1],
+        "solved_z_m": fix.state[2],
+        "solved_clock_m": fix.state[3],
+        "iterations_used": fix.iterations_used,
+        "final_cost_m2": fix.final_cost,
+        "position_error_m": pos_err,
+        "clock_error_s": fix.clock_bias_s - scene.clock_bias,
+    })
 
 
 def _sweep_constellation(cfg: ScenarioConfig) -> SweepReport:
@@ -243,8 +323,11 @@ def _sweep_nav_accuracy(cfg: ScenarioConfig) -> SweepReport:
     return SweepReport("elements", list(cfg.sweep_nav_elements), cols)
 
 
-#: every figure, in the order the CLI lists them
-_FIGURES: dict[str, Callable[[ScenarioConfig], SweepReport]] = {
+#: every report: the three points, then the figures in the order the CLI lists them
+_REPORTS: dict[str, Callable[[ScenarioConfig], SweepReport]] = {
+    "analyze": _analyze,
+    "simulate": _simulate,
+    "position": _position,
     "op-vs-power": _McFigure("tx_power_dbm", "sweep_tx_power_dbm", _OUTAGE_COLUMNS, _mc_outage),
     "op-vs-elements": _McFigure("elements", "sweep_elements_op", _OUTAGE_COLUMNS, _mc_outage),
     "cap-vs-power": _McFigure("tx_power_dbm", "sweep_tx_power_dbm", {"hardened": _hardened}, _mc_capacity),
@@ -256,12 +339,13 @@ _FIGURES: dict[str, Callable[[ScenarioConfig], SweepReport]] = {
     "constellation": _sweep_constellation,
     "nav-accuracy": _sweep_nav_accuracy,
 }
-FIGURE_IDS = tuple(_FIGURES)
+#: the figures that `reproduce` runs: every report after the three points
+FIGURE_IDS = tuple(_REPORTS)[3:]
 
 
 def run_sweep(config: ScenarioConfig, figure_id: str) -> SweepReport:
-    """Execute the sweep matching a figure id."""
-    sweep = _FIGURES.get(figure_id)
-    if sweep is None:
-        raise ValueError(f"unknown figure id {figure_id!r}; expected one of {FIGURE_IDS}")
-    return sweep(config)
+    """Build the report that a command or figure id names."""
+    build = _REPORTS.get(figure_id)
+    if build is None:
+        raise ValueError(f"unknown figure id {figure_id!r}; expected one of {tuple(_REPORTS)}")
+    return build(config)

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from inaclink import FIGURE_IDS, ScenarioConfig, cli, default_scene, navigation
+from inaclink import FIGURE_IDS, ScenarioConfig, cli, default_scene, navigation, noma, sweeps
 from inaclink.config import load_config
 
 CLI = [sys.executable, "-m", "inaclink.cli"]
@@ -100,13 +100,13 @@ class TestSimulate:
 
     def test_draws_the_gains_once(self, monkeypatch, tmp_path):
         calls = []
-        sample = cli.sample_cascaded_gains
+        sample = sweeps.sample_cascaded_gains
 
         def counted(*args):
             calls.append(args)
             return sample(*args)
 
-        monkeypatch.setattr(cli, "sample_cascaded_gains", counted)
+        monkeypatch.setattr(sweeps, "sample_cascaded_gains", counted)
         assert cli.main(["simulate", "--trials", "2000", "--out", str(tmp_path / "sim.csv")]) == 0
         assert len(calls) == 1
 
@@ -337,7 +337,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("scene, detail", [
         (None, "cannot read scene file"),
-        ("sat1 = 1 2\n", "line 1: sat1 needs 3 coordinates"),
+        ("sat1 = 1 2\n", "line 1: bad value for sat1: '1 2'"),
         ("sat1 = 1 2 3\nsat1 = 4 5 6\n", "line 2: duplicate key 'sat1' (first at line 1)"),
     ])
     def test_bad_scene_file_exits_2_on_analyze(self, tmp_path, capsys, scene, detail):
@@ -489,7 +489,7 @@ class TestErrors:
         def broken(sc, signal):
             raise ValueError("internal bug")
 
-        monkeypatch.setattr(cli.noma, "outage_closed_form", broken)
+        monkeypatch.setattr(noma, "outage_closed_form", broken)
         with pytest.raises(ValueError, match="internal bug"):
             cli.main(["analyze"])
         assert "numeric error" not in capsys.readouterr().err

@@ -188,15 +188,16 @@ class TestSceneFiles:
             parse_scene_text("sat1 = 1 2 3\nsat2 = 4 5 6\n")
 
     def test_wrong_coordinate_count(self):
-        with pytest.raises(ConfigError, match=r"line 1.*3 coordinates"):
+        with pytest.raises(ConfigError, match=r"^line 1: bad value for sat1: '1 2'$"):
             parse_scene_text("sat1 = 1 2\n")
 
     def test_bad_coordinate(self):
-        with pytest.raises(ConfigError, match=r"line 1.*bad coordinate"):
+        # worded as a config file's bad value: the line, the key and the value as written
+        with pytest.raises(ConfigError, match=r"^line 1: bad value for sat1: '1 2 x'$"):
             parse_scene_text("sat1 = 1 2 x\n")
-        with pytest.raises(ConfigError, match=r"line 1.*bad coordinate"):
+        with pytest.raises(ConfigError, match=r"^line 1: bad value for user: 'nan 0.0 0.0'$"):
             parse_scene_text("user = nan 0.0 0.0\n")
-        with pytest.raises(ConfigError, match=r"line 2.*bad clock bias"):
+        with pytest.raises(ConfigError, match=r"^line 2: bad value for clock_bias_s: 'inf'$"):
             parse_scene_text("ris = 6378005.0 8.0 3.0\nclock_bias_s = inf\n")
 
     def test_duplicate_key_names_both_lines(self):

@@ -13,6 +13,7 @@ from inaclink.config import parse_config_text
 from inaclink.errors import DegenerateGeometryError
 from inaclink.montecarlo import outage_events, wilson_half_width
 from inaclink.sweeps import report_to_csv_text
+from test_cli import GOLDEN_CONFIG, GOLDEN_DIR
 
 
 class TestRegistry:
@@ -29,8 +30,17 @@ class TestRegistry:
         )
 
     def test_unknown_id_rejected(self):
-        with pytest.raises(ValueError, match="unknown figure id"):
+        with pytest.raises(ValueError, match="unknown figure id") as info:
             run_sweep(ScenarioConfig(), "op-vs-frequency")
+        # the message lists every report name: the three point commands, then the figures
+        for name in ("analyze", "simulate", "position", *FIGURE_IDS):
+            assert repr(name) in str(info.value)
+
+    @pytest.mark.parametrize("name", ["analyze", "simulate", "position"])
+    def test_point_report_is_the_commands_csv(self, name):
+        # run_sweep alone, without the CLI, gives the recorded bytes of the command
+        text = report_to_csv_text(run_sweep(parse_config_text(GOLDEN_CONFIG), name))
+        assert text.encode("utf-8") == (GOLDEN_DIR / f"{name}.csv").read_bytes()
 
     def test_report_column_length_checked(self):
         with pytest.raises(ValueError):
