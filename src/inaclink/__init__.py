@@ -20,7 +20,7 @@ _LAZY = {
     **dict.fromkeys(
         ("ChannelMoments", "RicianParams", "RisArray", "cascaded_moments", "effective_gain_cdf",
          "rician_amplitude_moments"), "channel"),
-    **dict.fromkeys(("McConfig", "ScenarioConfig", "default_scene", "load_config", "load_scene"), "config"),
+    **dict.fromkeys(("McConfig", "ScenarioConfig", "default_scene", "load_config"), "config"),
     **dict.fromkeys(
         ("ConfigError", "ConvergenceError", "DegenerateGeometryError", "InacError", "InfeasibleError",
          "NumericError", "RegionError"), "errors"),

@@ -19,18 +19,15 @@ the value kind follows the annotation.  A value the library rejects is
 reported with its key and the value as written, before anything runs.
 McConfig, the Monte Carlo trial count and seed that ``mc.*`` builds, is
 defined here rather than in montecarlo, so that neither loading a config
-nor building its scenario imports numpy; the scene readers import numpy
-and navigation when first called.
+nor building its scenario imports numpy; parsing a scene imports numpy and
+navigation.
 
-Navigation scene files use the same syntax with 3-vector values::
-
-    sat1 = 24438951.0 6109737.8 4399011.0
-    sat2 = ...
-    sat3 = ...
-    inac_sat = ...
-    ris = 6378005.0 8.0 3.0
-    user = 6378000.0 0.0 0.0
-    clock_bias_s = 2.5e-4
+Navigation scenes use the same syntax with 3-vector values (`_DEFAULT_SCENE`
+is the built-in one).  Every scene, the built-in one included, is built by
+`parse_scene_text`.  A config parses its scene once, on first use, and keeps
+it: `validate` reads ``nav.scene_file`` through `ScenarioConfig.nav_scene`,
+so a command runs the scene that validation checked, and the file is not
+opened again.  A relative path is opened from the working directory.
 """
 
 from __future__ import annotations
@@ -38,6 +35,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .channel import RicianParams, RisArray
@@ -53,7 +51,6 @@ __all__ = [
     "ScenarioConfig",
     "load_config",
     "parse_config_text",
-    "load_scene",
     "parse_scene_text",
     "default_scene",
 ]
@@ -209,9 +206,12 @@ class ScenarioConfig:
                 for x in getattr(self, name)]
 
     def nav_scene(self) -> NavScene:
-        if self.scene_file:
-            return load_scene(self.scene_file)
-        return default_scene()
+        """The scene of nav.scene_file, else the built-in one; parsed on first use and kept."""
+        return self._nav_scene
+
+    @cached_property
+    def _nav_scene(self) -> NavScene:
+        return parse_scene_text(_read_text(self.scene_file, "scene") if self.scene_file else _DEFAULT_SCENE)
 
     # --- serialization ------------------------------------------------------
 
@@ -234,7 +234,7 @@ class ScenarioConfig:
             raise ConfigError(f"nav.repetitions must be >= 1, got {self.nav_repetitions}")
         if self.scene_file:
             with _naming(f"nav.scene_file = {self.scene_file}"):
-                load_scene(self.scene_file)
+                self.nav_scene()
         for builds in _BUILDS:
             try:
                 getattr(self, builds)()
@@ -405,37 +405,21 @@ def parse_scene_text(text: str) -> NavScene:
     )
 
 
-def load_scene(path: str) -> NavScene:
-    return parse_scene_text(_read_text(path, "scene"))
+#: the built-in MEO scene: the user on the +x surface point, the RIS ~10 m away, and
+#: four anchors on the 26378 km sphere in well-separated directions above the user's
+#: horizon, for a GDOP of a few: those of (1, 0.25, 0.18), (1, -0.35, 0.22),
+#: (1, 0.1, -0.4) and (1, 0.45, -0.05).  Each coordinate is the repr of its double.
+_DEFAULT_SCENE = """\
+sat1 = 25208942.985899746 6302235.746474937 4537609.737461954
+sat2 = 24377095.62305276 -8531983.468068467 5362961.037071608
+sat3 = 24386469.62671516 2438646.962671516 -9754587.850686064
+inac_sat = 24029699.535180155 10813364.79083107 -1201484.9767590077
+ris = 6378005.0 8.0 3.0
+user = 6378000.0 0.0 0.0
+clock_bias_s = 0.00025
+"""
 
 
 def default_scene() -> NavScene:
-    """Built-in MEO scene: user on the +x surface point, RIS ~10 m away.
-
-    The four anchors sit on the 26378 km sphere in well-separated directions
-    above the user's horizon, giving a comfortably non-degenerate design
-    matrix (GDOP of a few).
-    """
-    import numpy as np
-
-    from .navigation import NavScene
-
-    r_orbit = (6378.0 + 20000.0) * 1e3
-
-    def on_sphere(direction) -> np.ndarray:
-        d = np.asarray(direction, dtype=float)
-        return r_orbit * d / np.linalg.norm(d)
-
-    return NavScene(
-        sat_positions=np.vstack(
-            [
-                on_sphere([1.0, 0.25, 0.18]),
-                on_sphere([1.0, -0.35, 0.22]),
-                on_sphere([1.0, 0.10, -0.40]),
-            ]
-        ),
-        inac_sat_position=on_sphere([1.0, 0.45, -0.05]),
-        ris_position=np.array([6378005.0, 8.0, 3.0]),
-        true_user=np.array([6378000.0, 0.0, 0.0]),
-        clock_bias=2.5e-4,
-    )
+    """The built-in scene, `_DEFAULT_SCENE`."""
+    return parse_scene_text(_DEFAULT_SCENE)

@@ -91,7 +91,9 @@ def _row_norm(d0: float, d1: float, d2: float) -> float:
 
 @dataclass(frozen=True)
 class NavScene:
-    """Scene truth: anchor positions, the user, and the receiver clock bias."""
+    """Scene truth: anchor positions, the user, and the receiver clock bias.
+
+    A scene whose model pseudoranges at the truth overflow a double is rejected."""
 
     sat_positions: np.ndarray  # (3, 3) navigation satellites, m
     inac_sat_position: np.ndarray  # (3,) INAC satellite, m
@@ -107,6 +109,10 @@ class NavScene:
         object.__setattr__(self, "inac_sat_position", _vec3(self.inac_sat_position))
         object.__setattr__(self, "ris_position", _vec3(self.ris_position))
         object.__setattr__(self, "true_user", _vec3(self.true_user))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho = predicted_pseudoranges(self, np.append(self.true_user, SPEED_OF_LIGHT * self.clock_bias))
+        if not np.isfinite(rho).all():
+            raise ValueError("the pseudoranges at the true user overflow a double")
 
     @property
     def r_tau_r(self) -> float:

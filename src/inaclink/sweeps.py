@@ -216,6 +216,21 @@ def _simulate(cfg: ScenarioConfig) -> SweepReport:
     return _table(rows)
 
 
+def _fix(scene: navigation.NavScene, sigma: float, rng: Generator, ctrl: navigation.LsmControl) -> tuple:
+    """A fix from pseudoranges drawn at noise sigma, and its squared position error.
+
+    A fix that overflows a double (at a vanishing SNR, or from a scene ~1e154 m
+    or more from the solver's start at the origin) is an InfeasibleError naming sigma."""
+    pr = navigation.synthesize_pseudoranges(scene, sigma, rng)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            fix = navigation.lsm_solve(pr, scene, ctrl)
+            err = fix.position - scene.true_user
+            return fix, float(err @ err)
+    except FloatingPointError as exc:
+        raise InfeasibleError(f"the position fix overflows a double at sigma_m = {sigma:.3g}") from exc
+
+
 def _position(cfg: ScenarioConfig) -> SweepReport:
     scene = cfg.nav_scene()
     sc = cfg.scenario()
@@ -224,15 +239,7 @@ def _position(cfg: ScenarioConfig) -> SweepReport:
         raise InfeasibleError("the RIS-relayed link has zero SNR: its pseudorange cannot be measured")
     sigma = navigation.range_noise_from_snr(float(snr), cfg.bandwidth_hz)
     rng = Generator(Philox(key=cfg.seed ^ _POSITION_SEED_SALT))
-    pr = navigation.synthesize_pseudoranges(scene, sigma, rng)
-    try:
-        # at a vanishing SNR (a subnormal link gain, say) the ranges reach ~1e154 m,
-        # and the solver's squared distances overflow a double
-        with np.errstate(over="raise", invalid="raise"):
-            fix = navigation.lsm_solve(pr, scene)
-            pos_err = float(np.linalg.norm(fix.position - scene.true_user))
-    except FloatingPointError as exc:
-        raise InfeasibleError(f"the position fix overflows a double at sigma_m = {sigma:.3g}") from exc
+    fix, sq_err = _fix(scene, sigma, rng, navigation.LsmControl())
     gdop, pdop = navigation.dilution_of_precision(scene)
     return _table({
         "sigma_m": sigma,
@@ -244,7 +251,7 @@ def _position(cfg: ScenarioConfig) -> SweepReport:
         "solved_clock_m": fix.state[3],
         "iterations_used": fix.iterations_used,
         "final_cost_m2": fix.final_cost,
-        "position_error_m": pos_err,
+        "position_error_m": math.sqrt(sq_err),
         "clock_error_s": fix.clock_bias_s - scene.clock_bias,
     })
 
@@ -305,13 +312,10 @@ def _sweep_nav_accuracy(cfg: ScenarioConfig) -> SweepReport:
             sq = 0.0
             try:
                 for _ in range(reps):
-                    pr = navigation.synthesize_pseudoranges(scene, sigma, rng)
-                    fix = navigation.lsm_solve(pr, scene, ctrl)
-                    err = fix.position - scene.true_user
-                    sq += float(err @ err)
+                    sq += _fix(scene, sigma, rng, ctrl)[1]
                 rmse_by_sigma[sigma] = math.sqrt(sq / reps)
-            except DegenerateGeometryError:
-                rmse_by_sigma[sigma] = None  # NA: a solve at this sigma hit a degenerate geometry
+            except (DegenerateGeometryError, InfeasibleError):
+                rmse_by_sigma[sigma] = None  # NA: a solve at this sigma hit a degenerate geometry or overflowed
         return rmse_by_sigma[sigma]
 
     cols: dict[str, list] = {}

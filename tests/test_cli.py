@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from inaclink import FIGURE_IDS, ScenarioConfig, cli, default_scene, navigation, noma, sweeps
+from inaclink import FIGURE_IDS, ScenarioConfig, cli, config, default_scene, navigation, noma, sweeps
 from inaclink.config import load_config
 
 CLI = [sys.executable, "-m", "inaclink.cli"]
@@ -43,6 +43,15 @@ def run_cli(*args):
         stdout=res.stdout.decode("utf-8"),
         stderr=res.stderr.decode("utf-8"),
     )
+
+
+def scene_text(scene):
+    """The scene file of a scene, each coordinate written as its repr."""
+    vectors = {"sat1": scene.sat_positions[0], "sat2": scene.sat_positions[1],
+               "sat3": scene.sat_positions[2], "inac_sat": scene.inac_sat_position,
+               "ris": scene.ris_position, "user": scene.true_user}
+    text = "".join(f"{key} = {' '.join(map(repr, v.tolist()))}\n" for key, v in vectors.items())
+    return f"{text}clock_bias_s = {scene.clock_bias!r}\n"
 
 
 def parse_table(text):
@@ -124,13 +133,8 @@ class TestPosition:
         assert 0.0 < float(table["position_error_m"]) < 1000.0
 
     def test_scene_file_with_byte_order_mark(self, tmp_path):
-        scene = default_scene()
-        vectors = {"sat1": scene.sat_positions[0], "sat2": scene.sat_positions[1],
-                   "sat3": scene.sat_positions[2], "inac_sat": scene.inac_sat_position,
-                   "ris": scene.ris_position, "user": scene.true_user}
-        text = "".join(f"{key} = {' '.join(map(repr, map(float, v)))}\n" for key, v in vectors.items())
         path = tmp_path / "bom.scene"
-        path.write_bytes(b"\xef\xbb\xbf" + f"{text}clock_bias_s = {scene.clock_bias!r}\n".encode("utf-8"))
+        path.write_bytes(b"\xef\xbb\xbf" + scene_text(default_scene()).encode("utf-8"))
         cfg = tmp_path / "bom.cfg"
         cfg.write_text(f"nav.scene_file = {path}\n", encoding="utf-8")
         # the same scene as the built-in one, so the same fix
@@ -293,6 +297,31 @@ class TestValidateOnce:
         assert cli.main(["analyze", "--out", str(tmp_path / "x.csv")]) == 0
         assert len(validations) == 1
 
+    @pytest.mark.parametrize("command", [["analyze"], ["position"], ["reproduce", "nav-accuracy"]], ids=" ".join)
+    def test_a_scene_file_is_read_once(self, tmp_path, monkeypatch, command):
+        reads = []
+        read = config._read_text
+
+        def logged(path, what):
+            reads.append(what)
+            return read(path, what)
+
+        monkeypatch.setattr(config, "_read_text", logged)
+        scene, cfg = tmp_path / "default.scene", tmp_path / "scene.cfg"
+        scene.write_text(scene_text(default_scene()), encoding="utf-8")
+        cfg.write_text(f"nav.scene_file = {scene}\nnav.repetitions = 3\n", encoding="utf-8")
+        assert cli.main([*command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+        assert reads == ["config", "scene"]
+
+    def test_a_command_runs_the_scene_it_validated(self, tmp_path):
+        scene, cfg = tmp_path / "default.scene", tmp_path / "scene.cfg"
+        scene.write_text(scene_text(default_scene()), encoding="utf-8")
+        cfg.write_text(f"nav.scene_file = {scene}\n", encoding="utf-8")
+        loaded = load_config(str(cfg))
+        scene.write_text("sat1 = 1 2\n", encoding="utf-8")  # no longer a scene
+        assert (sweeps.report_to_csv_text(sweeps.run_sweep(loaded, "position"))
+                == sweeps.report_to_csv_text(sweeps.run_sweep(ScenarioConfig(), "position")))
+
     @pytest.mark.parametrize("with_config", [False, True])
     def test_bad_trials_override_exits_2(self, tmp_path, capsys, with_config):
         cfg = tmp_path / "ok.cfg"
@@ -350,6 +379,19 @@ class TestErrors:
         assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
         assert not (tmp_path / "x.csv").exists()
         assert capsys.readouterr().err.startswith(f"config error: nav.scene_file = {path}: {detail}")
+
+    @pytest.mark.parametrize("line", ["clock_bias_s = 1e308", "sat1 = 1e300 0 0"])
+    @pytest.mark.parametrize("command", [["analyze"], ["position"], ["reproduce", "nav-accuracy"]], ids=" ".join)
+    def test_a_scene_whose_ranges_overflow_exits_2(self, tmp_path, capsys, line, command):
+        # c dt, or |sat1 - user|^2, overflows a double: the scene is rejected when it is built
+        values = dict(ln.split(" = ") for ln in scene_text(default_scene()).splitlines())
+        key, value = line.split(" = ")
+        path, cfg = tmp_path / "far.scene", tmp_path / "far.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in {**values, key: value}.items()), encoding="utf-8")
+        cfg.write_text(f"nav.scene_file = {path}\n", encoding="utf-8")
+        assert cli.main([*command, "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: nav.scene_file = {path}: the pseudoranges at the true user overflow a double\n")
 
     def test_unknown_figure_id_exits_2(self):
         res = run_cli("reproduce", "op-vs-frequency")
@@ -466,6 +508,23 @@ class TestErrors:
         cfg.write_text("link.tx_power_dbm = -2990\n", encoding="utf-8")
         assert cli.main(["position", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
         assert capsys.readouterr().err == "numeric error: the position fix overflows a double at sigma_m = 6.9e+153\n"
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_far_scene_is_na_in_nav_accuracy_and_exits_3_in_position(self, tmp_path, capsys):
+        # every point at x = 1e200: the ranges at the truth are finite, but the
+        # solver starts at the origin, where its squared distances overflow
+        scene, cfg = tmp_path / "far.scene", tmp_path / "far.cfg"
+        scene.write_text("sat1 = 1e200 2.5e7 1e7\nsat2 = 1e200 -2e7 1.5e7\nsat3 = 1e200 5e6 -2.5e7\n"
+                         "inac_sat = 1e200 1e7 1e7\nris = 1e200 8 3\nuser = 1e200 0 0\n"
+                         "clock_bias_s = 2.5e-4\n", encoding="utf-8")
+        cfg.write_text(f"nav.scene_file = {scene}\nnav.repetitions = 3\n", encoding="utf-8")
+        out = tmp_path / "nav.csv"
+        assert cli.main(["reproduce", "nav-accuracy", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [ln.split(",") for ln in out.read_text(encoding="utf-8").splitlines()[1:]]
+        # columns: elements, co_sigma_m, co_rmse_m, no_sigma_m, no_rmse_m; no RIS at 0 elements
+        assert [(row[2], row[4]) for row in rows] == [("inf", "inf")] + [("NA", "NA")] * 6
+        assert cli.main(["position", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err == "numeric error: the position fix overflows a double at sigma_m = 101\n"
 
     @pytest.mark.parametrize("command, code", [
         (["analyze"], 3), (["constellation"], 0), (["reproduce", "constellation"], 0)])

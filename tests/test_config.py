@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from inaclink import ScenarioConfig, default_scene, load_config, load_scene
+from inaclink import ScenarioConfig, default_scene, load_config
 from inaclink.config import parse_config_text, parse_scene_text
 from inaclink.errors import ConfigError
 
@@ -210,10 +210,14 @@ class TestSceneFiles:
             parse_scene_text("sat9 = 1 2 3\n")
 
     def test_load_scene(self, tmp_path):
+        # read on first use, then kept: a second call neither reopens the file nor parses again
         path = tmp_path / "scene.txt"
         path.write_text(GOOD_SCENE, encoding="utf-8")
-        scene = load_scene(str(path))
+        cfg = replace(ScenarioConfig(), scene_file=str(path))
+        scene = cfg.nav_scene()
         assert scene.clock_bias == 2.5e-4
+        path.unlink()
+        assert cfg.nav_scene() is scene
 
     def test_config_scene_file_wiring(self, tmp_path):
         path = tmp_path / "scene.txt"
@@ -231,6 +235,25 @@ class TestDefaultScene:
         r_orbit = 26378e3
         for anchor in (*scene.sat_positions, scene.inac_sat_position):
             assert np.linalg.norm(anchor) == pytest.approx(r_orbit, rel=1e-12)
+
+    def test_bit_identical_to_the_construction_it_records(self):
+        # _DEFAULT_SCENE writes down, as reprs, the doubles of this construction
+        def on_sphere(direction):
+            d = np.asarray(direction, dtype=float)
+            return 26378e3 * d / np.linalg.norm(d)
+
+        reference = (
+            np.vstack([on_sphere([1.0, 0.25, 0.18]), on_sphere([1.0, -0.35, 0.22]),
+                       on_sphere([1.0, 0.10, -0.40])]),
+            on_sphere([1.0, 0.45, -0.05]),
+            np.array([6378005.0, 8.0, 3.0]),
+            np.array([6378000.0, 0.0, 0.0]),
+        )
+        scene = default_scene()
+        arrays = (scene.sat_positions, scene.inac_sat_position, scene.ris_position, scene.true_user)
+        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in reference]
+        assert [a.shape for a in arrays] == [a.shape for a in reference]
+        assert scene.clock_bias == 2.5e-4
 
     def test_well_posed(self):
         from inaclink import dilution_of_precision

@@ -15,7 +15,7 @@ MODULES = sorted(p.stem for p in PACKAGE_DIR.glob("*.py") if p.stem != "__init__
 PACKAGE_NAMES = {
     "ChannelMoments", "RicianParams", "RisArray", "cascaded_moments", "effective_gain_cdf",
     "rician_amplitude_moments", "McConfig", "ScenarioConfig", "default_scene", "load_config",
-    "load_scene", "ConfigError", "ConvergenceError", "DegenerateGeometryError", "InacError",
+    "ConfigError", "ConvergenceError", "DegenerateGeometryError", "InacError",
     "InfeasibleError", "NumericError", "RegionError", "LinkBudget", "OrbitGeometry", "RfParams",
     "coverage_area", "geocentric_angle", "link_budget", "min_satellites", "noise_power_watts",
     "slant_range", "OutageResult", "PowerSplit", "RateTargets", "Scenario", "capacity_hardened",
@@ -44,7 +44,7 @@ def test_package_all_lists_every_reexport():
     # one name -> module table serves every package name
     assert len(set(inaclink.__all__)) == len(inaclink.__all__)
     assert inaclink.__all__ == list(inaclink._LAZY)
-    assert len(PACKAGE_NAMES) == 55
+    assert len(PACKAGE_NAMES) == 54
     assert set(inaclink._LAZY) == PACKAGE_NAMES
     # a name listed twice keeps its last module, which must still export it
     assert [name for name, module in inaclink._LAZY.items()
