@@ -20,6 +20,14 @@ fast, but importing `scipy.linalg` costs 60-75 ms on a fresh `inaclink
 position`; `np.linalg.solve` (LU, not SVD) moves 1 of the benchmark's 400
 catalogue fixes by more than ~6 mm.
 
+A `NavScene` works out what depends on the scene alone once, when it is
+built: the relay leg `r_tauR`, the `anchors()` stack and the model
+pseudoranges at the truth (its overflow check needs them, and
+`synthesize_pseudoranges` adds the noise to them).  Its arrays, the
+pseudoranges of a `PseudorangeSet` and the start of an `LsmControl` are
+read-only copies of the inputs, so a write through the caller's array cannot
+get round the checks made at construction or leave the kept values stale.
+
 `lsm_solve` builds its design matrix and model pseudoranges inline, but its
 arithmetic is that of stacking design rows [(x - a)/|x - a|, 1] and calling
 `predicted_pseudoranges`, so a fix is bit-identical to the row-by-row loop:
@@ -31,17 +39,18 @@ sum in another order and can differ in the last bit (on about one random row
 in ten with numpy 2.4 and OpenBLAS on x86-64).  Synthesis is the same model
 at the truth plus noise, and `dilution_of_precision` stacks the same rows.
 
-Which parts of `lsm_solve` run on Python floats follows from how each is
-summed.  add.reduce over a length-3 row adds left to right,
-(d0^2 + d1^2) + d2^2, and Python floats do the same, so the direct ranges
-and the residual are computed on floats from `ndarray.tolist()`, with no 0-d
-array round trips (a test pins numpy's order).  The dot kernel behind d . d,
-`ndarray.dot` and `b @ b` is OpenBLAS's ddot, which fuses multiply-adds;
-Python 3.11 floats have no fused multiply-add, and a float sum of four
-squares differs from ddot on about one random residual in four.  So the
-design-row norms stay one numpy matmul per iteration into a preallocated
-buffer, the cost stays `b.dot(b)` (the same ddot as `b @ b`, without the
-matmul dispatch), and the design fill and gelsd stay numpy.
+Three calls of each iteration stay in numpy for their bits: the design-row
+norms (one stacked matmul), the cost `b.dot(b)` and the gelsd step.  The
+first two run OpenBLAS's ddot, which fuses multiply-adds; Python 3.11 floats
+have none, and a float sum of four squares differs from ddot on about one
+random residual in four.  add.reduce over a length-3 row adds left to right,
+(d0^2 + d1^2) + d2^2, as floats do (a test pins numpy's order), so the direct
+ranges and the residual are floats, read with one `ndarray.tolist()` per
+iteration.  The differences, square roots, design entries and state update
+round the same either way; they stay one numpy call each, on views of one
+buffer per solve, which costs less than floats and reports an overflow
+through numpy's errstate.  U's clock entries come out of the divide as
+|d| / |d|, exactly 1 for a finite |d|; after an overflow to inf they are filled.
 
 SNR enters through a delay-estimation noise model: sigma scales as
 1/sqrt(SNR) down to a code-resolution floor, so navigation accuracy
@@ -72,8 +81,15 @@ __all__ = [
 ]
 
 
+def _readonly(x) -> np.ndarray:
+    """A read-only float copy of x, so no write through the caller's array reaches it."""
+    arr = np.array(x, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 def _vec3(x) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    arr = _readonly(x)
     if arr.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
     return arr
@@ -84,44 +100,40 @@ def _norm(d: np.ndarray) -> float:
     return math.sqrt(d.dot(d))
 
 
-def _row_norm(d0: float, d1: float, d2: float) -> float:
-    """|d| of one row as `np.linalg.norm(axis=1)` takes it: sqrt((d0^2 + d1^2) + d2^2)."""
-    return math.sqrt((d0 * d0 + d1 * d1) + d2 * d2)
-
-
 @dataclass(frozen=True)
 class NavScene:
     """Scene truth: anchor positions, the user, and the receiver clock bias.
 
-    A scene whose model pseudoranges at the truth overflow a double is rejected."""
+    Keeps read-only copies of its arrays, `anchors()` and the pseudoranges at
+    the truth (module notes); a scene whose pseudoranges overflow is rejected."""
 
     sat_positions: np.ndarray  # (3, 3) navigation satellites, m
     inac_sat_position: np.ndarray  # (3,) INAC satellite, m
     ris_position: np.ndarray  # (3,) RIS, m
     true_user: np.ndarray  # (3,) user, m
     clock_bias: float  # receiver clock offset, s
+    #: known satellite-RIS leg length of the relayed measurement, m
+    r_tau_r: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        sats = np.asarray(self.sat_positions, dtype=float)
+        sats = _readonly(self.sat_positions)
         if sats.shape != (3, 3):
             raise ValueError(f"sat_positions must be (3, 3), got {sats.shape}")
         object.__setattr__(self, "sat_positions", sats)
         object.__setattr__(self, "inac_sat_position", _vec3(self.inac_sat_position))
         object.__setattr__(self, "ris_position", _vec3(self.ris_position))
         object.__setattr__(self, "true_user", _vec3(self.true_user))
+        object.__setattr__(self, "r_tau_r", _norm(self.inac_sat_position - self.ris_position))
+        object.__setattr__(self, "_anchors", _readonly(np.concatenate((sats, self.ris_position[None]))))
         with np.errstate(over="ignore", invalid="ignore"):
             rho = predicted_pseudoranges(self, np.append(self.true_user, SPEED_OF_LIGHT * self.clock_bias))
         if not np.isfinite(rho).all():
             raise ValueError("the pseudoranges at the true user overflow a double")
-
-    @property
-    def r_tau_r(self) -> float:
-        """Known satellite-RIS leg length of the relayed measurement, m."""
-        return _norm(self.inac_sat_position - self.ris_position)
+        object.__setattr__(self, "_rho_at_truth", _readonly(rho))
 
     def anchors(self) -> np.ndarray:
         """Anchor points of the four measurements: three satellites, then the RIS."""
-        return np.concatenate((self.sat_positions, self.ris_position[None]))
+        return self._anchors
 
 
 @dataclass(frozen=True)
@@ -131,7 +143,7 @@ class PseudorangeSet:
     rho: np.ndarray  # (4,)
 
     def __post_init__(self) -> None:
-        rho = np.asarray(self.rho, dtype=float)
+        rho = _readonly(self.rho)
         if rho.shape != (4,):
             raise ValueError(f"rho must have shape (4,), got {rho.shape}")
         if not np.isfinite(rho).all():
@@ -152,7 +164,7 @@ class LsmControl:
             raise ValueError(f"iters must be >= 1, got {self.iters}")
         if not self.loss > 0.0:  # NaN fails too
             raise ValueError(f"loss must be > 0, got {self.loss}")
-        x0 = np.asarray(self.x0, dtype=float)
+        x0 = _readonly(self.x0)
         if x0.shape != (4,):
             raise ValueError(f"x0 must have shape (4,), got {x0.shape}")
         object.__setattr__(self, "x0", x0)
@@ -191,8 +203,7 @@ def synthesize_pseudoranges(
     """
     if not noise_sigma >= 0.0:  # NaN fails too
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    truth = np.append(scene.true_user, SPEED_OF_LIGHT * scene.clock_bias)
-    return PseudorangeSet(rho=predicted_pseudoranges(scene, truth) + noise_sigma * rng.standard_normal(4))
+    return PseudorangeSet(rho=scene._rho_at_truth + noise_sigma * rng.standard_normal(4))
 
 
 def predicted_pseudoranges(scene: NavScene, state: np.ndarray) -> np.ndarray:
@@ -236,57 +247,60 @@ def lsm_solve(pr: PseudorangeSet, scene: NavScene, ctrl: LsmControl = LsmControl
     leak into the solve.  Bit-identical to stacking the design rows and
     calling `predicted_pseudoranges` each iteration (see the module notes).
 
-    gelsd is called through `numpy.linalg.lapack_lite` on buffers this call
-    owns: U is kept transposed in the C-order `ut`, which LAPACK reads as
-    column-major U, and its clock row is reset each step because gelsd
+    gelsd is called through `numpy.linalg.lapack_lite` on views of one buffer
+    this call allocates: U is kept transposed in the C-order `ut`, which
+    LAPACK reads as column-major U, and rebuilt each step because gelsd
     overwrites `ut`; the residual `b` comes back as the step.  A rank below
     4 raises DegenerateGeometryError, a nonzero gelsd info LinAlgError, as
     `np.linalg.lstsq` would.
     """
-    anchors = scene.anchors()
-    r_tau_r = scene.r_tau_r
+    anchors, r_tau_r, loss, iters = scene.anchors(), scene.r_tau_r, ctrl.loss, ctrl.iters
     rho0, rho1, rho2, rho3 = pr.rho.tolist()
-    diff = np.empty((4, 3))  # linearization point minus each anchor
-    dots = np.empty((4, 1, 1))  # d . d of each row, then |d| in place
-    ut = np.empty((4, 4))  # design matrix, transposed
-    b = np.empty(4)  # residual in, step out
-    s = np.empty(4)  # singular values
-    work, iwork = np.empty(_LWORK), np.zeros(_LIWORK, _LAPACK_INT).view(np.intc)
-    dgelsd = lapack_lite.dgelsd
-    x = ctrl.x0.copy()
-    # views made once: the rows of diff as stacked (1x3) and (3x1) matrices,
-    # the norms, the state's position, and the direction and clock rows of ut
-    rows, cols, r = diff[:, None, :], diff[:, :, None], dots.reshape(4)
-    position, diff_t, ut_dirs, ut_clock = x[:3], diff.T, ut[:3], ut[3]
-    for k in range(1, ctrl.iters + 2):  # pass iters + 1 only scores the last step
-        np.subtract(position, anchors, out=diff)
+    buf = np.empty(48 + _LWORK + _LIWORK)  # the one scratch buffer of the solve, cut into views
+    # rows 0-3: the linearization point minus anchor i, then its |d|; row 4: the state
+    diff = buf[:20].reshape(5, 4)
+    ut = buf[20:36].reshape(4, 4)  # design matrix, transposed
+    # residual in and step out, d . d of each row, singular values, workspaces
+    b, dots, s, work = buf[36:40], buf[40:44], buf[44:48], buf[48:48 + _LWORK]
+    iwork = buf[48 + _LWORK:].view(np.intc)  # room for _LIWORK LAPACK integers of up to 8 bytes
+    subtract, matmul, sqrt, divide, dgelsd = np.subtract, np.matmul, np.sqrt, np.divide, lapack_lite.dgelsd
+    x = diff[4]
+    x[:] = ctrl.x0
+    # views made once: the state's position, d and |d|, the rows of d as stacked
+    # (1x3) and (3x1) matrices, [d, |d|] transposed, and b's items
+    position, d, r, flat = x[:3], diff[:4, :3], diff[:4, 3], buf[:20]
+    rows, cols, dots_out = d[:, None, :], d[:, :, None], dots[:, None, None]
+    diff_t, b_items = diff[:4].T, memoryview(b)  # a memoryview sets an item in half an ndarray's time
+    for k in range(1, iters + 2):  # pass iters + 1 only scores the last step
+        subtract(position, anchors, d)
         # |d| as sqrt(d . d), as a 1-D norm takes it: a stacked (1x3)(3x1)
         # matmul runs the same dot kernel as a 1-D ndarray.dot, row by row
-        np.sqrt(np.matmul(rows, cols, out=dots), out=dots)
-        r0, r1, r2, r3 = r.tolist()
-        # direct ranges in norm(axis=1)'s form, as predicted_pseudoranges takes them
-        sat0, sat1, sat2, _ = diff.tolist()
-        clock = x.item(3)
-        b[0] = rho0 - (_row_norm(*sat0) + clock)
-        b[1] = rho1 - (_row_norm(*sat1) + clock)
-        b[2] = rho2 - (_row_norm(*sat2) + clock)
-        b[3] = rho3 - (r_tau_r + r3 + clock)
+        matmul(rows, cols, dots_out)
+        sqrt(dots, r)
+        d00, d01, d02, r0, d10, d11, d12, r1, d20, d21, d22, r2, _, _, _, r3, _, _, _, clock = flat.tolist()
+        # direct ranges in norm(axis=1)'s order, as predicted_pseudoranges takes them
+        b_items[0] = rho0 - (math.sqrt((d00 * d00 + d01 * d01) + d02 * d02) + clock)
+        b_items[1] = rho1 - (math.sqrt((d10 * d10 + d11 * d11) + d12 * d12) + clock)
+        b_items[2] = rho2 - (math.sqrt((d20 * d20 + d21 * d21) + d22 * d22) + clock)
+        b_items[3] = rho3 - (r_tau_r + r3 + clock)
         # cblas_ddot, as b @ b calls it: it fuses multiply-adds, so floats cannot match it
         cost = float(b.dot(b))
-        if cost < ctrl.loss or k > ctrl.iters:
+        if cost < loss or k > iters:
             break
         if 0.0 in (r0, r1, r2, r3):
             raise DegenerateGeometryError("linearization point coincides with the anchor")
-        np.divide(diff_t, r, out=ut_dirs)
-        ut_clock.fill(1.0)  # the clock column
+        if math.inf in (r0, r1, r2, r3):  # an overflowed |d|: |d| / |d| would be NaN
+            divide(d.T, r, ut[:3])
+            ut[3].fill(1.0)
+        else:  # [d, |d|] / |d|: U's rows [d / |d|, 1], transposed into ut
+            divide(diff_t, r, ut)
         res = dgelsd(4, 4, 1, ut, 4, b, 4, s, _RCOND, 0, work, _LWORK, iwork, 0)
         if res["info"]:
             raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
         if res["rank"] < 4:
             raise DegenerateGeometryError("design matrix is rank deficient")
         x += b
-    return PositionFix(state=x, iterations_used=min(k, ctrl.iters), final_cost=cost,
-                       converged=cost < ctrl.loss)
+    return PositionFix(state=x.copy(), iterations_used=min(k, iters), final_cost=cost, converged=cost < loss)
 
 
 def dilution_of_precision(scene: NavScene) -> tuple[float, float]:

@@ -116,6 +116,57 @@ class TestNavScene:
         )
 
 
+class TestInputsAreCopied:
+    """Each value object keeps a read-only copy of its input arrays: a write
+    through the caller's array cannot get round the checks made at
+    construction, nor leave what the scene keeps stale."""
+
+    SCENE_ARRAYS = ("sat_positions", "inac_sat_position", "ris_position", "true_user")
+
+    def test_a_write_to_the_callers_arrays_leaves_the_scene_as_built(self):
+        built = default_scene()
+        inputs = {name: np.array(getattr(built, name)) for name in self.SCENE_ARRAYS}
+        scene = NavScene(**inputs, clock_bias=built.clock_bias)
+
+        def snapshot():
+            pr = synthesize_pseudoranges(scene, 2.0, np.random.default_rng(0))
+            return ([getattr(scene, name).tobytes() for name in self.SCENE_ARRAYS],
+                    scene.anchors().tobytes(), scene.r_tau_r, pr.rho.tobytes())
+
+        before = snapshot()
+        for arr in inputs.values():
+            arr[...] = 1e300  # would overflow every range, had the scene kept these arrays
+        assert snapshot() == before
+        truth = np.append(scene.true_user, SPEED_OF_LIGHT * scene.clock_bias)
+        assert np.isfinite(predicted_pseudoranges(scene, truth)).all()
+
+    def test_a_write_to_the_callers_rho_or_x0_changes_nothing(self):
+        rho = synthesize_pseudoranges(default_scene(), 2.0, np.random.default_rng(0)).rho.copy()
+        pr = PseudorangeSet(rho=rho)
+        x0 = np.array([6.0e6, 1.0e5, -2.0e5, 1.0e3])
+        ctrl = LsmControl(x0=x0)
+        before = (pr.rho.tobytes(), ctrl.x0.tobytes())
+        rho[0] = math.nan  # would fail the finite check, had the set kept this array
+        x0[:] = 1e300
+        assert (pr.rho.tobytes(), ctrl.x0.tobytes()) == before
+
+    @pytest.mark.parametrize("name", SCENE_ARRAYS)
+    def test_the_scene_arrays_are_read_only(self, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(default_scene(), name)[0] = 1e300
+
+    def test_anchors_rho_and_x0_are_read_only(self):
+        scene = default_scene()
+        with pytest.raises(ValueError, match="read-only"):
+            scene.anchors()[0, 0] = 1e300
+        pr = synthesize_pseudoranges(scene, 2.0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="read-only"):
+            pr.rho[0] = math.nan
+        ctrl = LsmControl()
+        with pytest.raises(ValueError, match="read-only"):
+            ctrl.x0[0] = 1.0
+
+
 class TestSynthesis:
     def test_noiseless_rows(self):
         scene = default_scene()
@@ -235,6 +286,14 @@ class TestSolver:
         with pytest.raises(DegenerateGeometryError, match="coincides with the anchor"):
             lsm_solve(noiseless_measurements(scene), scene, ctrl)
 
+    def test_a_range_that_overflows_keeps_the_clock_column(self):
+        # every |d| at this start overflows to inf; U's clock entries stay 1
+        # (not inf / inf), so gelsd sees the rank-1 U the row-by-row loop builds
+        scene = default_scene()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DegenerateGeometryError, match="rank deficient"):
+                lsm_solve(noiseless_measurements(scene), scene, LsmControl(x0=[1e200, 0.0, 0.0, 0.0]))
+
     def test_residual_cost_at_truth_is_noise_power(self):
         scene = default_scene()
         truth = np.append(scene.true_user, SPEED_OF_LIGHT * scene.clock_bias)
@@ -295,6 +354,10 @@ class TestBitIdentity:
         pytest.param(lambda: default_scene(), LsmControl(), id="default"),
         pytest.param(lambda: shifted(default_scene(), [1000.0, -2000.0, 500.0]), LsmControl(), id="translated"),
         pytest.param(lambda: default_scene(), LsmControl(iters=12), id="iters-12"),
+        pytest.param(lambda: default_scene(), LsmControl(x0=np.array([6.0e6, 1.0e5, -2.0e5, 1.0e3])),
+                     id="warm-start"),
+        # one step, then a pass that only scores it: no fix can stop early
+        pytest.param(lambda: default_scene(), LsmControl(iters=1), id="iters-1"),
     ]
 
     @pytest.mark.parametrize("make_scene, ctrl", CASES)
@@ -315,7 +378,8 @@ class TestBitIdentity:
                 early += iterations < ctrl.iters
             else:
                 capped += 1
-        assert capped > 0 and early > 0
+        assert capped > 0
+        assert early > 0 or ctrl.iters == 1
 
 
 _component = st.floats(-1.0, 1.0)
@@ -373,9 +437,23 @@ class TestFloatSumOrder:
             norms = np.linalg.norm(block, axis=1).tolist()
             for (a0, a1, a2), total, norm in zip(block.tolist(), sums, norms):
                 assert total == (a0 * a0 + a1 * a1) + a2 * a2
-                assert navigation._row_norm(a0, a1, a2) == norm
+                assert math.sqrt((a0 * a0 + a1 * a1) + a2 * a2) == norm
                 reordered += total != a0 * a0 + (a1 * a1 + a2 * a2)
         assert reordered > 0  # the rows tell the two orders apart
+
+    def test_the_solver_sums_each_direct_range_in_that_order(self):
+        # pseudoranges that are the model at the start, as predicted_pseudoranges
+        # takes it (norm(axis=1)), and a loss that accepts the first residual:
+        # its cost is 0 only if the solver's own sum runs in the same order
+        rng = np.random.default_rng(20)
+        start = np.zeros(4)
+        for _ in range(500):
+            sats = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-3.0, 8.0, (3, 1))
+            scene = NavScene(sat_positions=sats, inac_sat_position=sats[0] + 1.0, ris_position=sats[1],
+                             true_user=np.zeros(3), clock_bias=0.0)
+            pr = PseudorangeSet(rho=predicted_pseudoranges(scene, start))
+            fix = lsm_solve(pr, scene, LsmControl(iters=1, loss=math.inf, x0=start))
+            assert fix.final_cost == 0.0
 
 
 def cone_scene():
