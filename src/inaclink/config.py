@@ -11,7 +11,10 @@ Config files are flat ``key = value`` text with dotted namespaces::
 Unset keys take the default scenario: 30 MHz bandwidth, 10 GHz carrier,
 32 dBi transmit gain, MEO height 20000 km, elevation pi/10, d_RU = 10 m,
 path-loss exponents 2 / 2.2, spread gain 30 dB, target rates 0.0005 and
-0.001 bps/Hz, CO split 0.6/0.4 (NO split 0.1/0.9).  Units are carried by
+0.001 bps/Hz, CO split 0.6/0.4 (NO split 0.1/0.9).  The power split has
+one key, the uni-cast share ``noma.alpha_u_sq``: the multi-cast share is
+1 - ``noma.alpha_u_sq``, or the mode's default when the key is unset, so a
+split that does not sum to 1 cannot be written.  Units are carried by
 key suffixes (dbm, db, km, ghz, mhz, deg); everything is converted to SI
 once at this boundary.  Each key is a ScenarioConfig field: its group from
 the field metadata, a dot, and the field name less any ``group_`` prefix;
@@ -111,8 +114,7 @@ class ScenarioConfig:
     k_r: float = _key("fading", 1.0, builds="rician_params")
     k_g: float = _key("fading", 0.0, builds="rician_params")
     mode: str = _key("noma", "CO")
-    alpha_m_sq: float | None = _key("noma", None, builds="power_split")  # None: mode default
-    alpha_u_sq: float | None = _key("noma", None, builds="power_split")
+    alpha_u_sq: float | None = _key("noma", None, builds="power_split")  # None: the mode's split
     multicast_rate_bpshz: float = _key("noma", 0.0005, builds="rate_targets")
     unicast_rate_bpshz: float = _key("noma", 0.001, builds="rate_targets")
     trials: int = _key("mc", McConfig.trials, builds="mc_config")
@@ -123,10 +125,9 @@ class ScenarioConfig:
         "tx_power_dbm", (38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50), "link")
     sweep_elements_op: tuple[int, ...] = _grid("elements", (8, 16, 32, 64, 128, 256), "ris_array")
     sweep_elements_cap: tuple[int, ...] = _grid("elements", (16, 64, 256, 1024, 4096, 16384), "ris_array")
-    # NO mode, each value setting the whole split: CO saturates at once over the uni-cast share
+    # NO mode: CO saturates at once over the uni-cast share
     sweep_alpha_u_sq: tuple[float, ...] = _grid(
-        "alpha_u_sq", (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95), "power_split",
-        mode="NO", alpha_m_sq=None)
+        "alpha_u_sq", (0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95), "power_split", mode="NO")
     sweep_r_m_km: tuple[float, ...] = _grid(
         "r_m_km", (500, 1000, 2000, 4000, 8000, 12000, 20000, 30000), "orbit")
     sweep_elevation_deg: tuple[float, ...] = _grid("elevation_deg", (5, 15, 30, 45, 60, 75, 85), "orbit")
@@ -174,14 +175,9 @@ class ScenarioConfig:
         return RicianParams(k_r=self.k_r, k_g=self.k_g)
 
     def power_split(self) -> PowerSplit:
-        a_m, a_u = self.alpha_m_sq, self.alpha_u_sq
-        if a_m is None and a_u is None:
-            a_m, a_u = _MODE_SPLITS[self.mode]
-        elif a_m is None:
-            a_m = 1.0 - a_u
-        elif a_u is None:
-            a_u = 1.0 - a_m
-        return PowerSplit(alpha_m_sq=a_m, alpha_u_sq=a_u)
+        """The mode's split when noma.alpha_u_sq is unset, else (1 - alpha_u_sq, alpha_u_sq)."""
+        a_u = self.alpha_u_sq
+        return PowerSplit(*(_MODE_SPLITS[self.mode] if a_u is None else (1.0 - a_u, a_u)))
 
     def rate_targets(self) -> RateTargets:
         return RateTargets(r_m=self.multicast_rate_bpshz, r_u=self.unicast_rate_bpshz)

@@ -146,7 +146,7 @@ class PseudorangeSet:
         rho = _readonly(self.rho)
         if rho.shape != (4,):
             raise ValueError(f"rho must have shape (4,), got {rho.shape}")
-        if not np.isfinite(rho).all():
+        if not all(map(math.isfinite, rho.tolist())):
             raise ValueError("pseudoranges must be finite")
         object.__setattr__(self, "rho", rho)
 

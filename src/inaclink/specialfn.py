@@ -42,9 +42,7 @@ __all__ = [
 ]
 
 
-#: term budget and relative tolerance of the 1F1 series; the budget
-#: resolves arguments down to about -116.86
-_1F1_TERMS = 200
+#: relative tolerance of the 1F1 series
 _1F1_TOL = 1e-12
 
 
@@ -58,9 +56,9 @@ def _1f1_steps(terms: int) -> tuple[tuple[float, float], ...]:
     return tuple((0.5 + m, float(m * m)) for m in range(1, terms + 1))
 
 
-#: the steps of the default budget, built once; under another _1F1_TERMS (a
-#: test may patch it) each call builds its own, so the budget is always honoured
-_1F1_STEPS = _1f1_steps(_1F1_TERMS)
+#: the steps of the series, built once; their count is its term budget,
+#: which resolves arguments down to about -116.86
+_1F1_STEPS = _1f1_steps(200)
 
 
 def kummer_1f1_half(x: float) -> float:
@@ -74,7 +72,7 @@ def kummer_1f1_half(x: float) -> float:
     x = float(x)
     if not x <= 0.0:  # NaN fails too
         raise ValueError(f"1F1(-1/2,1;x) is evaluated for x <= 0 only, got {x}")
-    steps = _1F1_STEPS if len(_1F1_STEPS) == _1F1_TERMS else _1f1_steps(_1F1_TERMS)
+    steps = _1F1_STEPS
     tol = _1F1_TOL
     # e^x * 1F1(3/2, 1; -x), all-positive terms
     y = -x
@@ -88,7 +86,7 @@ def kummer_1f1_half(x: float) -> float:
                 return math.exp(x) * total
             break  # overflow, which passes the test: the budget cannot resolve this argument
     raise ConvergenceError(
-        f"1F1(-1/2,1;{x}) did not reach tol={_1F1_TOL} in {_1F1_TERMS} terms"
+        f"1F1(-1/2,1;{x}) did not reach tol={_1F1_TOL} in {len(steps)} terms"
     )
 
 

@@ -332,13 +332,13 @@ class TestValidateOnce:
 
 
 class TestErrors:
-    def test_bad_split_exits_2(self, tmp_path):
+    def test_multicast_share_is_an_unknown_key_exits_2(self, tmp_path):
+        # the split has one key: the multi-cast share is the rest of noma.alpha_u_sq
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("noma.alpha_m_sq = 0.6\nnoma.alpha_u_sq = 0.5\n", encoding="utf-8")
+        cfg.write_text("noma.alpha_u_sq = 0.7\nnoma.alpha_m_sq = 0.3\n", encoding="utf-8")
         res = run_cli("analyze", "--config", str(cfg))
         assert res.returncode == 2
-        assert res.stderr.startswith("config error:")
-        assert "sum to 1" in res.stderr
+        assert res.stderr == "config error: line 2: unknown key 'noma.alpha_m_sq'\n"
 
     def test_missing_config_exits_2(self, tmp_path):
         res = run_cli("analyze", "--config", str(tmp_path / "absent.cfg"))

@@ -5,10 +5,13 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from inaclink import ScenarioConfig, default_scene, load_config
 from inaclink.config import parse_config_text, parse_scene_text
 from inaclink.errors import ConfigError
+from inaclink.noma import MODES
 
 GOOD_SCENE = """\
 # four anchors, a surface user, and the receiver clock
@@ -54,6 +57,13 @@ class TestDefaults:
         cfg = replace(ScenarioConfig(), alpha_u_sq=0.3)
         split = cfg.power_split()
         assert split.alpha_m_sq == pytest.approx(0.7, rel=1e-15)
+
+    @given(mode=st.sampled_from(MODES), x=st.floats(1e-9, 1.0 - 1e-9))
+    def test_a_set_unicast_share_leaves_the_rest_to_multicast(self, mode, x):
+        # exact bits, in either mode; unset, the split is the mode's pair
+        # (test_mode_default_splits), and NO's (0.1, 0.9) is not (1 - 0.9, 0.9)
+        split = ScenarioConfig(mode=mode, alpha_u_sq=x).power_split()
+        assert (split.alpha_m_sq, split.alpha_u_sq) == (1.0 - x, x)
 
     def test_empty_text_gives_defaults(self):
         assert parse_config_text("") == ScenarioConfig()
@@ -106,24 +116,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match="expected key = value"):
             parse_config_text("just some words\n")
 
-    def test_split_must_sum_to_one(self):
-        with pytest.raises(ConfigError, match="sum to 1"):
-            parse_config_text("noma.alpha_m_sq = 0.6\nnoma.alpha_u_sq = 0.5\n")
-
     def test_negative_bandwidth_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("link.bandwidth_mhz = -1\n")
 
     def test_infeasible_split_rejected(self):
         with pytest.raises(ConfigError, match="cannot decode"):
-            parse_config_text("noma.alpha_m_sq = 0.00001\nnoma.alpha_u_sq = 0.99999\n")
+            parse_config_text("noma.alpha_u_sq = 0.99999\n")
 
     @pytest.mark.parametrize("text, message", [
-        ("noma.alpha_m_sq = 0.6\nnoma.alpha_u_sq = 0.5\n",
-         "noma.alpha_m_sq = 0.6, noma.alpha_u_sq = 0.5: power shares must sum to 1, got 1.1"),
-        ("noma.alpha_m_sq = 0.00001\nnoma.alpha_u_sq = 0.99999\nlink.tx_power_dbm = 40\n",
-         "noma.alpha_m_sq = 1e-05, noma.alpha_u_sq = 0.99999: power split "
-         "(alpha_m_sq=1e-05, alpha_u_sq=0.99999) cannot decode the first CO signal at any SNR"),
+        ("noma.alpha_u_sq = 0.99999\nlink.tx_power_dbm = 40\n",
+         "noma.alpha_u_sq = 0.99999: power split "
+         "(alpha_m_sq=9.99999999995449e-06, alpha_u_sq=0.99999) cannot decode the first CO signal at any SNR"),
         ("noma.multicast_rate_bpshz = 5\n",
          "noma.multicast_rate_bpshz = 5.0: power split (alpha_m_sq=0.6, alpha_u_sq=0.4) "
          "cannot decode the first CO signal at any SNR"),
@@ -151,7 +155,6 @@ class TestRoundTrip:
             elements=256,
             mode="NO",
             k_r=2.5,
-            alpha_m_sq=0.3,
             alpha_u_sq=0.7,
             sweep_tx_power_dbm=(40.0, 44.0, 48.0),
             sweep_nav_elements=(0, 32, 1024),

@@ -36,6 +36,11 @@ def scenario(mode="CO", **overrides):
     return ScenarioConfig(mode=mode, **overrides).scenario()
 
 
+def split_scenario(a_m, a_u, mode="CO", **overrides):
+    """scenario(mode, **overrides) at the exact split (a_m, a_u), which 1 - a_u may not give."""
+    return replace(scenario(mode, **overrides), split=PowerSplit(a_m, a_u))
+
+
 # --- reference decode order ---------------------------------------------------
 # The per-mode formulas that `first_decoded` and `sinr` replace, kept verbatim
 # (renamed) so that the one decode-order model is checked bit for bit.
@@ -226,8 +231,7 @@ class TestDecodeOrder:
                   (0.00001, 0.99999), (0.99999, 0.00001)]
         checked = infeasible = 0
         for L, dbm, (a_m, a_u) in itertools.product((1, 8, 128, 4096), (20.0, 46.0, 60.0), splits):
-            cfg = ScenarioConfig(mode=mode, elements=L, tx_power_dbm=dbm, alpha_m_sq=a_m, alpha_u_sq=a_u)
-            sc = cfg.scenario()
+            sc = split_scenario(a_m, a_u, mode, elements=L, tx_power_dbm=dbm)
             assert sc.feasible == _ref_feasible(sc)
             for signal in SIGNALS:
                 assert sinr(gains, sc, signal).tobytes() == _ref_sinr(gains, sc, signal).tobytes()
@@ -277,7 +281,7 @@ class TestDerivedValues:
         self, mode, alpha_u, other_alpha_u, r_m, r_u, dbm, gain_db, elements, k_r, k_g
     ):
         cfg = ScenarioConfig(
-            mode=mode, alpha_m_sq=1.0 - alpha_u, alpha_u_sq=alpha_u, multicast_rate_bpshz=r_m,
+            mode=mode, alpha_u_sq=alpha_u, multicast_rate_bpshz=r_m,
             unicast_rate_bpshz=r_u, tx_power_dbm=dbm, elements=elements, k_r=k_r, k_g=k_g,
         )
         sc = cfg.scenario()
@@ -311,7 +315,7 @@ class TestOutageThreshold:
     def test_second_stage_takes_the_max(self):
         # nearly all power on the multi-cast signal: the first decode is easy
         # and the uni-cast stage dominates its own threshold
-        sc = ScenarioConfig(alpha_m_sq=0.99, alpha_u_sq=0.01).scenario()
+        sc = ScenarioConfig(alpha_u_sq=0.01).scenario()
         first = outage_threshold(sc, "multicast")
         second_only = sc.targets.eps("unicast") * sc.budget.noise_power / (0.01 * sc.budget.gamma)
         assert outage_threshold(sc, "unicast") == pytest.approx(second_only, rel=1e-12)
@@ -320,7 +324,7 @@ class TestOutageThreshold:
     def test_first_stage_can_dominate_the_second(self):
         # nearly all power on the uni-cast signal: surviving the first decode
         # is the binding constraint for both signals
-        sc = ScenarioConfig(alpha_m_sq=0.01, alpha_u_sq=0.99).scenario()
+        sc = split_scenario(0.01, 0.99)
         assert outage_threshold(sc, "unicast") == outage_threshold(sc, "multicast")
 
     @pytest.mark.parametrize("mode", MODES)
@@ -362,7 +366,7 @@ class TestOutageClosedForm:
         assert outage_closed_form(no, "unicast").value == pytest.approx(2.2495147411483174e-9, rel=1e-9)
 
     def test_infeasible_split_saturates(self):
-        sc = ScenarioConfig(alpha_m_sq=0.00001, alpha_u_sq=0.99999).scenario()
+        sc = split_scenario(0.00001, 0.99999)
         assert not sc.feasible
         res = outage_closed_form(sc, "multicast")
         assert res.value == 1.0
@@ -370,7 +374,7 @@ class TestOutageClosedForm:
             outage_threshold(sc, "multicast")
 
     def test_no_mode_infeasible_split(self):
-        sc = ScenarioConfig(mode="NO", alpha_m_sq=0.99999, alpha_u_sq=0.00001).scenario()
+        sc = ScenarioConfig(mode="NO", alpha_u_sq=0.00001).scenario()
         assert not sc.feasible
         assert outage_closed_form(sc, "unicast").value == 1.0
 
@@ -431,7 +435,7 @@ class TestOutageAsymptotic:
             assert outage_asymptotic(sc, signal).value == 0.0
 
     def test_infeasible_split_saturates(self):
-        sc = ScenarioConfig(alpha_m_sq=0.00001, alpha_u_sq=0.99999).scenario()
+        sc = split_scenario(0.00001, 0.99999)
         assert not sc.feasible
         assert outage_asymptotic(sc, "multicast").value == 1.0
 

@@ -49,7 +49,6 @@ VALUES = {
     "fading.k_r": _decades(1e-3, 100.0),
     "fading.k_g": _decades(1e-3, 100.0),
     "noma.mode": st.sampled_from(noma.MODES),
-    "noma.alpha_m_sq": st.floats(0.01, 0.99),
     "noma.alpha_u_sq": st.floats(0.01, 0.99),
     "noma.multicast_rate_bpshz": _decades(1e-5, 10.0),
     "noma.unicast_rate_bpshz": _decades(1e-5, 10.0),

@@ -30,7 +30,7 @@ class TestKummer:
         assert kummer_1f1_half(-100.0) == pytest.approx(11.31203668068241, rel=1e-9)
 
     def test_against_scipy_hyp1f1(self, monkeypatch):
-        monkeypatch.setattr(specialfn, "_1F1_TERMS", 400)
+        monkeypatch.setattr(specialfn, "_1F1_STEPS", specialfn._1f1_steps(400))
         for x in (-120.0, -50.0, -7.5, -0.1):
             assert kummer_1f1_half(x) == pytest.approx(float(sp.hyp1f1(-0.5, 1.0, x)), rel=1e-9)
 
@@ -47,7 +47,7 @@ class TestKummer:
             kummer_1f1_half(-117.0)
 
     def test_larger_budget_extends_the_range(self, monkeypatch):
-        monkeypatch.setattr(specialfn, "_1F1_TERMS", 400)
+        monkeypatch.setattr(specialfn, "_1F1_STEPS", specialfn._1f1_steps(400))
         assert kummer_1f1_half(-120.0) == pytest.approx(12.38655307267948, rel=1e-10)
 
     def test_overflowing_argument_raises(self):
@@ -65,7 +65,7 @@ def _ref_kummer_1f1_half(x):
     term = 1.0
     total = 1.0
     a = 0.5
-    for m in range(1, specialfn._1F1_TERMS + 1):
+    for m in range(1, len(specialfn._1F1_STEPS) + 1):
         a += 1.0  # 1/2 + m, exactly
         term *= a * y / (m * m)
         total += term
@@ -74,7 +74,7 @@ def _ref_kummer_1f1_half(x):
                 return math.exp(x) * total
             break  # overflow, which passes the test: the budget cannot resolve this argument
     raise ConvergenceError(
-        f"1F1(-1/2,1;{x}) did not reach tol={specialfn._1F1_TOL} in {specialfn._1F1_TERMS} terms"
+        f"1F1(-1/2,1;{x}) did not reach tol={specialfn._1F1_TOL} in {len(specialfn._1F1_STEPS)} terms"
     )
 
 
@@ -112,14 +112,14 @@ class TestKummerSteps:
             assert ours == _kummer_outcome(_ref_kummer_1f1_half, x)
 
     def test_patched_budget(self, monkeypatch):
-        # a budget other than the default's table is still honoured, message and all
-        monkeypatch.setattr(specialfn, "_1F1_TERMS", 400)
+        # a patched step table is the budget, message and all
+        monkeypatch.setattr(specialfn, "_1F1_STEPS", specialfn._1f1_steps(400))
         for x in (FIRST_UNRESOLVED, -120.0, -200.0, -400.0, -1e9):
             assert _kummer_outcome(kummer_1f1_half, x) == _kummer_outcome(_ref_kummer_1f1_half, x)
         assert isinstance(_kummer_outcome(kummer_1f1_half, FIRST_UNRESOLVED), str)
         assert _kummer_outcome(kummer_1f1_half, -1e9) == (
             "ConvergenceError", "1F1(-1/2,1;-1000000000.0) did not reach tol=1e-12 in 400 terms")
-        monkeypatch.setattr(specialfn, "_1F1_TERMS", 10)
+        monkeypatch.setattr(specialfn, "_1F1_STEPS", specialfn._1f1_steps(10))
         for x in (-0.5, -1.0, -5.0, -50.0):
             assert _kummer_outcome(kummer_1f1_half, x) == _kummer_outcome(_ref_kummer_1f1_half, x)
 
