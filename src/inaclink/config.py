@@ -11,9 +11,9 @@ Config files are flat ``key = value`` text with dotted namespaces::
 Unset keys take the default scenario: 30 MHz bandwidth, 10 GHz carrier,
 32 dBi transmit gain, MEO height 20000 km, elevation pi/10, d_RU = 10 m,
 path-loss exponents 2 / 2.2, spread gain 30 dB, target rates 0.0005 and
-0.001 bps/Hz, CO split 0.6/0.4 (NO split 0.1/0.9).  The power split has
-one key, the uni-cast share ``noma.alpha_u_sq``: the multi-cast share is
-1 - ``noma.alpha_u_sq``, or the mode's default when the key is unset, so a
+0.001 bps/Hz, mode CO.  The power split has one key, the uni-cast share
+``noma.alpha_u_sq``: the multi-cast share is 1 - ``noma.alpha_u_sq``, or
+the mode's default split from `noma.mode_spec` when the key is unset, so a
 split that does not sum to 1 cannot be written.  Units are carried by
 key suffixes (dbm, db, km, ghz, mhz, deg); everything is converted to SI
 once at this boundary.  Each key is a ScenarioConfig field: its group from
@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 from .channel import RicianParams, RisArray
 from .errors import ConfigError
 from .geometry import LinkBudget, OrbitGeometry, RfParams, link_budget
-from .noma import PowerSplit, RateTargets, Scenario
+from .noma import PowerSplit, RateTargets, Scenario, mode_spec
 
 if TYPE_CHECKING:
     from .navigation import NavScene
@@ -57,9 +57,6 @@ __all__ = [
     "parse_scene_text",
     "default_scene",
 ]
-
-#: split defaults per mode: (alpha_m_sq, alpha_u_sq)
-_MODE_SPLITS = {"CO": (0.6, 0.4), "NO": (0.1, 0.9)}
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,7 @@ class ScenarioConfig:
     amplitude: float = _key("ris", 1.0, builds="ris_array")
     k_r: float = _key("fading", 1.0, builds="rician_params")
     k_g: float = _key("fading", 0.0, builds="rician_params")
-    mode: str = _key("noma", "CO")
+    mode: str = _key("noma", "CO", builds="power_split")
     alpha_u_sq: float | None = _key("noma", None, builds="power_split")  # None: the mode's split
     multicast_rate_bpshz: float = _key("noma", 0.0005, builds="rate_targets")
     unicast_rate_bpshz: float = _key("noma", 0.001, builds="rate_targets")
@@ -175,9 +172,9 @@ class ScenarioConfig:
         return RicianParams(k_r=self.k_r, k_g=self.k_g)
 
     def power_split(self) -> PowerSplit:
-        """The mode's split when noma.alpha_u_sq is unset, else (1 - alpha_u_sq, alpha_u_sq)."""
-        a_u = self.alpha_u_sq
-        return PowerSplit(*(_MODE_SPLITS[self.mode] if a_u is None else (1.0 - a_u, a_u)))
+        """The mode's split, or (1 - alpha_u_sq, alpha_u_sq) when that is set; a bad mode fails either way."""
+        split, a_u = mode_spec(self.mode)[1], self.alpha_u_sq
+        return PowerSplit(*(split if a_u is None else (1.0 - a_u, a_u)))
 
     def rate_targets(self) -> RateTargets:
         return RateTargets(r_m=self.multicast_rate_bpshz, r_u=self.unicast_rate_bpshz)
@@ -224,8 +221,6 @@ class ScenarioConfig:
         that fails alone over the defaults (so that no other key is blamed),
         else all its set keys.
         """
-        if self.mode not in _MODE_SPLITS:
-            raise ConfigError(f"noma.mode must be CO or NO, got {self.mode!r}")
         if self.nav_repetitions < 1:
             raise ConfigError(f"nav.repetitions must be >= 1, got {self.nav_repetitions}")
         if self.scene_file:

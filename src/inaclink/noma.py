@@ -1,13 +1,13 @@
 """NOMA superposition analysis: SINRs, outage and capacity.
 
 Two power-allocation scenarios share one machinery and differ only in the
-decode order, which `first_decoded` states once:
+decode order and default power split, both read from one table by `mode_spec`:
 
-    CO: the multi-cast (navigation) signal carries more power and is decoded
-        first under uni-cast interference; the uni-cast signal is decoded
-        interference-free after SIC.
-    NO: the roles swap - the uni-cast signal is decoded first, the
-        multi-cast signal after SIC.
+    CO: the multi-cast (navigation) signal carries more power (0.6/0.4) and
+        is decoded first under uni-cast interference; the uni-cast signal is
+        decoded interference-free after SIC.
+    NO: the roles swap - the uni-cast signal carries more power (0.1/0.9)
+        and is decoded first, the multi-cast signal after SIC.
 
 `sinr(gain, sc, signal)` builds either SINR from the signal's own and the
 other signal's power share; feasibility, outage thresholds, hardened
@@ -60,6 +60,7 @@ __all__ = [
     "RateTargets",
     "OutageResult",
     "Scenario",
+    "mode_spec",
     "first_decoded",
     "sinr",
     "outage_threshold",
@@ -68,7 +69,9 @@ __all__ = [
     "capacity_hardened",
 ]
 
-MODES = ("CO", "NO")
+#: each mode's signals in SIC decode order and its default (alpha_m_sq, alpha_u_sq)
+_MODE_TABLE = {"CO": (("multicast", "unicast"), (0.6, 0.4)), "NO": (("unicast", "multicast"), (0.1, 0.9))}
+MODES = tuple(_MODE_TABLE)
 SIGNALS = ("multicast", "unicast")
 
 #: sum-to-one slack for the power split
@@ -96,6 +99,7 @@ class PowerSplit:
 
     def shares(self, signal: str) -> tuple[float, float]:
         """(own, other) power share of a signal."""
+        _check_signal(signal)
         if signal == "multicast":
             return self.alpha_m_sq, self.alpha_u_sq
         return self.alpha_u_sq, self.alpha_m_sq
@@ -114,6 +118,7 @@ class RateTargets:
             raise ValueError("target rates must be finite and in (0, 1024) bps/Hz, where 2^R - 1 is finite")
 
     def rate(self, signal: str) -> float:
+        _check_signal(signal)
         return self.r_m if signal == "multicast" else self.r_u
 
     def eps(self, signal: str) -> float:
@@ -150,8 +155,6 @@ class Scenario:
     rician: RicianParams
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         object.__setattr__(self, "_thresholds", self._derive_thresholds())
 
     @cached_property
@@ -166,9 +169,8 @@ class Scenario:
 
     def _derive_thresholds(self) -> dict[str, float] | None:
         """Outage threshold omega of each signal; None when the scenario is infeasible."""
+        first_signal, second_signal = mode_spec(self.mode)[0]
         rho2, gamma = self.budget.noise_power, self.budget.gamma
-        first_signal = first_decoded(self.mode)
-        second_signal = "unicast" if first_signal == "multicast" else "multicast"
         own, other = self.split.shares(first_signal)
         eps = self.targets.eps(first_signal)
         if not own - other * eps > 0.0:
@@ -181,9 +183,16 @@ class Scenario:
 # --- decode order and instantaneous SINRs -----------------------------------
 
 
+def mode_spec(mode: str) -> tuple[tuple[str, str], tuple[float, float]]:
+    """A mode's signals in decode order and its default (alpha_m_sq, alpha_u_sq); ValueError outside MODES."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return _MODE_TABLE[mode]
+
+
 def first_decoded(mode: str) -> str:
     """The signal SIC decodes first: multi-cast in CO, uni-cast in NO."""
-    return "multicast" if mode == "CO" else "unicast"
+    return mode_spec(mode)[0][0]
 
 
 def _omega(numerator: float, denominator: float) -> float:
@@ -204,7 +213,6 @@ def sinr(gain, sc: Scenario, signal: str):
     second is decoded interference-free after SIC.  gamma and rho^2 come
     from the budget.
     """
-    _check_signal(signal)
     own, other = sc.split.shares(signal)
     a = own * gain * sc.budget.gamma
     if signal == first_decoded(sc.mode):
@@ -291,7 +299,6 @@ def capacity_hardened(sc: Scenario, signal: str) -> float:
     Carlo reads 2.8e-4 to 4.4e-3); the second-decoded signal sees a clean
     channel and gains exactly 1 bps/Hz per power doubling at high SNR.
     """
-    _check_signal(signal)
     own, other = sc.split.shares(signal)
     if signal == first_decoded(sc.mode):
         return math.log2(1.0 + own / other)

@@ -340,6 +340,13 @@ class TestErrors:
         assert res.returncode == 2
         assert res.stderr == "config error: line 2: unknown key 'noma.alpha_m_sq'\n"
 
+    @pytest.mark.parametrize("split", ["", "noma.alpha_u_sq = 0.5\n"])
+    def test_bad_mode_exits_2(self, tmp_path, capsys, split):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"noma.mode = XX\n{split}", encoding="utf-8")
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == "config error: noma.mode = XX: mode must be one of ('CO', 'NO'), got 'XX'\n"
+
     def test_missing_config_exits_2(self, tmp_path):
         res = run_cli("analyze", "--config", str(tmp_path / "absent.cfg"))
         assert res.returncode == 2

@@ -131,6 +131,10 @@ class TestParsing:
         ("noma.multicast_rate_bpshz = 5\n",
          "noma.multicast_rate_bpshz = 5.0: power split (alpha_m_sq=0.6, alpha_u_sq=0.4) "
          "cannot decode the first CO signal at any SNR"),
+        # the mode sets the decode order, so it is named too
+        ("noma.mode = NO\nnoma.alpha_u_sq = 0.00001\n",
+         "noma.mode = NO, noma.alpha_u_sq = 1e-05: power split (alpha_m_sq=0.99999, alpha_u_sq=1e-05) "
+         "cannot decode the first NO signal at any SNR"),
     ])
     def test_cross_field_error_names_the_set_keys_it_comes_from(self, text, message):
         # only keys that feed the failing object, and only those off their default
@@ -139,8 +143,11 @@ class TestParsing:
         assert str(err.value) == message
 
     def test_bad_mode_rejected(self):
-        with pytest.raises(ConfigError, match="mode"):
-            parse_config_text("noma.mode = XX\n")
+        # named by its key whether or not the split's one key is set
+        for text in ("noma.mode = XX\n", "noma.mode = XX\nnoma.alpha_u_sq = 0.5\n"):
+            with pytest.raises(ConfigError) as err:
+                parse_config_text(text)
+            assert str(err.value) == "noma.mode = XX: mode must be one of ('CO', 'NO'), got 'XX'"
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigError, match="must not be empty"):

@@ -224,6 +224,30 @@ class TestDecodeOrder:
         with pytest.raises(ValueError):
             sinr(1.0, scenario(), "broadcast")
 
+    @given(name=st.text().filter(lambda t: t not in MODES and t not in SIGNALS))
+    def test_an_unknown_mode_or_signal_is_one_value_error(self, name):
+        # every path that reads a mode or a signal fails with the same class and text
+        sc = scenario()
+        inputs = {f.name: getattr(sc, f.name) for f in fields(sc)}
+        calls = {
+            f"mode must be one of {MODES}, got {name!r}": [
+                lambda: ScenarioConfig(mode=name).scenario(),
+                lambda: ScenarioConfig(mode=name, alpha_u_sq=0.5).scenario(),
+                lambda: Scenario(**{**inputs, "mode": name}),
+                lambda: first_decoded(name),
+            ],
+            f"signal must be one of {SIGNALS}, got {name!r}": [
+                lambda: sc.split.shares(name),
+                lambda: sc.targets.rate(name),
+                lambda: sc.targets.eps(name),
+            ],
+        }
+        for message, paths in calls.items():
+            for call in paths:
+                with pytest.raises(ValueError) as err:
+                    call()
+                assert type(err.value) is ValueError and str(err.value) == message
+
     @pytest.mark.parametrize("mode", MODES)
     def test_matches_the_per_mode_formulas(self, mode):
         gains = np.concatenate([[0.0], np.geomspace(1e-2, 1e6, 200)])
