@@ -160,13 +160,15 @@ class LsmControl:
     x0: np.ndarray = field(default_factory=lambda: np.zeros(4))
 
     def __post_init__(self) -> None:
-        if self.iters < 1:
-            raise ValueError(f"iters must be >= 1, got {self.iters}")
+        if not isinstance(self.iters, (int, np.integer)) or self.iters < 1:
+            raise ValueError(f"iters must be an integer >= 1, got {self.iters!r}")
         if not self.loss > 0.0:  # NaN fails too
             raise ValueError(f"loss must be > 0, got {self.loss}")
         x0 = _readonly(self.x0)
         if x0.shape != (4,):
             raise ValueError(f"x0 must have shape (4,), got {x0.shape}")
+        if not all(map(math.isfinite, x0.tolist())):
+            raise ValueError("x0 must be finite")
         object.__setattr__(self, "x0", x0)
 
 

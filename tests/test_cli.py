@@ -3,6 +3,7 @@ where a test counts the calls a command makes."""
 
 import errno
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,13 @@ from types import SimpleNamespace
 
 import pytest
 
+import inaclink
 from inaclink import FIGURE_IDS, ScenarioConfig, cli, config, default_scene, navigation, noma, sweeps
 from inaclink.config import load_config
 
-CLI = [sys.executable, "-m", "inaclink.cli"]
+#: the directory that holds the imported inaclink, so a child interpreter runs
+#: the same code as the tests, in a checkout as well as in an install
+SRC = str(Path(inaclink.__file__).resolve().parents[1])
 
 #: the CSV of every command at GOLDEN_CONFIG, compared byte for byte with the
 #: benchmark's cli-suite references (`reproduce <figure-id>` as
@@ -35,14 +39,21 @@ GOLDEN_COMMANDS = [("analyze",), ("simulate",), ("position",), ("constellation",
                    *(("reproduce", fig) for fig in FIGURE_IDS)]
 
 
-def run_cli(*args):
+def run_python(*args, timeout=300):
+    """A fresh interpreter run on args, with SRC first on its PYTHONPATH."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     # bytes mode: text mode would fold the CRLF line endings away
-    res = subprocess.run([*CLI, *args], capture_output=True, timeout=300)
+    res = subprocess.run([sys.executable, *args], capture_output=True, timeout=timeout,
+                         env={**os.environ, "PYTHONPATH": path})
     return SimpleNamespace(
         returncode=res.returncode,
         stdout=res.stdout.decode("utf-8"),
         stderr=res.stderr.decode("utf-8"),
     )
+
+
+def run_cli(*args):
+    return run_python("-m", "inaclink.cli", *args)
 
 
 def scene_text(scene):
@@ -195,7 +206,7 @@ class TestPosition:
                 "from inaclink import cli\n"
                 f"assert cli.main(['position', '--out', {str(tmp_path / 'pos.csv')!r}]) == 0\n"
                 "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n")
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        res = run_python("-c", code, timeout=120)
         assert res.returncode == 0, res.stderr
         assert res.stdout == "[]\n"
 
@@ -216,7 +227,7 @@ class TestPosition:
         if argv is not None:
             code += f"from inaclink import cli\nassert cli.main({[*argv, '--out', str(tmp_path / 'out.csv')]!r}) == 0\n"
         code += "print('scipy.special' in sys.modules)\n"
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        res = run_python("-c", code, timeout=120)
         assert res.returncode == 0, res.stderr
         assert res.stdout == f"{draws}\n"
 
@@ -246,7 +257,7 @@ class TestPosition:
                 "        pass\n"
                 f"{touch}"
                 "print('numpy' in sys.modules)\n")
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        res = run_python("-c", code, timeout=120)
         assert res.returncode == 0, res.stderr
         assert res.stdout == f"{loads}\n"
 
@@ -260,7 +271,7 @@ class TestPosition:
                 "print(set(inaclink.__all__) <= set(dir(inaclink)))\n"
                 f"inaclink.load_config({str(cfg)!r}).scenario()\n"
                 "print('statistics' in sys.modules)\n")
-        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+        res = run_python("-c", code, timeout=120)
         assert res.returncode == 0, res.stderr
         assert res.stdout == "[]\nTrue\nFalse\n"
 

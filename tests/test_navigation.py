@@ -340,6 +340,14 @@ class TestSolver:
             LsmControl(loss=0.0)
         with pytest.raises(ValueError):
             LsmControl(x0=np.zeros(3))
+        # a start or budget that lsm_solve cannot use fails here, not in LAPACK or range()
+        for x0 in ([math.nan, 0.0, 0.0, 0.0], [0.0, math.inf, 0.0, 0.0], [0.0, 0.0, 0.0, -math.inf]):
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                LsmControl(x0=x0)
+        for iters in (1.5, 2.0, "3", None):
+            with pytest.raises(ValueError, match="iters must be an integer"):
+                LsmControl(iters=iters)
+        assert LsmControl(iters=np.int64(3)).iters == 3
 
     def test_nan_loss_rejected(self):
         # no cost is below NaN, so every fix would run to the cap unconverged
