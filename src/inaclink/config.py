@@ -25,6 +25,14 @@ defined here rather than in montecarlo, so that neither loading a config
 nor building its scenario imports numpy; parsing a scene imports numpy and
 navigation.
 
+`orbit`, `rf_params`, `power_split`, `rate_targets`, `ris_array` and
+`rician_params` share one frozen object per distinct argument tuple through
+`_shared`, a bounded typed LRU cache over the type's constructor: the first
+build validates, a failed build keeps nothing, and ``2`` and ``2.0`` build
+apart.  0.0 and -0.0 share a key, and every builder rejects a zero or gives
+the same bits from either sign (elevation, 10 ** (+-0 / 10) = 1.0, and K in
+the 1F1 sum and the sampler).  `link` still calls `link_budget` each time.
+
 Navigation scenes use the same syntax with 3-vector values (`_DEFAULT_SCENE`
 is the built-in one).  Every scene, the built-in one included, is built by
 `parse_scene_text`.  A config parses its scene once, on first use, and keeps
@@ -38,7 +46,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 from .channel import RicianParams, RisArray
@@ -89,6 +97,15 @@ def _grid(sweeps: str, default: tuple, builds: str, none_at=None, **fixed):
     has no point: the figure runs without the swept object there."""
     return field(default=default, metadata={
         "group": "sweep", "builds": builds, "sweeps": sweeps, "fixed": fixed, "none_at": none_at})
+
+
+_SHARED_OBJECTS = 256  # validated objects that `_shared` keeps, least recently used dropped first
+
+
+@lru_cache(maxsize=_SHARED_OBJECTS, typed=True)
+def _shared(cls, *args):
+    """cls(*args), one frozen object per distinct (cls, args); a constructor that raises leaves nothing kept."""
+    return cls(*args)
 
 
 @dataclass(frozen=True)
@@ -146,51 +163,36 @@ class ScenarioConfig:
         return 10.0 ** (self.spread_gain_db / 10.0)
 
     def orbit(self) -> OrbitGeometry:
-        return OrbitGeometry(
-            r_e=self.r_e_km * 1e3,
-            r_m=self.r_m_km * 1e3,
-            elevation=math.radians(self.elevation_deg),
-        )
+        return _shared(OrbitGeometry, self.r_e_km * 1e3, self.r_m_km * 1e3, math.radians(self.elevation_deg))
 
     def rf_params(self) -> RfParams:
-        return RfParams(
-            f_c=self.f_c_ghz * 1e9,
-            g_t=10.0 ** (self.g_t_dbi / 10.0),
-            alpha1=self.alpha1,
-            alpha2=self.alpha2,
-            d_ru=self.d_ru_m,
-        )
+        return _shared(RfParams, self.f_c_ghz * 1e9, 10.0 ** (self.g_t_dbi / 10.0), self.alpha1, self.alpha2,
+                       self.d_ru_m)
 
     def link(self) -> LinkBudget:
         return link_budget(
             self.orbit(), self.rf_params(), self.tx_power_w, self.spread_gain_linear, self.bandwidth_hz)
 
     def ris_array(self) -> RisArray:
-        return RisArray(num_elements=self.elements, amplitude=self.amplitude)
+        return _shared(RisArray, self.elements, self.amplitude)
 
     def rician_params(self) -> RicianParams:
-        return RicianParams(k_r=self.k_r, k_g=self.k_g)
+        return _shared(RicianParams, self.k_r, self.k_g)
 
     def power_split(self) -> PowerSplit:
         """The mode's split, or (1 - alpha_u_sq, alpha_u_sq) when that is set; a bad mode fails either way."""
         split, a_u = mode_spec(self.mode)[1], self.alpha_u_sq
-        return PowerSplit(*(split if a_u is None else (1.0 - a_u, a_u)))
+        return _shared(PowerSplit, *(split if a_u is None else (1.0 - a_u, a_u)))
 
     def rate_targets(self) -> RateTargets:
-        return RateTargets(r_m=self.multicast_rate_bpshz, r_u=self.unicast_rate_bpshz)
+        return _shared(RateTargets, self.multicast_rate_bpshz, self.unicast_rate_bpshz)
 
     def mc_config(self) -> McConfig:
         return McConfig(trials=self.trials, master_seed=self.seed)
 
     def scenario(self) -> Scenario:
         return Scenario(
-            mode=self.mode,
-            split=self.power_split(),
-            targets=self.rate_targets(),
-            budget=self.link(),
-            ris=self.ris_array(),
-            rician=self.rician_params(),
-        )
+            self.mode, self.power_split(), self.rate_targets(), self.link(), self.ris_array(), self.rician_params())
 
     def grid_points(self, name: str) -> list:
         """The config a figure runs at each value of the grid field name; None at its none_at."""

@@ -66,6 +66,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .channel import RicianParams, RisArray, cascaded_moments, effective_gain_cdf
+from .errors import InfeasibleError
 from .noma import Scenario, first_decoded, sinr
 
 if TYPE_CHECKING:
@@ -160,6 +161,9 @@ def sample_cascaded_gains_by_array(
     sums = {ris.num_elements: np.empty(mc.trials) for ris in arrays}
     blocks = []
     pending = sorted(sums, reverse=True)
+    # numpy sizes no array past intp's largest byte count; 4 L doubles are 32 L bytes
+    if pending and 32 * pending[0] > np.iinfo(np.intp).max:
+        raise InfeasibleError(f"one trial at L = {pending[0]} needs 4 L doubles, more than numpy can size")
     while pending:
         group = [L for L in pending if pending[0] % L == 0]
         pending = [L for L in pending if pending[0] % L]

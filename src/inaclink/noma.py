@@ -15,18 +15,18 @@ capacities and the Monte Carlo outage events all follow the same order.
 
 A `Scenario` is built from its physical inputs alone: mode, power split,
 rate targets, link budget, RIS array and Rician factors.  It works out
-both outage thresholds (and so its feasibility) when it is built, in
-`__post_init__`: they are a few float operations that every closed form
-reads, and a plain attribute spares each read the Python-level `__get__`
-and lock of `functools.cached_property`.  The CLT moments stay a lazy
-`cached_property`: they sum two 1F1 series, which raise ConvergenceError
-for a Rician K past the series budget, and a command that reads no moments
-(`constellation`, say) must not fail on such a K.  Either way the values
-are kept on the instance (past the frozen dataclass's `__setattr__`) and
-always belong to the inputs stored beside them.  Nothing is cached across
-instances: `dataclasses.replace` builds a new scenario that derives its
-own values, and there is no cache keyed on inputs.  A different transmit
-power is a different link budget, so it comes from the config
+both outage thresholds (and so its feasibility) when it is built, reading
+the shares and rates in the mode's decode order; the closed forms read
+them as a plain attribute.  The CLT moments are lazy: they sum two 1F1
+series, which raise ConvergenceError for a Rician K past the series
+budget, and a command that reads no moments (`constellation`, say) must
+not fail on such a K.  Their first read goes through a small descriptor
+that keeps them in the instance's dict (past the frozen `__setattr__`)
+unless it raises; it takes no lock, as `functools.cached_property` does
+on Python 3.11, and later reads find the dict entry first.  Derived
+values are never shared between scenarios, but inputs may be: they are
+frozen, and `config` hands equal configs the same objects.  A different
+transmit power is a different link budget, so it comes from the config
 (`replace(cfg, tx_power_dbm=...).scenario()`).
 
 Closed-form outage follows from the folded-normal gain law evaluated at a
@@ -39,10 +39,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .channel import (
-    ChannelMoments,
     RicianParams,
     RisArray,
     cascaded_moments,
@@ -136,6 +134,17 @@ class OutageResult:
             raise ValueError(f"outage probability must be in [0, 1], got {self.value}")
 
 
+class _LazyMoments:
+    """`Scenario.moments`, the CLT ChannelMoments: the first read keeps them in the instance's dict,
+    which shadows this non-data descriptor from then on; a read that raises keeps nothing."""
+
+    def __get__(self, sc: Scenario | None, owner=None):
+        if sc is None:
+            return self
+        moments = sc.__dict__["moments"] = cascaded_moments(sc.ris, sc.rician)
+        return moments
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One fully-specified operating point of either mode.
@@ -155,12 +164,9 @@ class Scenario:
     rician: RicianParams
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_thresholds", self._derive_thresholds())
+        self.__dict__["_thresholds"] = self._derive_thresholds()
 
-    @cached_property
-    def moments(self) -> ChannelMoments:
-        """CLT moments of the cascaded channel sum."""
-        return cascaded_moments(self.ris, self.rician)
+    moments = _LazyMoments()
 
     @property
     def feasible(self) -> bool:
@@ -170,13 +176,16 @@ class Scenario:
     def _derive_thresholds(self) -> dict[str, float] | None:
         """Outage threshold omega of each signal; None when the scenario is infeasible."""
         first_signal, second_signal = mode_spec(self.mode)[0]
-        rho2, gamma = self.budget.noise_power, self.budget.gamma
-        own, other = self.split.shares(first_signal)
-        eps = self.targets.eps(first_signal)
+        split, targets, budget = self.split, self.targets, self.budget
+        own, other, r_first, r_second = ((split.alpha_m_sq, split.alpha_u_sq, targets.r_m, targets.r_u)
+                                         if first_signal == "multicast" else
+                                         (split.alpha_u_sq, split.alpha_m_sq, targets.r_u, targets.r_m))
+        eps = 2.0 ** r_first - 1.0
         if not own - other * eps > 0.0:
             return None
-        first = _omega(eps * rho2, (own - other * eps) * gamma)
-        second = _omega(self.targets.eps(second_signal) * rho2, self.split.shares(second_signal)[0] * gamma)
+        first = _omega(eps * budget.noise_power, (own - other * eps) * budget.gamma)
+        # the second-decoded signal's own share is the first's other share
+        second = _omega((2.0 ** r_second - 1.0) * budget.noise_power, other * budget.gamma)
         return {first_signal: first, second_signal: max(first, second)}
 
 
@@ -229,11 +238,12 @@ def outage_threshold(sc: Scenario, signal: str) -> float:
     the SIC feasibility condition fails (no finite threshold exists).
     """
     _check_signal(signal)
-    if not sc.feasible:
+    thresholds = sc._thresholds
+    if thresholds is None:
         raise InfeasibleError(
             f"power split cannot decode the first {sc.mode} signal at any SNR"
         )
-    return sc._thresholds[signal]
+    return thresholds[signal]
 
 
 def outage_closed_form(sc: Scenario, signal: str) -> OutageResult:
@@ -243,10 +253,10 @@ def outage_closed_form(sc: Scenario, signal: str) -> OutageResult:
     degenerate region; outage_threshold raises for it instead.
     """
     _check_signal(signal)
-    if not sc.feasible:
+    thresholds = sc._thresholds
+    if thresholds is None:
         return OutageResult(value=1.0)
-    omega = outage_threshold(sc, signal)
-    return OutageResult(value=float(effective_gain_cdf(omega, sc.moments)))
+    return OutageResult(float(effective_gain_cdf(thresholds[signal], sc.moments)))
 
 
 def outage_asymptotic(sc: Scenario, signal: str) -> OutageResult:
@@ -262,9 +272,10 @@ def outage_asymptotic(sc: Scenario, signal: str) -> OutageResult:
     expansion does not represent erf and RegionError is raised.
     """
     _check_signal(signal)
-    if not sc.feasible:
+    thresholds = sc._thresholds
+    if thresholds is None:
         return OutageResult(value=1.0)
-    omega = outage_threshold(sc, signal)
+    omega = thresholds[signal]
     m3, v3 = sc.moments.m3, sc.moments.v3
     root = math.sqrt(omega)
     s = math.sqrt(2.0 * v3)

@@ -446,6 +446,20 @@ class TestErrors:
         assert capsys.readouterr().err.startswith(
             "config error: sweep.tx_power_dbm = 2760.0: gamma must be finite and > 0, got inf")
 
+    @pytest.mark.parametrize("command", [["simulate"], ["reproduce", "op-vs-power"]], ids=" ".join)
+    def test_an_l_that_numpy_cannot_size_exits_3_before_any_draw(self, tmp_path, capsys, command):
+        # 4 L doubles per trial are more bytes than an array may hold; the
+        # closed forms still run at this L, so analyze exits 0
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("ris.elements = 10000000000000000000000\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        assert cli.main(["analyze", "--config", str(cfg), "--out", str(out)]) == 0
+        out.unlink()
+        assert cli.main([*command, "--trials", "200", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "numeric error: one trial at L = 10000000000000000000000 needs 4 L doubles, more than numpy can size\n")
+
     def test_unwritable_stdout_exits_2(self, monkeypatch, capsys):
         class FullStdout(io.StringIO):
             def write(self, text):

@@ -1,7 +1,7 @@
 """Config and scene file parsing, defaults, serialization round trips."""
 
 import math
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -9,9 +9,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from inaclink import ScenarioConfig, default_scene, load_config
-from inaclink.config import parse_config_text, parse_scene_text
+from inaclink.channel import ChannelMoments, RicianParams, RisArray
+from inaclink.config import _shared, parse_config_text, parse_scene_text
 from inaclink.errors import ConfigError
-from inaclink.noma import MODES
+from inaclink.geometry import OrbitGeometry, RfParams, link_budget
+from inaclink.noma import (
+    MODES,
+    SIGNALS,
+    OutageResult,
+    PowerSplit,
+    RateTargets,
+    Scenario,
+    capacity_hardened,
+    mode_spec,
+    outage_asymptotic,
+    outage_closed_form,
+    outage_threshold,
+)
 
 GOOD_SCENE = """\
 # four anchors, a surface user, and the receiver clock
@@ -183,6 +197,139 @@ class TestRoundTrip:
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(str(tmp_path / "absent.cfg"))
+
+
+# --- objects shared between configs ---------------------------------------------
+
+#: values of the keys whose objects the config shares: +-0.0 where a zero is
+#: valid, int and float spellings of one value, and values that fail to build
+SHARED_KEYS = {
+    "r_e_km": st.sampled_from([6378, 6378.0, 6371.0]),
+    "r_m_km": st.sampled_from([20000, 20000.0, -1.0]) | st.floats(300.0, 40000.0),
+    "elevation_deg": st.sampled_from([0.0, -0.0, 0, 18, 18.0, 90, 95.0]) | st.floats(0.0, 90.0),
+    "f_c_ghz": st.sampled_from([10, 10.0, 2.4]),
+    "g_t_dbi": st.sampled_from([0.0, -0.0, 0, 32, 32.0, -1.0]),
+    "alpha1": st.sampled_from([2, 2.0, 2.5]),
+    "alpha2": st.sampled_from([2, 2.0, 2.2]),
+    "d_ru_m": st.sampled_from([10, 10.0, 0.0]),
+    "tx_power_dbm": st.sampled_from([46, 46.0]) | st.floats(-50.0, 70.0),
+    "elements": st.sampled_from([128, 128.0]) | st.integers(1, 4096),
+    "mode": st.sampled_from(MODES + ("XX",)),
+    "alpha_u_sq": st.sampled_from([None, 0.5, 0.9, 1, 1.0]) | st.floats(0.01, 0.99),
+    "multicast_rate_bpshz": st.sampled_from([0.0005, 1, 1.0, 0.0]),
+    "unicast_rate_bpshz": st.sampled_from([0.001, 2, 2.0]),
+    # K = 117 is past the 1F1 budget: its moments raise
+    "k_r": st.sampled_from([0.0, -0.0, 0, 1, 1.0, 117.0]) | st.floats(0.0, 100.0),
+    "k_g": st.sampled_from([0.0, -0.0, 0, 1, 1.0]) | st.floats(0.0, 100.0),
+}
+
+
+def _other_spelling(value):
+    """-value for a float zero, the other numeric type for an integral value, else value."""
+    if isinstance(value, float) and value == 0.0:
+        return -value
+    if isinstance(value, int):
+        return float(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
+def _direct_objects(cfg):
+    """The objects the config's builders return, each constructed afresh, in the order scenario() builds them."""
+    default, a_u = mode_spec(cfg.mode)[1], cfg.alpha_u_sq
+    split = PowerSplit(*(default if a_u is None else (1.0 - a_u, a_u)))
+    targets = RateTargets(cfg.multicast_rate_bpshz, cfg.unicast_rate_bpshz)
+    orbit = OrbitGeometry(cfg.r_e_km * 1e3, cfg.r_m_km * 1e3, math.radians(cfg.elevation_deg))
+    rf = RfParams(cfg.f_c_ghz * 1e9, 10.0 ** (cfg.g_t_dbi / 10.0), cfg.alpha1, cfg.alpha2, cfg.d_ru_m)
+    budget = link_budget(orbit, rf, cfg.tx_power_w, cfg.spread_gain_linear, cfg.bandwidth_hz)
+    return {"power_split": split, "rate_targets": targets, "orbit": orbit, "rf_params": rf, "link": budget,
+            "ris_array": RisArray(cfg.elements, cfg.amplitude), "rician_params": RicianParams(cfg.k_r, cfg.k_g)}
+
+
+def _direct_scenario(cfg):
+    objects = _direct_objects(cfg)
+    return Scenario(cfg.mode, objects["power_split"], objects["rate_targets"], objects["link"],
+                    objects["ris_array"], objects["rician_params"])
+
+
+def _outcome(call):
+    """What call returns with each float as its bits, or the type and message of what it raises."""
+    try:
+        value = call()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(value, OutageResult):
+        value = value.value
+    if isinstance(value, ChannelMoments):
+        return tuple(getattr(value, f.name).hex() for f in fields(value))
+    return value.hex()
+
+
+def _results(build):
+    """Every closed-form output of the scenario that build returns, or the error that build raises."""
+    try:
+        sc = build()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    out = [sc.budget.gamma.hex(), sc.budget.noise_power.hex(), _outcome(lambda: sc.moments)]
+    for signal in SIGNALS:
+        for quantity in (outage_threshold, outage_closed_form, outage_asymptotic, capacity_hardened):
+            out.append(_outcome(lambda: quantity(sc, signal)))
+    return out
+
+
+def _field_types(obj):
+    return [type(getattr(obj, f.name)) for f in fields(obj)]
+
+
+class TestSharedObjects:
+    @given(values=st.fixed_dictionaries(SHARED_KEYS))
+    def test_sharing_changes_no_output(self, values):
+        # each config runs after its twin (every zero of the other sign, every
+        # integral value in the other spelling) filled the cache, so that it
+        # gets whatever objects the twin's equal keys share with it
+        cfg = ScenarioConfig(**values)
+        twin = ScenarioConfig(**{name: _other_spelling(v) for name, v in values.items()})
+        for first, then in ((twin, cfg), (cfg, twin)):
+            _shared.cache_clear()
+            _results(first.scenario)
+            results = _results(then.scenario)
+            assert results == _results(then.scenario) == _results(lambda: _direct_scenario(then))
+            if isinstance(results, tuple):  # an invalid value
+                continue
+            # typed keys: a shared object holds the very types that a fresh one does
+            for name, fresh in _direct_objects(then).items():
+                assert _field_types(getattr(then, name)()) == _field_types(fresh)
+            other_power = replace(then, tx_power_dbm=then.tx_power_dbm + 1.0)
+            for name in ("orbit", "rf_params", "power_split", "rate_targets"):
+                assert getattr(other_power, name)() is getattr(then, name)()
+
+    def test_a_point_that_changes_power_l_k_and_mode_reuses_the_rest(self):
+        cfg = ScenarioConfig()
+        point = replace(cfg, tx_power_dbm=40.0, elements=64, k_r=3.0, mode="NO")
+        for name in ("orbit", "rf_params", "rate_targets"):
+            assert getattr(point, name)() is getattr(cfg, name)()
+        assert point.power_split() is replace(cfg, mode="NO").power_split()
+        assert point.scenario().targets is cfg.scenario().targets
+
+    @pytest.mark.parametrize("build", ["orbit", "rf_params", "power_split", "rate_targets", "ris_array",
+                                       "rician_params", "scenario", None])
+    def test_no_field_can_be_set(self, build):
+        cfg = ScenarioConfig()
+        obj = cfg if build is None else getattr(cfg, build)()
+        for f in fields(obj):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+
+    def test_moments_cannot_be_rebound_after_the_first_read(self):
+        sc = ScenarioConfig().scenario()
+        moments = sc.moments
+        with pytest.raises(FrozenInstanceError):
+            sc.moments = replace(moments, m3=0.0)
+        with pytest.raises(FrozenInstanceError):
+            del sc.moments
+        assert sc.moments is moments
 
 
 class TestSceneFiles:

@@ -181,6 +181,12 @@ class TestDataTypes:
         assert outage_threshold(sc, "unicast") > 0.0
         with pytest.raises(ConvergenceError):
             sc.moments
+        # a read that fails keeps nothing, so the next read sums the series and fails again
+        with pytest.raises(ConvergenceError):
+            sc.moments
+        # a read that succeeds is kept: the second read returns the first's object
+        ok = scenario(k_r=1.0)
+        assert ok.moments is ok.moments
 
     def test_power_scales_gamma_not_the_moments(self):
         sc = scenario()
