@@ -25,13 +25,14 @@ defined here rather than in montecarlo, so that neither loading a config
 nor building its scenario imports numpy; parsing a scene imports numpy and
 navigation.
 
-`orbit`, `rf_params`, `power_split`, `rate_targets`, `ris_array` and
-`rician_params` share one frozen object per distinct argument tuple through
-`_shared`, a bounded typed LRU cache over the type's constructor: the first
-build validates, a failed build keeps nothing, and ``2`` and ``2.0`` build
-apart.  0.0 and -0.0 share a key, and every builder rejects a zero or gives
-the same bits from either sign (elevation, 10 ** (+-0 / 10) = 1.0, and K in
-the 1F1 sum and the sampler).  `link` still calls `link_budget` each time.
+`orbit`, `rf_params`, `power_split` and `rate_targets`, which a point that
+varies power, L, K or mode leaves alone, share one frozen object per
+distinct argument tuple through `_shared`, a bounded typed LRU cache over
+the type's constructor: the first build validates, a failed build keeps
+nothing, and ``2`` and ``2.0`` build apart.  0.0 and -0.0 share a key, and
+every builder rejects a zero or gives the same bits from either sign
+(elevation, and 10 ** (+-0 / 10) = 1.0).  `ris_array`, `rician_params` and
+`link` build afresh each time: L, K and power are what a point varies.
 
 Navigation scenes use the same syntax with 3-vector values (`_DEFAULT_SCENE`
 is the built-in one).  Every scene, the built-in one included, is built by
@@ -174,10 +175,10 @@ class ScenarioConfig:
             self.orbit(), self.rf_params(), self.tx_power_w, self.spread_gain_linear, self.bandwidth_hz)
 
     def ris_array(self) -> RisArray:
-        return _shared(RisArray, self.elements, self.amplitude)
+        return RisArray(num_elements=self.elements, amplitude=self.amplitude)
 
     def rician_params(self) -> RicianParams:
-        return _shared(RicianParams, self.k_r, self.k_g)
+        return RicianParams(k_r=self.k_r, k_g=self.k_g)
 
     def power_split(self) -> PowerSplit:
         """The mode's split, or (1 - alpha_u_sq, alpha_u_sq) when that is set; a bad mode fails either way."""
@@ -192,7 +193,13 @@ class ScenarioConfig:
 
     def scenario(self) -> Scenario:
         return Scenario(
-            self.mode, self.power_split(), self.rate_targets(), self.link(), self.ris_array(), self.rician_params())
+            mode=self.mode,
+            split=self.power_split(),
+            targets=self.rate_targets(),
+            budget=self.link(),
+            ris=self.ris_array(),
+            rician=self.rician_params(),
+        )
 
     def grid_points(self, name: str) -> list:
         """The config a figure runs at each value of the grid field name; None at its none_at."""

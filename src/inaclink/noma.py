@@ -120,7 +120,7 @@ class RateTargets:
         return self.r_m if signal == "multicast" else self.r_u
 
     def eps(self, signal: str) -> float:
-        return 2.0 ** self.rate(signal) - 1.0
+        return _eps(self.rate(signal))
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ class Scenario:
     rician: RicianParams
 
     def __post_init__(self) -> None:
-        self.__dict__["_thresholds"] = self._derive_thresholds()
+        object.__setattr__(self, "_thresholds", self._derive_thresholds())
 
     moments = _LazyMoments()
 
@@ -180,12 +180,12 @@ class Scenario:
         own, other, r_first, r_second = ((split.alpha_m_sq, split.alpha_u_sq, targets.r_m, targets.r_u)
                                          if first_signal == "multicast" else
                                          (split.alpha_u_sq, split.alpha_m_sq, targets.r_u, targets.r_m))
-        eps = 2.0 ** r_first - 1.0
+        eps = _eps(r_first)
         if not own - other * eps > 0.0:
             return None
         first = _omega(eps * budget.noise_power, (own - other * eps) * budget.gamma)
         # the second-decoded signal's own share is the first's other share
-        second = _omega((2.0 ** r_second - 1.0) * budget.noise_power, other * budget.gamma)
+        second = _omega(_eps(r_second) * budget.noise_power, other * budget.gamma)
         return {first_signal: first, second_signal: max(first, second)}
 
 
@@ -208,6 +208,11 @@ def _omega(numerator: float, denominator: float) -> float:
     """A threshold eps rho^2 / (share gamma); +inf where the share times a
     subnormal gamma underflows to 0, since no finite gain then decodes."""
     return numerator / denominator if denominator > 0.0 else math.inf
+
+
+def _eps(rate: float) -> float:
+    """SINR threshold 2^R - 1 of a target rate R in bps/Hz."""
+    return 2.0 ** rate - 1.0
 
 
 def _check_signal(signal: str) -> None:
@@ -238,12 +243,11 @@ def outage_threshold(sc: Scenario, signal: str) -> float:
     the SIC feasibility condition fails (no finite threshold exists).
     """
     _check_signal(signal)
-    thresholds = sc._thresholds
-    if thresholds is None:
+    if not sc.feasible:
         raise InfeasibleError(
             f"power split cannot decode the first {sc.mode} signal at any SNR"
         )
-    return thresholds[signal]
+    return sc._thresholds[signal]
 
 
 def outage_closed_form(sc: Scenario, signal: str) -> OutageResult:
@@ -256,7 +260,7 @@ def outage_closed_form(sc: Scenario, signal: str) -> OutageResult:
     thresholds = sc._thresholds
     if thresholds is None:
         return OutageResult(value=1.0)
-    return OutageResult(float(effective_gain_cdf(thresholds[signal], sc.moments)))
+    return OutageResult(value=float(effective_gain_cdf(thresholds[signal], sc.moments)))
 
 
 def outage_asymptotic(sc: Scenario, signal: str) -> OutageResult:

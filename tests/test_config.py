@@ -201,8 +201,9 @@ class TestRoundTrip:
 
 # --- objects shared between configs ---------------------------------------------
 
-#: values of the keys whose objects the config shares: +-0.0 where a zero is
-#: valid, int and float spellings of one value, and values that fail to build
+#: values of the keys whose objects the config shares, and of the L and K keys
+#: that it builds afresh: +-0.0 where a zero is valid, int and float
+#: spellings of one value, and values that fail to build
 SHARED_KEYS = {
     "r_e_km": st.sampled_from([6378, 6378.0, 6371.0]),
     "r_m_km": st.sampled_from([20000, 20000.0, -1.0]) | st.floats(300.0, 40000.0),
