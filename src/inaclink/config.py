@@ -25,14 +25,13 @@ defined here rather than in montecarlo, so that neither loading a config
 nor building its scenario imports numpy; parsing a scene imports numpy and
 navigation.
 
-`orbit`, `rf_params`, `power_split` and `rate_targets`, which a point that
-varies power, L, K or mode leaves alone, share one frozen object per
-distinct argument tuple through `_shared`, a bounded typed LRU cache over
-the type's constructor: the first build validates, a failed build keeps
-nothing, and ``2`` and ``2.0`` build apart.  0.0 and -0.0 share a key, and
-every builder rejects a zero or gives the same bits from either sign
-(elevation, and 10 ** (+-0 / 10) = 1.0).  `ris_array`, `rician_params` and
-`link` build afresh each time: L, K and power are what a point varies.
+`orbit`, `rf_params`, `power_split` and `rate_targets` share one frozen
+object per argument tuple through `_shared`, a typed LRU cache of 256 over
+the type's constructor: the first build validates, a failed one keeps
+nothing, ``2`` and ``2.0`` build apart, and 0.0 and -0.0 share a key that
+each builder rejects or turns into the same bits (elevation, 10 ** (+-0/10)
+= 1.0).  `ris_array`, `rician_params` and `link` build afresh: L, K and
+power are what a point varies.
 
 Navigation scenes use the same syntax with 3-vector values (`_DEFAULT_SCENE`
 is the built-in one).  Every scene, the built-in one included, is built by
@@ -100,10 +99,7 @@ def _grid(sweeps: str, default: tuple, builds: str, none_at=None, **fixed):
         "group": "sweep", "builds": builds, "sweeps": sweeps, "fixed": fixed, "none_at": none_at})
 
 
-_SHARED_OBJECTS = 256  # validated objects that `_shared` keeps, least recently used dropped first
-
-
-@lru_cache(maxsize=_SHARED_OBJECTS, typed=True)
+@lru_cache(maxsize=256, typed=True)
 def _shared(cls, *args):
     """cls(*args), one frozen object per distinct (cls, args); a constructor that raises leaves nothing kept."""
     return cls(*args)
