@@ -3,6 +3,8 @@
 Draws physical Rician link realizations, applies the RIS co-phasing (which
 reduces to summing amplitude products), simulates SIC decoding, and reports
 empirical outage/capacity/distribution estimates with confidence intervals.
+The decoding reads each signal's `noma.role` record, the same decode order,
+shares and target rates that the closed forms read.
 
 Determinism contract: trial i consumes exactly 4 L uniform doubles from a
 Philox counter-based stream keyed by master_seed, starting at counter block
@@ -41,7 +43,9 @@ The blocks of all groups form one list, sampled on one pool of at most
 _WORKERS threads, each block writing its own slice of the result; the
 gains are bit-identical to a pool of one.  So at most _WORKERS blocks are
 in flight, each with at most 2 MB of uniforms plus its transform's
-temporaries.  There is no serial path, so a small call pays the pool's
+temporaries.  A block whose uniforms cannot be allocated raises
+InfeasibleError naming its L: only an L whose one trial needs more than the
+host holds makes a block that large.  There is no serial path, so a small call pays the pool's
 start-up: 0.2-0.6 ms on a 2-core host, measured at 1 and 100 trials of
 L = 8.
 
@@ -67,7 +71,7 @@ from numpy.random import Generator, Philox
 
 from .channel import RicianParams, RisArray, cascaded_moments, effective_gain_cdf
 from .errors import InfeasibleError
-from .noma import Scenario, first_decoded, sinr
+from .noma import SIGNALS, Scenario, role, sinr
 
 if TYPE_CHECKING:
     from .config import McConfig
@@ -177,7 +181,12 @@ def sample_cascaded_gains_by_array(
         # n top / L whole L-element trials, read from the front of the block
         group, start, n = block
         top = group[0]
-        u = _uniform_block(mc.master_seed, start, n, 4 * top)
+        try:
+            u = _uniform_block(mc.master_seed, start, n, 4 * top)
+        except MemoryError:
+            # a block holds at most _BLOCK_DOUBLES uniforms unless one trial needs more: L is too large
+            raise InfeasibleError(
+                f"one trial at L = {top} needs 4 L doubles, more than this host can allocate") from None
         z = ndtri(u, out=u).reshape(-1)
         for L in group:
             first = start * (top // L)
@@ -201,18 +210,18 @@ def sample_cascaded_gains_by_array(
 
 
 def outage_events(gains: np.ndarray, sc: Scenario, signal: str) -> np.ndarray:
-    """Boolean outage indicators, one per trial, following the SIC order.
+    """Boolean outage indicators, one per trial, following the SIC order of the signal's `role`.
 
-    The first-decoded signal is in outage when its own rate misses its
-    target.  The second-decoded signal is in outage when the first decode
-    fails (SIC impossible) or when, after SIC, its own rate misses.
+    A signal is in outage when its own rate misses its target.  The
+    second-decoded signal is also in outage when the first decode fails,
+    since SIC then cannot remove the first signal.
     """
-    first = first_decoded(sc.mode)
-    first_fail = np.log2(1.0 + sinr(gains, sc, first)) < sc.targets.rate(first)
-    if signal == first:
-        return first_fail
-    second_fail = np.log2(1.0 + sinr(gains, sc, signal)) < sc.targets.rate(signal)
-    return first_fail | second_fail
+    r = role(sc, signal)
+    fail = np.log2(1.0 + sinr(gains, sc, signal)) < r.rate
+    if r.first:
+        return fail
+    (first,) = (s for s in SIGNALS if s != signal)
+    return (np.log2(1.0 + sinr(gains, sc, first)) < role(sc, first).rate) | fail
 
 
 def wilson_half_width(successes: int, n: int) -> float:

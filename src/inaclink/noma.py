@@ -9,25 +9,27 @@ decode order and default power split, both read from one table by `mode_spec`:
     NO: the roles swap - the uni-cast signal carries more power (0.1/0.9)
         and is decoded first, the multi-cast signal after SIC.
 
-`sinr(gain, sc, signal)` builds either SINR from the signal's own and the
-other signal's power share; feasibility, outage thresholds, hardened
-capacities and the Monte Carlo outage events all follow the same order.
+A `Scenario` applies that order once, when it is built: `role(sc, signal)`
+returns the signal's record of its own and the other signal's power share,
+whether SIC decodes it first, its target rate and its outage threshold
+omega (None when the split cannot decode the first signal at any SNR).
+`sinr`, feasibility, the outage thresholds and closed forms, the hardened
+capacities and the Monte Carlo outage events read only that record, and
+`role` is the one place that rejects a signal name outside SIGNALS.
 
 A `Scenario` is built from its physical inputs alone: mode, power split,
-rate targets, link budget, RIS array and Rician factors.  It works out
-both outage thresholds (and so its feasibility) when it is built, reading
-the shares and rates in the mode's decode order; the closed forms read
-them as a plain attribute.  The CLT moments are lazy: they sum two 1F1
-series, which raise ConvergenceError for a Rician K past the series
-budget, and a command that reads no moments (`constellation`, say) must
-not fail on such a K.  Their first read goes through a small descriptor
-that keeps them in the instance's dict (past the frozen `__setattr__`)
-unless it raises; it takes no lock, as `functools.cached_property` does
-on Python 3.11, and later reads find the dict entry first.  Derived
-values are never shared between scenarios, but inputs may be: they are
-frozen, and `config` hands equal configs the same objects.  A different
-transmit power is a different link budget, so it comes from the config
-(`replace(cfg, tx_power_dbm=...).scenario()`).
+rate targets, link budget, RIS array and Rician factors.  Its two records
+cannot fail to build (an underflowing denominator gives omega = +inf).
+The CLT moments are lazy: they sum two 1F1 series, which raise
+ConvergenceError for a Rician K past the series budget, and a command that
+reads no moments (`constellation`, say) must not fail on such a K.  Their
+first read goes through a small descriptor that keeps them in the
+instance's dict (past the frozen `__setattr__`) unless it raises; it takes
+no lock, as `functools.cached_property` does on Python 3.11, and later
+reads find the dict entry first.  Derived values are never shared between
+scenarios, but inputs may be: they are frozen, and `config` hands equal
+configs the same objects.  A different transmit power is a different link
+budget, so it comes from the config (`replace(cfg, tx_power_dbm=...).scenario()`).
 
 Closed-form outage follows from the folded-normal gain law evaluated at a
 threshold omega assembled from the rate targets and the link budget; the
@@ -38,6 +40,7 @@ asymptotic form replaces erf by its Maclaurin series and is only valid while
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .channel import (
@@ -59,7 +62,7 @@ __all__ = [
     "OutageResult",
     "Scenario",
     "mode_spec",
-    "first_decoded",
+    "role",
     "sinr",
     "outage_threshold",
     "outage_closed_form",
@@ -95,13 +98,6 @@ class PowerSplit:
                 f"power shares must sum to 1, got {self.alpha_m_sq + self.alpha_u_sq}"
             )
 
-    def shares(self, signal: str) -> tuple[float, float]:
-        """(own, other) power share of a signal."""
-        _check_signal(signal)
-        if signal == "multicast":
-            return self.alpha_m_sq, self.alpha_u_sq
-        return self.alpha_u_sq, self.alpha_m_sq
-
 
 @dataclass(frozen=True)
 class RateTargets:
@@ -115,13 +111,6 @@ class RateTargets:
         if not (0.0 < self.r_m < 1024.0 and 0.0 < self.r_u < 1024.0):
             raise ValueError("target rates must be finite and in (0, 1024) bps/Hz, where 2^R - 1 is finite")
 
-    def rate(self, signal: str) -> float:
-        _check_signal(signal)
-        return self.r_m if signal == "multicast" else self.r_u
-
-    def eps(self, signal: str) -> float:
-        return _eps(self.rate(signal))
-
 
 @dataclass(frozen=True)
 class OutageResult:
@@ -132,6 +121,10 @@ class OutageResult:
     def __post_init__(self) -> None:
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"outage probability must be in [0, 1], got {self.value}")
+
+
+#: a signal's part in its scenario's decode order, as `role` returns it
+_Role = namedtuple("_Role", "own other first rate omega")
 
 
 class _LazyMoments:
@@ -151,9 +144,8 @@ class Scenario:
 
     ris and rician give the CLT moments that every analytic result reads,
     and the Monte Carlo oracle draws raw channel realizations from them.
-    Both outage thresholds are worked out on construction, where they
-    cannot fail (an underflowing denominator gives +inf); the moments are
-    worked out on first read, since they fail past the 1F1 budget.
+    Each signal's `role` record is worked out on construction; the moments
+    are worked out on first read, since they fail past the 1F1 budget.
     """
 
     mode: str
@@ -164,29 +156,26 @@ class Scenario:
     rician: RicianParams
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_thresholds", self._derive_thresholds())
+        first, second = mode_spec(self.mode)[0]
+        share = {"multicast": self.split.alpha_m_sq, "unicast": self.split.alpha_u_sq}
+        rate = {"multicast": self.targets.r_m, "unicast": self.targets.r_u}
+        own, other, budget = share[first], share[second], self.budget
+        eps = _eps(rate[first])
+        omega_first = omega_second = None
+        if own - other * eps > 0.0:
+            omega_first = _omega(eps * budget.noise_power, (own - other * eps) * budget.gamma)
+            # the second-decoded signal must pass both stages; its own share is the first's other share
+            omega_second = max(omega_first, _omega(_eps(rate[second]) * budget.noise_power, other * budget.gamma))
+        object.__setattr__(self, "_roles", {first: _Role(own, other, True, rate[first], omega_first),
+                                            second: _Role(other, own, False, rate[second], omega_second)})
 
     moments = _LazyMoments()
 
     @property
     def feasible(self) -> bool:
         """Whether the first-decoded signal can out-power its interference."""
-        return self._thresholds is not None
-
-    def _derive_thresholds(self) -> dict[str, float] | None:
-        """Outage threshold omega of each signal; None when the scenario is infeasible."""
-        first_signal, second_signal = mode_spec(self.mode)[0]
-        split, targets, budget = self.split, self.targets, self.budget
-        own, other, r_first, r_second = ((split.alpha_m_sq, split.alpha_u_sq, targets.r_m, targets.r_u)
-                                         if first_signal == "multicast" else
-                                         (split.alpha_u_sq, split.alpha_m_sq, targets.r_u, targets.r_m))
-        eps = _eps(r_first)
-        if not own - other * eps > 0.0:
-            return None
-        first = _omega(eps * budget.noise_power, (own - other * eps) * budget.gamma)
-        # the second-decoded signal's own share is the first's other share
-        second = _omega(_eps(r_second) * budget.noise_power, other * budget.gamma)
-        return {first_signal: first, second_signal: max(first, second)}
+        # both signals' thresholds are None together
+        return self._roles["multicast"].omega is not None
 
 
 # --- decode order and instantaneous SINRs -----------------------------------
@@ -199,9 +188,14 @@ def mode_spec(mode: str) -> tuple[tuple[str, str], tuple[float, float]]:
     return _MODE_TABLE[mode]
 
 
-def first_decoded(mode: str) -> str:
-    """The signal SIC decodes first: multi-cast in CO, uni-cast in NO."""
-    return mode_spec(mode)[0][0]
+def role(sc: Scenario, signal: str) -> _Role:
+    """A signal's record in sc's decode order: its own and the other signal's
+    power share, whether SIC decodes it first, its target rate and its outage
+    threshold omega (None when sc is infeasible); ValueError outside SIGNALS."""
+    try:
+        return sc._roles[signal]
+    except (KeyError, TypeError):  # TypeError: an unhashable name
+        raise ValueError(f"signal must be one of {SIGNALS}, got {signal!r}") from None
 
 
 def _omega(numerator: float, denominator: float) -> float:
@@ -215,11 +209,6 @@ def _eps(rate: float) -> float:
     return 2.0 ** rate - 1.0
 
 
-def _check_signal(signal: str) -> None:
-    if signal not in SIGNALS:
-        raise ValueError(f"signal must be one of {SIGNALS}, got {signal!r}")
-
-
 def sinr(gain, sc: Scenario, signal: str):
     """SINR of a signal at a scalar or array gain, following the decode order.
 
@@ -227,10 +216,10 @@ def sinr(gain, sc: Scenario, signal: str):
     second is decoded interference-free after SIC.  gamma and rho^2 come
     from the budget.
     """
-    own, other = sc.split.shares(signal)
-    a = own * gain * sc.budget.gamma
-    if signal == first_decoded(sc.mode):
-        return a / (other * gain * sc.budget.gamma + sc.budget.noise_power)
+    r = role(sc, signal)
+    a = r.own * gain * sc.budget.gamma
+    if r.first:
+        return a / (r.other * gain * sc.budget.gamma + sc.budget.noise_power)
     return a / sc.budget.noise_power
 
 
@@ -242,12 +231,12 @@ def outage_threshold(sc: Scenario, signal: str) -> float:
     its threshold is the max of both stages.  Raises InfeasibleError when
     the SIC feasibility condition fails (no finite threshold exists).
     """
-    _check_signal(signal)
-    if not sc.feasible:
+    omega = role(sc, signal).omega
+    if omega is None:
         raise InfeasibleError(
             f"power split cannot decode the first {sc.mode} signal at any SNR"
         )
-    return sc._thresholds[signal]
+    return omega
 
 
 def outage_closed_form(sc: Scenario, signal: str) -> OutageResult:
@@ -256,11 +245,10 @@ def outage_closed_form(sc: Scenario, signal: str) -> OutageResult:
     An infeasible power split yields OP = 1 so sweeps can render the
     degenerate region; outage_threshold raises for it instead.
     """
-    _check_signal(signal)
-    thresholds = sc._thresholds
-    if thresholds is None:
+    omega = role(sc, signal).omega
+    if omega is None:
         return OutageResult(value=1.0)
-    return OutageResult(value=float(effective_gain_cdf(thresholds[signal], sc.moments)))
+    return OutageResult(value=float(effective_gain_cdf(omega, sc.moments)))
 
 
 def outage_asymptotic(sc: Scenario, signal: str) -> OutageResult:
@@ -275,11 +263,9 @@ def outage_asymptotic(sc: Scenario, signal: str) -> OutageResult:
     Requires (m3 + sqrt(omega)) / sqrt(2 v3) < 1; outside that region the
     expansion does not represent erf and RegionError is raised.
     """
-    _check_signal(signal)
-    thresholds = sc._thresholds
-    if thresholds is None:
+    omega = role(sc, signal).omega
+    if omega is None:
         return OutageResult(value=1.0)
-    omega = thresholds[signal]
     m3, v3 = sc.moments.m3, sc.moments.v3
     root = math.sqrt(omega)
     s = math.sqrt(2.0 * v3)
@@ -314,8 +300,8 @@ def capacity_hardened(sc: Scenario, signal: str) -> float:
     Carlo reads 2.8e-4 to 4.4e-3); the second-decoded signal sees a clean
     channel and gains exactly 1 bps/Hz per power doubling at high SNR.
     """
-    own, other = sc.split.shares(signal)
-    if signal == first_decoded(sc.mode):
-        return math.log2(1.0 + own / other)
-    return math.log2(1.0 + own * (sc.moments.m3**2 * sc.budget.gamma / sc.budget.noise_power))
+    r = role(sc, signal)
+    if r.first:
+        return math.log2(1.0 + r.own / r.other)
+    return math.log2(1.0 + r.own * (sc.moments.m3**2 * sc.budget.gamma / sc.budget.noise_power))
 

@@ -460,6 +460,18 @@ class TestErrors:
         assert capsys.readouterr().err == (
             "numeric error: one trial at L = 10000000000000000000000 needs 4 L doubles, more than numpy can size\n")
 
+    @pytest.mark.parametrize("command", [["simulate"], ["reproduce", "op-vs-power"]], ids=" ".join)
+    def test_an_l_that_no_host_can_hold_exits_3(self, tmp_path, capsys, command):
+        # numpy can size 4 L doubles per trial at L = 1e17, but 2.78 EiB is past
+        # any address space, so the allocation fails at once and touches no memory
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("ris.elements = 100000000000000000\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        assert cli.main([*command, "--trials", "2", "--config", str(cfg), "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "numeric error: one trial at L = 100000000000000000 needs 4 L doubles, more than this host can allocate\n")
+
     def test_unwritable_stdout_exits_2(self, monkeypatch, capsys):
         class FullStdout(io.StringIO):
             def write(self, text):

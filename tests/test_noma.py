@@ -28,8 +28,8 @@ from inaclink.errors import (
     RegionError,
 )
 from inaclink.geometry import LinkBudget
-from inaclink.montecarlo import outage_events
-from inaclink.noma import MODES, SIGNALS, Scenario, first_decoded, sinr
+from inaclink.montecarlo import mc_capacity, mc_outage, outage_events
+from inaclink.noma import MODES, SIGNALS, Scenario, role, sinr
 
 
 def scenario(mode="CO", **overrides):
@@ -42,8 +42,11 @@ def split_scenario(a_m, a_u, mode="CO", **overrides):
 
 
 # --- reference decode order ---------------------------------------------------
-# The per-mode formulas that `first_decoded` and `sinr` replace, kept verbatim
-# (renamed) so that the one decode-order model is checked bit for bit.
+# The per-mode formulas that the `role` records and `sinr` replace, kept
+# verbatim (renamed) so that the one decode-order model is checked bit for bit.
+
+#: the signal SIC decodes first in each mode, as the paper defines CO and NO
+FIRST_DECODED = {"CO": "multicast", "NO": "unicast"}
 
 
 def _ref_co_multicast(gain, sc):
@@ -73,7 +76,7 @@ def _ref_sinr(gains, sc, signal):
 
 
 def _ref_outage_threshold(sc, signal):
-    eps_m, eps_u = sc.targets.eps("multicast"), sc.targets.eps("unicast")
+    eps_m, eps_u = 2.0 ** sc.targets.r_m - 1.0, 2.0 ** sc.targets.r_u - 1.0
     a_m, a_u = sc.split.alpha_m_sq, sc.split.alpha_u_sq
     rho2, gamma = sc.budget.noise_power, sc.budget.gamma
     if sc.mode == "CO":
@@ -116,8 +119,8 @@ def _ref_outage_events(gains, sc, signal):
 
 def _ref_feasible(sc):
     if sc.mode == "CO":
-        return sc.split.alpha_m_sq - sc.split.alpha_u_sq * sc.targets.eps("multicast") > 0.0
-    return sc.split.alpha_u_sq - sc.split.alpha_m_sq * sc.targets.eps("unicast") > 0.0
+        return sc.split.alpha_m_sq - sc.split.alpha_u_sq * (2.0 ** sc.targets.r_m - 1.0) > 0.0
+    return sc.split.alpha_u_sq - sc.split.alpha_m_sq * (2.0 ** sc.targets.r_u - 1.0) > 0.0
 
 
 class TestDataTypes:
@@ -132,8 +135,8 @@ class TestDataTypes:
 
     def test_rate_targets(self):
         t = RateTargets(r_m=0.0005, r_u=0.001)
-        assert t.eps("multicast") == pytest.approx(0.00034663365384535183, rel=1e-14)
-        assert t.eps("unicast") == pytest.approx(0.0006933874625807412, rel=1e-14)
+        assert noma._eps(t.r_m) == pytest.approx(0.00034663365384535183, rel=1e-14)
+        assert noma._eps(t.r_u) == pytest.approx(0.0006933874625807412, rel=1e-14)
         with pytest.raises(ValueError):
             RateTargets(r_m=0.0, r_u=0.001)
         with pytest.raises(ValueError):
@@ -143,7 +146,7 @@ class TestDataTypes:
                 RateTargets(r_m=bad, r_u=0.001)
             with pytest.raises(ValueError):
                 RateTargets(r_m=0.0005, r_u=bad)
-        assert math.isfinite(RateTargets(r_m=0.0005, r_u=1023.999).eps("unicast"))
+        assert math.isfinite(noma._eps(RateTargets(r_m=0.0005, r_u=1023.999).r_u))
 
     def test_outage_result_validation(self):
         OutageResult(value=0.5)
@@ -220,32 +223,47 @@ class TestSinr:
 
 
 class TestDecodeOrder:
-    """`first_decoded` and `sinr` against the per-mode formulas: same bits, not just close."""
+    """The `role` records and `sinr` against the per-mode formulas: same bits, not just close."""
 
     def test_first_decoded(self):
-        assert first_decoded("CO") == "multicast"
-        assert first_decoded("NO") == "unicast"
+        # each record holds the signal's share, the other's, its decode stage and its rate
+        for mode, first in FIRST_DECODED.items():
+            sc = split_scenario(0.3, 0.7, mode, multicast_rate_bpshz=0.25, unicast_rate_bpshz=0.5)
+            assert role(sc, "multicast")[:4] == (0.3, 0.7, first == "multicast", 0.25)
+            assert role(sc, "unicast")[:4] == (0.7, 0.3, first == "unicast", 0.5)
 
     def test_bad_signal_name(self):
         with pytest.raises(ValueError):
             sinr(1.0, scenario(), "broadcast")
 
-    @given(name=st.text().filter(lambda t: t not in MODES and t not in SIGNALS))
+    @given(name=st.one_of(st.text(), st.lists(st.text(), max_size=1)).filter(
+        lambda t: t not in MODES and t not in SIGNALS))
     def test_an_unknown_mode_or_signal_is_one_value_error(self, name):
-        # every path that reads a mode or a signal fails with the same class and text
-        sc = scenario()
+        # every public path that reads a mode or a signal fails with the same
+        # class and text, at a feasible and at an infeasible split, and for an
+        # unhashable name too
+        sc, infeasible = scenario(), split_scenario(0.00001, 0.99999)
         inputs = {f.name: getattr(sc, f.name) for f in fields(sc)}
+        gains = np.ones(2)
         calls = {
             f"mode must be one of {MODES}, got {name!r}": [
                 lambda: ScenarioConfig(mode=name).scenario(),
                 lambda: ScenarioConfig(mode=name, alpha_u_sq=0.5).scenario(),
                 lambda: Scenario(**{**inputs, "mode": name}),
-                lambda: first_decoded(name),
+                lambda: noma.mode_spec(name),
             ],
             f"signal must be one of {SIGNALS}, got {name!r}": [
-                lambda: sc.split.shares(name),
-                lambda: sc.targets.rate(name),
-                lambda: sc.targets.eps(name),
+                call for s in (sc, infeasible) for call in (
+                    lambda s=s: role(s, name),
+                    lambda s=s: sinr(1.0, s, name),
+                    lambda s=s: outage_threshold(s, name),
+                    lambda s=s: outage_closed_form(s, name),
+                    lambda s=s: outage_asymptotic(s, name),
+                    lambda s=s: capacity_hardened(s, name),
+                    lambda s=s: outage_events(gains, s, name),
+                    lambda s=s: mc_outage(gains, s, name),
+                    lambda s=s: mc_capacity(gains, s, name),
+                )
             ],
         }
         for message, paths in calls.items():
@@ -272,6 +290,8 @@ class TestDecodeOrder:
                     assert outage_threshold(sc, signal) == _ref_outage_threshold(sc, signal)
                     checked += 1
                 else:
+                    with pytest.raises(InfeasibleError):
+                        outage_threshold(sc, signal)
                     infeasible += 1
         assert checked > 0 and infeasible > 0
 
@@ -323,7 +343,7 @@ class TestDerivedValues:
         assert _derived(sc) == before
         if not sc.feasible:
             return
-        first = first_decoded(mode)
+        first = FIRST_DECODED[mode]
         (second,) = set(SIGNALS) - {first}
         assert outage_threshold(sc, second) >= outage_threshold(sc, first)
         assert outage_closed_form(sc, second).value >= outage_closed_form(sc, first).value
@@ -347,7 +367,7 @@ class TestOutageThreshold:
         # and the uni-cast stage dominates its own threshold
         sc = ScenarioConfig(alpha_u_sq=0.01).scenario()
         first = outage_threshold(sc, "multicast")
-        second_only = sc.targets.eps("unicast") * sc.budget.noise_power / (0.01 * sc.budget.gamma)
+        second_only = (2.0 ** sc.targets.r_u - 1.0) * sc.budget.noise_power / (0.01 * sc.budget.gamma)
         assert outage_threshold(sc, "unicast") == pytest.approx(second_only, rel=1e-12)
         assert outage_threshold(sc, "unicast") > first
 
@@ -363,7 +383,7 @@ class TestOutageThreshold:
         # at the smallest subnormal gamma, a share below 1/2 times gamma rounds
         # to 0: no finite gain decodes that stage, and the second-decoded signal
         # must pass both stages, so its threshold is inf either way
-        first = first_decoded(mode)
+        first = FIRST_DECODED[mode]
         (second,) = set(SIGNALS) - {first}
         shares = {first: first_share, second: 1.0 - first_share}
         sc = replace(scenario(mode), split=PowerSplit(shares["multicast"], shares["unicast"]),
