@@ -45,9 +45,9 @@ gains are bit-identical to a pool of one.  So at most _WORKERS blocks are
 in flight, each with at most 2 MB of uniforms plus its transform's
 temporaries.  A block whose uniforms cannot be allocated raises
 InfeasibleError naming its L: only an L whose one trial needs more than the
-host holds makes a block that large.  There is no serial path, so a small call pays the pool's
-start-up: 0.2-0.6 ms on a 2-core host, measured at 1 and 100 trials of
-L = 8.
+host holds makes a block that large.  There is no serial path, so a small
+call pays the pool's start-up: 0.2-0.6 ms on a 2-core host, measured at 1
+and 100 trials of L = 8.
 
 scipy.special's ndtri is imported when the sampler is called, on the
 calling thread before any worker starts, not at module import: importing
