@@ -11,7 +11,6 @@ ties ranging noise back to the link through the accuracy sweep.
 import numpy as np
 
 from inaclink import (
-    LsmControl,
     PseudorangeSet,
     ScenarioConfig,
     default_scene,
@@ -31,7 +30,7 @@ def main() -> None:
     print(f"default scene: GDOP {gdop:.4f}  PDOP {pdop:.4f}")
 
     clean = PseudorangeSet(rho=predicted_pseudoranges(scene, truth))
-    fix = lsm_solve(clean, scene, LsmControl(iters=20, loss=1e-12))
+    fix = lsm_solve(clean, scene)  # from the origin, to the 1e-6 m^2 stop
     err = np.linalg.norm(fix.position - scene.true_user)
     print(f"noiseless solve: position error {err:.2e} m, "
           f"clock error {abs(fix.clock_bias_s - scene.clock_bias):.2e} s, "

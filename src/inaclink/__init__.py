@@ -35,8 +35,8 @@ _LAZY = {
         ("SAMPLER_VERSION", "McEstimate", "ks_distance", "mc_capacity", "mc_outage",
          "sample_cascaded_gains"), "montecarlo"),
     **dict.fromkeys(
-        ("LsmControl", "NavScene", "PositionFix", "PseudorangeSet", "dilution_of_precision",
-         "lsm_solve", "range_noise_from_snr", "synthesize_pseudoranges"), "navigation"),
+        ("NavScene", "PositionFix", "PseudorangeSet", "dilution_of_precision", "lsm_solve",
+         "range_noise_from_snr", "synthesize_pseudoranges"), "navigation"),
     **dict.fromkeys(("FIGURE_IDS", "SweepReport", "emit_csv", "run_sweep"), "sweeps"),
 }
 

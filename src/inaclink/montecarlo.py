@@ -39,15 +39,19 @@ of max(1, min(_BLOCK_DOUBLES // 4 top, ceil(trials / _WORKERS))) trials: a
 block holds at most _BLOCK_DOUBLES = 2^18 uniforms (2 MB, one core's L2
 cache) unless one trial needs more, and each group gets at least one block
 per usable CPU (a call of fewer trials than CPUs gets one block per trial).
-The blocks of all groups form one list, sampled on one pool of at most
-_WORKERS threads, each block writing its own slice of the result; the
-gains are bit-identical to a pool of one.  So at most _WORKERS blocks are
-in flight, each with at most 2 MB of uniforms plus its transform's
-temporaries.  A block whose uniforms cannot be allocated raises
-InfeasibleError naming its L: only an L whose one trial needs more than the
-host holds makes a block that large.  There is no serial path, so a small
-call pays the pool's start-up: 0.2-0.6 ms on a 2-core host, measured at 1
-and 100 trials of L = 8.
+The blocks of all groups go into one queue.  At most _WORKERS threads drain
+it: each takes the next block, writes that block's own slice of the result,
+and takes another until the queue is empty.  The gains are bit-identical to
+a pool of one.  So at most _WORKERS blocks are in flight, each with at most
+2 MB of uniforms plus its transform's temporaries.  After a block fails,
+each worker stops once the block it holds is done, so a failure costs at
+most _WORKERS blocks, however many are queued.  A block whose uniforms
+cannot be allocated raises InfeasibleError naming its L: only an L whose
+one trial needs more than the host holds makes a block that large.  A trial
+count whose one double per trial cannot be allocated raises InfeasibleError
+naming the count, before any block is planned.  There is no serial path,
+so a small call pays the pool's start-up: 0.2-0.6 ms on a 2-core host,
+measured at 1 and 100 trials of L = 8.
 
 scipy.special's ndtri is imported when the sampler is called, on the
 calling thread before any worker starts, not at module import: importing
@@ -61,6 +65,8 @@ from __future__ import annotations
 
 import math
 import os
+import queue
+import threading
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -162,7 +168,11 @@ def sample_cascaded_gains_by_array(
     from scipy.special import ndtri  # here, on the calling thread, before any worker starts
 
     arrays = dict.fromkeys(arrays)
-    sums = {ris.num_elements: np.empty(mc.trials) for ris in arrays}
+    try:
+        sums = {ris.num_elements: np.empty(mc.trials) for ris in arrays}
+    except (MemoryError, ValueError):  # ValueError: numpy sizes no array of 2^63 or more items
+        raise InfeasibleError(
+            f"{mc.trials} trials need one double each, more than this host can allocate") from None
     blocks = []
     pending = sorted(sums, reverse=True)
     # numpy sizes no array past intp's largest byte count; 4 L doubles are 32 L bytes
@@ -199,9 +209,27 @@ def sample_cascaded_gains_by_array(
             # one square root per element: |h_l| |g_l| = sqrt(|h_l|^2 |g_l|^2)
             sums[L][first : first + rows] = np.sum(np.sqrt(power, out=power), axis=1)
 
-    with ThreadPoolExecutor(max_workers=max(1, min(_WORKERS, len(blocks)))) as pool:
-        # list() waits for every block and re-raises the first error
-        list(pool.map(fill, blocks))
+    todo, failed = queue.SimpleQueue(), threading.Event()
+    for block in blocks:
+        todo.put(block)
+
+    def drain() -> None:
+        # a worker samples blocks until none is left; after a failure every
+        # worker stops once the block it holds is done
+        while not failed.is_set():
+            try:
+                fill(todo.get_nowait())
+            except queue.Empty:
+                return
+            except BaseException:
+                failed.set()
+                raise
+
+    workers = max(1, min(_WORKERS, len(blocks)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # each result() waits for its worker and re-raises its error
+        for task in [pool.submit(drain) for _ in range(workers)]:
+            task.result()
     gains = {}
     for ris in arrays:
         total = ris.amplitude * sums[ris.num_elements]

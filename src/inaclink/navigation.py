@@ -5,8 +5,10 @@ pseudoranges and one RIS-relayed link whose satellite-RIS leg r_tauR is a
 known constant subtracted by the receiver, leaving a RIS-anchored range.
 The solver linearizes the range model at the current state estimate
 (x, y, z, c dt) and applies Gauss-Newton steps from a cold start at the
-origin; each step is the least-squares solution of the 4x4 linearized system
-by LAPACK's SVD-based gelsd, not a normal-equation solve.
+origin, until the residual cost falls below the fixed stop `_LOSS` (1e-6 m^2)
+or the caller's iteration cap is spent.  Each step is the least-squares
+solution of the 4x4 linearized system by LAPACK's SVD-based gelsd, not a
+normal-equation solve.
 
 The step calls gelsd through `numpy.linalg.lapack_lite`: the same LAPACK
 build, routine, workspace query and rcond (eps * 4) as `np.linalg.lstsq`, so
@@ -23,10 +25,10 @@ catalogue fixes by more than ~6 mm.
 A `NavScene` works out what depends on the scene alone once, when it is
 built: the relay leg `r_tauR`, the `anchors()` stack and the model
 pseudoranges at the truth (its overflow check needs them, and
-`synthesize_pseudoranges` adds the noise to them).  Its arrays, the
-pseudoranges of a `PseudorangeSet` and the start of an `LsmControl` are
-read-only copies of the inputs, so a write through the caller's array cannot
-get round the checks made at construction or leave the kept values stale.
+`synthesize_pseudoranges` adds the noise to them).  Its arrays and the
+pseudoranges of a `PseudorangeSet` are read-only copies of the inputs, so a
+write through the caller's array cannot get round the checks made at
+construction or leave the kept values stale.
 
 `lsm_solve` builds its design matrix and model pseudoranges inline, but its
 arithmetic is that of stacking design rows [(x - a)/|x - a|, 1] and calling
@@ -71,7 +73,6 @@ from .geometry import SPEED_OF_LIGHT
 __all__ = [
     "NavScene",
     "PseudorangeSet",
-    "LsmControl",
     "PositionFix",
     "synthesize_pseudoranges",
     "predicted_pseudoranges",
@@ -152,33 +153,12 @@ class PseudorangeSet:
 
 
 @dataclass(frozen=True)
-class LsmControl:
-    """Iteration budget, stop threshold on the residual cost, initial state."""
-
-    iters: int = 20
-    loss: float = 1e-6  # m^2
-    x0: np.ndarray = field(default_factory=lambda: np.zeros(4))
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.iters, (int, np.integer)) or self.iters < 1:
-            raise ValueError(f"iters must be an integer >= 1, got {self.iters!r}")
-        if not self.loss > 0.0:  # NaN fails too
-            raise ValueError(f"loss must be > 0, got {self.loss}")
-        x0 = _readonly(self.x0)
-        if x0.shape != (4,):
-            raise ValueError(f"x0 must have shape (4,), got {x0.shape}")
-        if not all(map(math.isfinite, x0.tolist())):
-            raise ValueError("x0 must be finite")
-        object.__setattr__(self, "x0", x0)
-
-
-@dataclass(frozen=True)
 class PositionFix:
     """Solved state (x, y, z, c dt in meters), iterations used, final cost.
 
-    `converged` is True iff the final cost is below the control's loss
-    threshold; a fix that ran to the iteration cap without getting there
-    is returned as it stands, with `converged` False.
+    `converged` is True iff the final cost is below the stop `_LOSS`; a fix
+    that ran to the iteration cap without getting there is returned as it
+    stands, with `converged` False.
     """
 
     state: np.ndarray
@@ -236,15 +216,19 @@ def _gelsd_workspace_size() -> tuple[int, int]:
 #: the query's answer depends only on the system's size, which never changes
 _LWORK, _LIWORK = _gelsd_workspace_size()
 
+#: the solver's stop: a residual cost below this many m^2 accepts the state
+_LOSS = 1e-6
 
-def lsm_solve(pr: PseudorangeSet, scene: NavScene, ctrl: LsmControl = LsmControl()) -> PositionFix:
-    """Iterative least-squares position/clock solution.
 
-    Each iteration evaluates the residual b = rho - predicted(x); if its
-    quadratic cost is below ctrl.loss the state is accepted, otherwise the
-    step dx = argmin |U dx - b| is applied, with U the stacked design rows,
-    solved by LAPACK's gelsd (SVD).  After ctrl.iters steps the cost at
-    the last state is reported as it stands.  Only the known geometry of
+def lsm_solve(pr: PseudorangeSet, scene: NavScene, iters: int = 20) -> PositionFix:
+    """Iterative least-squares position/clock solution from the origin.
+
+    Each iteration evaluates the residual b = rho - predicted(x), starting
+    at x = 0 (the Earth's centre, no clock offset); if its quadratic cost is
+    below _LOSS the state is accepted, otherwise the step dx = argmin
+    |U dx - b| is applied, with U the stacked design rows, solved by
+    LAPACK's gelsd (SVD).  After `iters` steps (an integer >= 1) the cost
+    at the last state is reported as it stands.  Only the known geometry of
     the scene (satellite and RIS positions) is used; truth fields never
     leak into the solve.  Bit-identical to stacking the design rows and
     calling `predicted_pseudoranges` each iteration (see the module notes).
@@ -256,7 +240,9 @@ def lsm_solve(pr: PseudorangeSet, scene: NavScene, ctrl: LsmControl = LsmControl
     4 raises DegenerateGeometryError, a nonzero gelsd info LinAlgError, as
     `np.linalg.lstsq` would.
     """
-    anchors, r_tau_r, loss, iters = scene.anchors(), scene.r_tau_r, ctrl.loss, ctrl.iters
+    if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
+        raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
+    anchors, r_tau_r, loss = scene.anchors(), scene.r_tau_r, _LOSS
     rho0, rho1, rho2, rho3 = pr.rho.tolist()
     buf = np.empty(48 + _LWORK + _LIWORK)  # the one scratch buffer of the solve, cut into views
     # rows 0-3: the linearization point minus anchor i, then its |d|; row 4: the state
@@ -267,7 +253,7 @@ def lsm_solve(pr: PseudorangeSet, scene: NavScene, ctrl: LsmControl = LsmControl
     iwork = buf[48 + _LWORK:].view(np.intc)  # room for _LIWORK LAPACK integers of up to 8 bytes
     subtract, matmul, sqrt, divide, dgelsd = np.subtract, np.matmul, np.sqrt, np.divide, lapack_lite.dgelsd
     x = diff[4]
-    x[:] = ctrl.x0
+    x.fill(0.0)  # the start: the origin, with no clock offset
     # views made once: the state's position, d and |d|, the rows of d as stacked
     # (1x3) and (3x1) matrices, [d, |d|] transposed, and b's items
     position, d, r, flat = x[:3], diff[:4, :3], diff[:4, 3], buf[:20]

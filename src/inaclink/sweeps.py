@@ -216,7 +216,7 @@ def _simulate(cfg: ScenarioConfig) -> SweepReport:
     return _table(rows)
 
 
-def _fix(scene: navigation.NavScene, sigma: float, rng: Generator, ctrl: navigation.LsmControl) -> tuple:
+def _fix(scene: navigation.NavScene, sigma: float, rng: Generator, iters: int) -> tuple:
     """A fix from pseudoranges drawn at noise sigma, and its squared position error.
 
     A fix that overflows a double (at a vanishing SNR, or from a scene ~1e154 m
@@ -224,7 +224,7 @@ def _fix(scene: navigation.NavScene, sigma: float, rng: Generator, ctrl: navigat
     pr = navigation.synthesize_pseudoranges(scene, sigma, rng)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            fix = navigation.lsm_solve(pr, scene, ctrl)
+            fix = navigation.lsm_solve(pr, scene, iters)
             err = fix.position - scene.true_user
             return fix, float(err @ err)
     except FloatingPointError as exc:
@@ -239,7 +239,7 @@ def _position(cfg: ScenarioConfig) -> SweepReport:
         raise InfeasibleError("the RIS-relayed link has zero SNR: its pseudorange cannot be measured")
     sigma = navigation.range_noise_from_snr(float(snr), cfg.bandwidth_hz)
     rng = Generator(Philox(key=cfg.seed ^ _POSITION_SEED_SALT))
-    fix, sq_err = _fix(scene, sigma, rng, navigation.LsmControl())
+    fix, sq_err = _fix(scene, sigma, rng, 20)
     gdop, pdop = navigation.dilution_of_precision(scene)
     return _table({
         "sigma_m": sigma,
@@ -301,7 +301,6 @@ def _nav_sigma(cfg: ScenarioConfig, sc: Scenario | None) -> float:
 def _sweep_nav_accuracy(cfg: ScenarioConfig) -> SweepReport:
     scene = cfg.nav_scene()
     reps = cfg.nav_repetitions
-    ctrl = navigation.LsmControl(iters=12)
     # the RMSE depends on sigma alone, and cells on the chip floor share one
     rmse_by_sigma = {math.inf: math.inf}
 
@@ -312,7 +311,7 @@ def _sweep_nav_accuracy(cfg: ScenarioConfig) -> SweepReport:
             sq = 0.0
             try:
                 for _ in range(reps):
-                    sq += _fix(scene, sigma, rng, ctrl)[1]
+                    sq += _fix(scene, sigma, rng, 12)[1]
                 rmse_by_sigma[sigma] = math.sqrt(sq / reps)
             except (DegenerateGeometryError, InfeasibleError):
                 rmse_by_sigma[sigma] = None  # NA: a solve at this sigma hit a degenerate geometry or overflowed

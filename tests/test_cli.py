@@ -472,6 +472,16 @@ class TestErrors:
         assert capsys.readouterr().err == (
             "numeric error: one trial at L = 100000000000000000 needs 4 L doubles, more than this host can allocate\n")
 
+    @pytest.mark.parametrize("command", [["simulate"], ["reproduce", "op-vs-elements"]], ids=" ".join)
+    def test_a_trial_count_that_no_host_can_hold_exits_3(self, tmp_path, capsys, command):
+        # one double per trial is 8e17 bytes, past any address space, so the
+        # allocation fails at once, before any block is planned or drawn
+        out = tmp_path / "x.csv"
+        assert cli.main([*command, "--trials", "100000000000000000", "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "numeric error: 100000000000000000 trials need one double each, more than this host can allocate\n")
+
     def test_unwritable_stdout_exits_2(self, monkeypatch, capsys):
         class FullStdout(io.StringIO):
             def write(self, text):

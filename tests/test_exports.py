@@ -21,7 +21,7 @@ PACKAGE_NAMES = {
     "slant_range", "OutageResult", "PowerSplit", "RateTargets", "Scenario", "capacity_hardened",
     "outage_asymptotic", "outage_closed_form", "outage_threshold",
     "folded_normal_cdf", "kummer_1f1_half", "SAMPLER_VERSION", "McEstimate", "ks_distance",
-    "mc_capacity", "mc_outage", "sample_cascaded_gains", "LsmControl", "NavScene", "PositionFix",
+    "mc_capacity", "mc_outage", "sample_cascaded_gains", "NavScene", "PositionFix",
     "PseudorangeSet", "dilution_of_precision", "lsm_solve", "range_noise_from_snr",
     "synthesize_pseudoranges", "FIGURE_IDS", "SweepReport", "emit_csv", "run_sweep",
 }
@@ -44,7 +44,7 @@ def test_package_all_lists_every_reexport():
     # one name -> module table serves every package name
     assert len(set(inaclink.__all__)) == len(inaclink.__all__)
     assert inaclink.__all__ == list(inaclink._LAZY)
-    assert len(PACKAGE_NAMES) == 54
+    assert len(PACKAGE_NAMES) == 53
     assert set(inaclink._LAZY) == PACKAGE_NAMES
     # a name listed twice keeps its last module, which must still export it
     assert [name for name, module in inaclink._LAZY.items()

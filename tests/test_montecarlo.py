@@ -25,6 +25,7 @@ from inaclink import (
     sample_cascaded_gains,
 )
 from inaclink import montecarlo
+from inaclink.errors import InfeasibleError
 from inaclink.montecarlo import McEstimate, outage_events, sample_cascaded_gains_by_array, wilson_half_width
 
 RIS64 = RisArray(num_elements=64, amplitude=1.0)
@@ -153,6 +154,29 @@ class TestDeterminism:
         a = sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=100, master_seed=1))
         b = sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=100, master_seed=2))
         assert not np.array_equal(a, b)
+
+    def test_a_failed_block_stops_every_worker(self, monkeypatch):
+        # each block at L = 1e17 fails to allocate its uniforms; every worker
+        # stops at its first failure, not after the 20 000 one-trial blocks
+        calls = []
+        block = montecarlo._uniform_block
+
+        def counted(*args):
+            calls.append(args)
+            return block(*args)
+
+        monkeypatch.setattr(montecarlo, "_uniform_block", counted)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 4)
+        with pytest.raises(InfeasibleError, match="one trial at L = 100000000000000000 needs"):
+            sample_cascaded_gains(RisArray(10**17), RICIAN, McConfig(trials=20_000))
+        assert 1 <= len(calls) <= 4
+
+    @pytest.mark.parametrize("trials", [10**17, 2**63, 10**30])
+    def test_a_trial_count_no_host_can_hold_fails_before_any_block(self, doubles_read, trials):
+        # 8e17 bytes are past any address space; numpy sizes no array of 2^63 items
+        with pytest.raises(InfeasibleError, match=f"^{trials} trials need one double each"):
+            sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=trials))
+        assert doubles_read == []
 
     def test_ks_distance_reads_each_uniform_once(self, doubles_read):
         ks_distance(RisArray(32, 1.0), RICIAN, McConfig(trials=10_000))

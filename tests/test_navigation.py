@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import scenegen
 from inaclink import (
-    LsmControl,
     NavScene,
     PseudorangeSet,
     default_scene,
@@ -57,19 +56,21 @@ def _reference_dop(scene):
     return math.sqrt(np.trace(q)), math.sqrt(np.trace(q[:3, :3]))
 
 
-def _reference_lsm_solve(pr, scene, ctrl=LsmControl()):
+def _reference_lsm_solve(pr, scene, iters, loss):
     """The row-by-row Gauss-Newton loop that `lsm_solve` must match bit for bit.
 
+    Starts at the origin and stops on a cost below `loss` or after `iters`
+    steps, all set here, so it shares no setting with `lsm_solve`.
     Returns (state, iterations_used, final_cost).
     """
-    x = ctrl.x0.copy()
+    x = np.zeros(4)
     anchors = scene.anchors()
-    iterations = ctrl.iters
+    iterations = iters
     cost = math.inf
-    for k in range(1, ctrl.iters + 1):
+    for k in range(1, iters + 1):
         b = pr.rho - predicted_pseudoranges(scene, x)
         cost = float(b @ b)
-        if cost < ctrl.loss:
+        if cost < loss:
             iterations = k
             break
         u = np.vstack([design_row(anchor, x[:3]) for anchor in anchors])
@@ -140,31 +141,25 @@ class TestInputsAreCopied:
         truth = np.append(scene.true_user, SPEED_OF_LIGHT * scene.clock_bias)
         assert np.isfinite(predicted_pseudoranges(scene, truth)).all()
 
-    def test_a_write_to_the_callers_rho_or_x0_changes_nothing(self):
+    def test_a_write_to_the_callers_rho_changes_nothing(self):
         rho = synthesize_pseudoranges(default_scene(), 2.0, np.random.default_rng(0)).rho.copy()
         pr = PseudorangeSet(rho=rho)
-        x0 = np.array([6.0e6, 1.0e5, -2.0e5, 1.0e3])
-        ctrl = LsmControl(x0=x0)
-        before = (pr.rho.tobytes(), ctrl.x0.tobytes())
+        before = pr.rho.tobytes()
         rho[0] = math.nan  # would fail the finite check, had the set kept this array
-        x0[:] = 1e300
-        assert (pr.rho.tobytes(), ctrl.x0.tobytes()) == before
+        assert pr.rho.tobytes() == before
 
     @pytest.mark.parametrize("name", SCENE_ARRAYS)
     def test_the_scene_arrays_are_read_only(self, name):
         with pytest.raises(ValueError, match="read-only"):
             getattr(default_scene(), name)[0] = 1e300
 
-    def test_anchors_rho_and_x0_are_read_only(self):
+    def test_anchors_and_rho_are_read_only(self):
         scene = default_scene()
         with pytest.raises(ValueError, match="read-only"):
             scene.anchors()[0, 0] = 1e300
         pr = synthesize_pseudoranges(scene, 2.0, np.random.default_rng(0))
         with pytest.raises(ValueError, match="read-only"):
             pr.rho[0] = math.nan
-        ctrl = LsmControl()
-        with pytest.raises(ValueError, match="read-only"):
-            ctrl.x0[0] = 1.0
 
 
 class TestSynthesis:
@@ -248,9 +243,13 @@ class TestSolver:
         assert fix.final_cost < 1e-6
 
     def test_warm_start_converges_immediately(self):
-        scene = default_scene()
-        truth = np.append(scene.true_user, SPEED_OF_LIGHT * scene.clock_bias)
-        fix = lsm_solve(noiseless_measurements(scene), scene, LsmControl(x0=truth))
+        # the solver starts at the origin: a scene whose truth is there starts on it
+        base = default_scene()
+        moved = shifted(base, -base.true_user)
+        scene = NavScene(sat_positions=moved.sat_positions, inac_sat_position=moved.inac_sat_position,
+                         ris_position=moved.ris_position, true_user=moved.true_user, clock_bias=0.0)
+        assert not scene.true_user.any()
+        fix = lsm_solve(noiseless_measurements(scene), scene)
         assert fix.iterations_used == 1
         assert fix.final_cost == 0.0
 
@@ -271,7 +270,7 @@ class TestSolver:
     def test_iteration_cap_is_reported(self):
         scene = default_scene()
         pr = synthesize_pseudoranges(scene, 100.0, np.random.default_rng(11))
-        fix = lsm_solve(pr, scene, LsmControl(iters=3, loss=1e-6))
+        fix = lsm_solve(pr, scene, 3)
         assert fix.iterations_used == 3
         assert math.isfinite(fix.final_cost)
         assert not fix.converged
@@ -281,18 +280,20 @@ class TestSolver:
         assert lsm_solve(noiseless_measurements(scene), scene).converged
 
     def test_start_on_an_anchor_is_degenerate(self):
-        scene = default_scene()
-        ctrl = LsmControl(x0=np.append(scene.ris_position, 0.0))
+        # the scene moved so that its RIS sits on the solver's start, the origin
+        scene = shifted(default_scene(), -default_scene().ris_position)
+        assert not scene.ris_position.any()
         with pytest.raises(DegenerateGeometryError, match="coincides with the anchor"):
-            lsm_solve(noiseless_measurements(scene), scene, ctrl)
+            lsm_solve(noiseless_measurements(scene), scene)
 
     def test_a_range_that_overflows_keeps_the_clock_column(self):
-        # every |d| at this start overflows to inf; U's clock entries stay 1
-        # (not inf / inf), so gelsd sees the rank-1 U the row-by-row loop builds
-        scene = default_scene()
+        # every anchor 1e200 m from the start at the origin: each |d| overflows
+        # to inf; U's clock entries stay 1 (not inf / inf), so gelsd sees the
+        # rank-1 U the row-by-row loop builds
+        scene = shifted(default_scene(), [-1e200, 0.0, 0.0])
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DegenerateGeometryError, match="rank deficient"):
-                lsm_solve(noiseless_measurements(scene), scene, LsmControl(x0=[1e200, 0.0, 0.0, 0.0]))
+                lsm_solve(noiseless_measurements(scene), scene)
 
     def test_residual_cost_at_truth_is_noise_power(self):
         scene = default_scene()
@@ -334,60 +335,50 @@ class TestSolver:
             lsm_solve(noiseless_measurements(scene), scene)
 
     def test_control_validation(self):
-        with pytest.raises(ValueError):
-            LsmControl(iters=0)
-        with pytest.raises(ValueError):
-            LsmControl(loss=0.0)
-        with pytest.raises(ValueError):
-            LsmControl(x0=np.zeros(3))
-        # a start or budget that lsm_solve cannot use fails here, not in LAPACK or range()
-        for x0 in ([math.nan, 0.0, 0.0, 0.0], [0.0, math.inf, 0.0, 0.0], [0.0, 0.0, 0.0, -math.inf]):
-            with pytest.raises(ValueError, match="x0 must be finite"):
-                LsmControl(x0=x0)
-        for iters in (1.5, 2.0, "3", None):
-            with pytest.raises(ValueError, match="iters must be an integer"):
-                LsmControl(iters=iters)
-        assert LsmControl(iters=np.int64(3)).iters == 3
-
-    def test_nan_loss_rejected(self):
-        # no cost is below NaN, so every fix would run to the cap unconverged
-        with pytest.raises(ValueError, match="loss must be > 0"):
-            LsmControl(loss=math.nan)
+        # an iteration cap that the loop cannot use fails before it, not in range();
+        # a bool is an int to Python, but True is no count of steps
+        scene = default_scene()
+        pr = noiseless_measurements(scene)
+        for iters in (0, -1, np.int64(0), 1.5, 2.0, "3", None, True, False, np.bool_(True)):
+            with pytest.raises(ValueError, match="iters must be an integer >= 1"):
+                lsm_solve(pr, scene, iters)
+        assert lsm_solve(pr, scene, np.int64(3)).iterations_used == 3
 
 
 class TestBitIdentity:
     """`lsm_solve` against the row-by-row loop: same bytes, not just close."""
 
+    #: lsm_solve's stop, written out: the oracle takes no setting from the solver
+    LOSS = 1e-6
+
     CASES = [
-        pytest.param(lambda: default_scene(), LsmControl(), id="default"),
-        pytest.param(lambda: shifted(default_scene(), [1000.0, -2000.0, 500.0]), LsmControl(), id="translated"),
-        pytest.param(lambda: default_scene(), LsmControl(iters=12), id="iters-12"),
-        pytest.param(lambda: default_scene(), LsmControl(x0=np.array([6.0e6, 1.0e5, -2.0e5, 1.0e3])),
-                     id="warm-start"),
+        pytest.param(lambda: default_scene(), 20, id="default"),
+        pytest.param(lambda: shifted(default_scene(), [1000.0, -2000.0, 500.0]), 20, id="translated"),
+        pytest.param(lambda: default_scene(), 12, id="iters-12"),
         # one step, then a pass that only scores it: no fix can stop early
-        pytest.param(lambda: default_scene(), LsmControl(iters=1), id="iters-1"),
+        pytest.param(lambda: default_scene(), 1, id="iters-1"),
     ]
 
-    @pytest.mark.parametrize("make_scene, ctrl", CASES)
-    def test_matches_the_row_by_row_loop(self, make_scene, ctrl):
+    @pytest.mark.parametrize("make_scene, iters", CASES)
+    def test_matches_the_row_by_row_loop(self, make_scene, iters):
         scene = make_scene()
         snr_db = np.linspace(-30.0, 10.0, 200)
         capped = early = 0
         for seed, snr in enumerate(snr_db):
             sigma = range_noise_from_snr(10.0 ** (snr / 10.0), 30e6)
             pr = synthesize_pseudoranges(scene, sigma, np.random.default_rng(seed))
-            state, iterations, cost = _reference_lsm_solve(pr, scene, ctrl)
-            fix = lsm_solve(pr, scene, ctrl)
+            state, iterations, cost = _reference_lsm_solve(pr, scene, iters, self.LOSS)
+            fix = lsm_solve(pr, scene, iters)
             assert fix.state.tobytes() == state.tobytes()
             assert fix.iterations_used == iterations
             assert fix.final_cost == cost
-            assert fix.converged == (cost < ctrl.loss)
+            assert fix.converged == (cost < self.LOSS)
             if fix.converged:
-                early += iterations < ctrl.iters
+                early += iterations < iters
             else:
                 capped += 1
         assert capped > 0
-        assert early > 0 or ctrl.iters == 1
+        assert early > 0 or iters == 1
 
 
 _component = st.floats(-1.0, 1.0)
@@ -411,21 +402,23 @@ class TestGelsdStep:
         log10_scale=st.floats(-3.0, 6.0),
     )
     def test_two_steps_match_lstsq_bit_for_bit(self, directions, distances, residual, log10_scale):
-        # anchors placed so the design rows at x0 are the drawn unit directions
-        # (and the ones column): a full-rank 4x4 U, and a residual of the drawn scale
-        x0 = np.array([6378000.0, 0.0, 0.0, 70000.0])
+        # anchors placed so the design rows at the solver's start, the origin,
+        # are the drawn unit directions (and the ones column): a full-rank 4x4
+        # U, and a residual of the drawn scale
         units = np.array(directions) / np.linalg.norm(directions, axis=1)[:, None]
         u = np.column_stack([units, np.ones(4)])
         assume(np.linalg.cond(u) < 1e8)
-        anchors = x0[:3] - np.array(distances)[:, None] * units
+        anchors = -np.array(distances)[:, None] * units
         scene = NavScene(sat_positions=anchors[:3], inac_sat_position=anchors[3] + 1e6,
-                         ris_position=anchors[3], true_user=x0[:3], clock_bias=0.0)
-        rho = predicted_pseudoranges(scene, x0) + 10.0 ** log10_scale * np.array(residual)
+                         ris_position=anchors[3], true_user=np.zeros(3), clock_bias=0.0)
+        rho = predicted_pseudoranges(scene, np.zeros(4)) + 10.0 ** log10_scale * np.array(residual)
         pr = PseudorangeSet(rho=rho)
-        # the second step runs on the design buffer gelsd overwrote in the first
-        ctrl = LsmControl(iters=2, loss=1e-300, x0=x0)
-        state, iterations, cost = _reference_lsm_solve(pr, scene, ctrl)
-        fix = lsm_solve(pr, scene, ctrl)
+        # the second step runs on the design buffer gelsd overwrote in the first;
+        # a stop that no cost gets below makes both steps run
+        state, iterations, cost = _reference_lsm_solve(pr, scene, 2, 1e-300)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(navigation, "_LOSS", 1e-300)
+            fix = lsm_solve(pr, scene, 2)
         assert fix.state.tobytes() == state.tobytes()
         assert (fix.iterations_used, fix.final_cost) == (iterations, cost)
 
@@ -449,10 +442,12 @@ class TestFloatSumOrder:
                 reordered += total != a0 * a0 + (a1 * a1 + a2 * a2)
         assert reordered > 0  # the rows tell the two orders apart
 
-    def test_the_solver_sums_each_direct_range_in_that_order(self):
-        # pseudoranges that are the model at the start, as predicted_pseudoranges
-        # takes it (norm(axis=1)), and a loss that accepts the first residual:
-        # its cost is 0 only if the solver's own sum runs in the same order
+    def test_the_solver_sums_each_direct_range_in_that_order(self, monkeypatch):
+        # pseudoranges that are the model at the start, the origin, as
+        # predicted_pseudoranges takes it (norm(axis=1)), and a stop that accepts
+        # the first residual: its cost is 0 only if the solver's own sum runs in
+        # the same order
+        monkeypatch.setattr(navigation, "_LOSS", math.inf)
         rng = np.random.default_rng(20)
         start = np.zeros(4)
         for _ in range(500):
@@ -460,7 +455,7 @@ class TestFloatSumOrder:
             scene = NavScene(sat_positions=sats, inac_sat_position=sats[0] + 1.0, ris_position=sats[1],
                              true_user=np.zeros(3), clock_bias=0.0)
             pr = PseudorangeSet(rho=predicted_pseudoranges(scene, start))
-            fix = lsm_solve(pr, scene, LsmControl(iters=1, loss=math.inf, x0=start))
+            fix = lsm_solve(pr, scene, 1)
             assert fix.final_cost == 0.0
 
 
@@ -520,18 +515,19 @@ class TestDop:
         with pytest.raises(DegenerateGeometryError, match="near singular"):
             dilution_of_precision(default_scene())
 
-    def test_predicts_error_amplification(self):
-        # RMS state error over repeated solves ~ sigma * GDOP
+    def test_predicts_error_amplification(self, monkeypatch):
+        # RMS state error over repeated solves ~ sigma * GDOP, each solved to a
+        # stop far below sigma^2
+        monkeypatch.setattr(navigation, "_LOSS", 1e-12)
         scene = default_scene()
         truth = np.append(scene.true_user, SPEED_OF_LIGHT * scene.clock_bias)
         sigma = 0.01
         rng = np.random.default_rng(424242)
-        ctrl = LsmControl(iters=20, loss=1e-12)
         state_sq = pos_sq = 0.0
         reps = 1000
         for _ in range(reps):
             pr = synthesize_pseudoranges(scene, sigma, rng)
-            fix = lsm_solve(pr, scene, ctrl)
+            fix = lsm_solve(pr, scene)
             err = fix.state - truth
             state_sq += float(err @ err)
             pos_sq += float(err[:3] @ err[:3])
