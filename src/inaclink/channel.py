@@ -54,8 +54,9 @@ class RisArray:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.num_elements < 1:
-            raise ValueError(f"num_elements must be >= 1, got {self.num_elements}")
+        n = self.num_elements  # a bool or a float is no count
+        if isinstance(n, bool) or not hasattr(type(n), "__index__") or n < 1:
+            raise ValueError(f"num_elements must be an integer >= 1, got {n!r}")
         if not 0.0 < self.amplitude <= 1.0:
             raise ValueError(f"amplitude must be in (0, 1], got {self.amplitude}")
         # below a normal double the CLT variance beta^2 L (...) underflows to 0

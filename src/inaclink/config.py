@@ -75,10 +75,12 @@ class McConfig:
     master_seed: int = 12345
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must fit in 64 bits")
+        trials, seed = self.trials, self.master_seed
+        # a bool or a float is neither (seed 1.5 keyed seed 1's stream)
+        if isinstance(trials, bool) or not hasattr(type(trials), "__index__") or trials < 1:
+            raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
+        if isinstance(seed, bool) or not hasattr(type(seed), "__index__") or not 0 <= seed < 2**64:
+            raise ValueError(f"master_seed must be an integer that fits in 64 bits, got {seed!r}")
 
 
 def _key(group: str, default, builds=None):

@@ -39,19 +39,16 @@ of max(1, min(_BLOCK_DOUBLES // 4 top, ceil(trials / _WORKERS))) trials: a
 block holds at most _BLOCK_DOUBLES = 2^18 uniforms (2 MB, one core's L2
 cache) unless one trial needs more, and each group gets at least one block
 per usable CPU (a call of fewer trials than CPUs gets one block per trial).
-The blocks of all groups go into one queue.  At most _WORKERS threads drain
-it: each takes the next block, writes that block's own slice of the result,
-and takes another until the queue is empty.  The gains are bit-identical to
-a pool of one.  So at most _WORKERS blocks are in flight, each with at most
-2 MB of uniforms plus its transform's temporaries.  After a block fails,
-each worker stops once the block it holds is done, so a failure costs at
-most _WORKERS blocks, however many are queued.  A block whose uniforms
-cannot be allocated raises InfeasibleError naming its L: only an L whose
-one trial needs more than the host holds makes a block that large.  A trial
-count whose one double per trial cannot be allocated raises InfeasibleError
-naming the count, before any block is planned.  There is no serial path,
-so a small call pays the pool's start-up: 0.2-0.6 ms on a 2-core host,
-measured at 1 and 100 trials of L = 8.
+The blocks of all groups form one lazy stream, each cut only when one of at
+most _WORKERS threads takes it; a thread writes its block's own slice of
+the result and takes the next.  The gains are bit-identical to a pool of
+one, at most _WORKERS blocks are in flight, and no per-block record is
+kept.  A failed block, or an interrupt of the caller, closes the stream:
+each worker stops once the block it holds is done.  A block whose uniforms
+cannot be allocated raises InfeasibleError naming its L; a trial count
+whose one double per trial cannot be allocated raises it naming the count,
+before any block is cut.  There is no serial path, so a small call pays
+the pool's start-up: 0.2-0.6 ms on a 2-core host (1 and 100 trials, L = 8).
 
 scipy.special's ndtri is imported when the sampler is called, on the
 calling thread before any worker starts, not at module import: importing
@@ -65,10 +62,9 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -173,7 +169,7 @@ def sample_cascaded_gains_by_array(
     except (MemoryError, ValueError):  # ValueError: numpy sizes no array of 2^63 or more items
         raise InfeasibleError(
             f"{mc.trials} trials need one double each, more than this host can allocate") from None
-    blocks = []
+    groups = []
     pending = sorted(sums, reverse=True)
     # numpy sizes no array past intp's largest byte count; 4 L doubles are 32 L bytes
     if pending and 32 * pending[0] > np.iinfo(np.intp).max:
@@ -181,8 +177,10 @@ def sample_cascaded_gains_by_array(
     while pending:
         group = [L for L in pending if pending[0] % L == 0]
         pending = [L for L in pending if pending[0] % L]
-        size = max(1, min(_BLOCK_DOUBLES // (4 * group[0]), -(-mc.trials // _WORKERS)))
-        blocks += [(group, start, min(size, mc.trials - start)) for start in range(0, mc.trials, size)]
+        groups.append((group, max(1, min(_BLOCK_DOUBLES // (4 * group[0]), -(-mc.trials // _WORKERS)))))
+    # each block is cut when a worker takes it, so no block exists before
+    stream = ((group, start, min(size, mc.trials - start))
+              for group, size in groups for start in range(0, mc.trials, size))
 
     def fill(block: tuple[list[int], int, int]) -> None:
         # runs on worker threads, so it calls no public inaclink function:
@@ -209,27 +207,28 @@ def sample_cascaded_gains_by_array(
             # one square root per element: |h_l| |g_l| = sqrt(|h_l|^2 |g_l|^2)
             sums[L][first : first + rows] = np.sum(np.sqrt(power, out=power), axis=1)
 
-    todo, failed = queue.SimpleQueue(), threading.Event()
-    for block in blocks:
-        todo.put(block)
+    lock = threading.Lock()
 
     def drain() -> None:
-        # a worker samples blocks until none is left; after a failure every
-        # worker stops once the block it holds is done
-        while not failed.is_set():
-            try:
-                fill(todo.get_nowait())
-            except queue.Empty:
+        # a worker samples blocks until the stream ends or is closed
+        while True:
+            with lock:
+                block = next(stream, None)
+            if block is None:
                 return
-            except BaseException:
-                failed.set()
-                raise
+            fill(block)
 
-    workers = max(1, min(_WORKERS, len(blocks)))
+    workers = min(_WORKERS, mc.trials)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # each result() waits for its worker and re-raises its error
-        for task in [pool.submit(drain) for _ in range(workers)]:
-            task.result()
+        try:  # around the submits too: an interrupt can land while a worker starts
+            tasks = [pool.submit(drain) for _ in range(workers)]
+            wait(tasks, return_when=FIRST_EXCEPTION)
+        finally:
+            # after a failed block or an interrupt, each worker stops once its block is done
+            with lock:
+                stream.close()
+    for task in tasks:
+        task.result()  # re-raises a worker's error
     gains = {}
     for ris in arrays:
         total = ris.amplitude * sums[ris.num_elements]

@@ -81,6 +81,12 @@ class TestParamValidation:
         RisArray(num_elements=1, amplitude=1.0)
         with pytest.raises(ValueError):
             RisArray(num_elements=0)
+        # a fractional count gave moments for 2.5 elements; True ran as L = 1
+        for bad in (2.5, 8.0, True, "8"):
+            with pytest.raises(ValueError, match="num_elements must be an integer >= 1"):
+                RisArray(num_elements=bad)
+        assert cascaded_moments(RisArray(np.int64(4)), RicianParams(1.0, 0.0)) == cascaded_moments(
+            RisArray(4), RicianParams(1.0, 0.0))
         with pytest.raises(ValueError):
             RisArray(num_elements=4, amplitude=0.0)
         with pytest.raises(ValueError):

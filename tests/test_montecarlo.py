@@ -1,9 +1,13 @@
 """Monte Carlo oracle: determinism contract, estimates, distribution distance."""
 
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +175,69 @@ class TestDeterminism:
             sample_cascaded_gains(RisArray(10**17), RICIAN, McConfig(trials=20_000))
         assert 1 <= len(calls) <= 4
 
+    def test_many_workers_take_each_block_once(self, monkeypatch, doubles_read):
+        # 16 workers on one-trial blocks with a 1 us switch interval: a block
+        # taken twice or skipped would change the gains or the blocks read
+        mc = McConfig(trials=2_000)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+        reference = sample_cascaded_gains(RisArray(8), RICIAN, mc)
+        doubles_read.clear()
+        monkeypatch.setattr(montecarlo, "_WORKERS", 16)
+        monkeypatch.setattr(montecarlo, "_BLOCK_DOUBLES", 32)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            gains = sample_cascaded_gains(RisArray(8), RICIAN, mc)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(gains, reference)
+        assert doubles_read == [32] * 2_000
+
+    def test_a_failed_call_keeps_no_record_per_block(self, monkeypatch):
+        # at L = 2^16 a block is one trial: 200 000 blocks, each cut only
+        # when a worker takes it, so the peak is the result and little more
+        def failing(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(montecarlo, "_uniform_block", failing)
+        trials = 200_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(InfeasibleError, match="one trial at L = 65536 needs"):
+                sample_cascaded_gains(RisArray(2**16), RICIAN, McConfig(trials=trials))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * trials <= 2**20
+
+    def test_an_interrupt_stops_every_worker(self):
+        # 100 blocks of 64 trials at L = 1024 on 2 workers.  The first block
+        # read sends SIGINT to the process; each read waits 20 ms, so the
+        # interrupt lands while both workers hold a block.  The blocks read
+        # are counted at interpreter exit, after every worker has stopped.
+        script = textwrap.dedent("""
+            import atexit, itertools, os, signal, time
+            from inaclink import McConfig, RicianParams, RisArray, montecarlo
+
+            reads, block = itertools.count(), montecarlo._uniform_block
+
+            def interrupting(*args):
+                if next(reads) == 0:
+                    os.kill(os.getpid(), signal.SIGINT)
+                time.sleep(0.02)
+                return block(*args)
+
+            atexit.register(lambda: print(next(reads), flush=True))
+            montecarlo._uniform_block, montecarlo._WORKERS = interrupting, 2
+            montecarlo.sample_cascaded_gains(RisArray(1024), RicianParams(1.0, 0.0), McConfig(trials=6400))
+        """)
+        src = str(Path(inaclink.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert "KeyboardInterrupt" in res.stderr, res.stderr
+        assert 1 <= int(res.stdout) <= 2
+
     @pytest.mark.parametrize("trials", [10**17, 2**63, 10**30])
     def test_a_trial_count_no_host_can_hold_fails_before_any_block(self, doubles_read, trials):
         # 8e17 bytes are past any address space; numpy sizes no array of 2^63 items
@@ -187,6 +254,15 @@ class TestDeterminism:
             McConfig(trials=0)
         with pytest.raises(ValueError):
             McConfig(master_seed=2**64)
+        # a float seed of 1.5 keyed seed 1's stream; a float or bool count failed in numpy
+        for bad in (1.5, 2.5, True, "3"):
+            with pytest.raises(ValueError, match="master_seed must be an integer"):
+                McConfig(master_seed=bad)
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                McConfig(trials=bad)
+        McConfig(trials=np.int64(3), master_seed=np.uint64(2**64 - 1))
+        a = sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=20, master_seed=np.uint64(7)))
+        assert np.array_equal(a, sample_cascaded_gains(RIS64, RICIAN, McConfig(trials=20, master_seed=7)))
 
 
 #: element counts of which several divide others (48 = 2 * 24 = 3 * 16 ...)
