@@ -14,8 +14,9 @@ Flags: --config PATH (key=value file; defaults apply when omitted),
 
 Exit codes: 0 success, 2 configuration error (an unreadable --config or
 scene file, a bad value, an --out or stdout that cannot be written), 3
-numeric/region error (a NumericError of the library).  Any other exception
-is a bug and is not reported under either class.
+numeric/region error (a NumericError of the library), 130 interrupted
+(Ctrl-C, with the one line "interrupted").  Any other exception is a bug
+and is not reported under any of these.
 """
 
 from __future__ import annotations
@@ -79,6 +80,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

@@ -228,8 +228,11 @@ class ScenarioConfig:
         that fails alone over the defaults (so that no other key is blamed),
         else all its set keys.
         """
-        if self.nav_repetitions < 1:
-            raise ConfigError(f"nav.repetitions must be >= 1, got {self.nav_repetitions}")
+        reps = self.nav_repetitions  # a bool or a float is no count
+        if isinstance(reps, bool) or not hasattr(type(reps), "__index__"):
+            raise ConfigError(f"nav.repetitions must be an integer, got {reps!r}")
+        if reps < 1:
+            raise ConfigError(f"nav.repetitions must be >= 1, got {reps}")
         if self.scene_file:
             with _naming(f"nav.scene_file = {self.scene_file}"):
                 self.nav_scene()

@@ -6,6 +6,7 @@ import io
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -481,6 +482,31 @@ class TestErrors:
         assert not out.exists()
         assert capsys.readouterr().err == (
             "numeric error: 100000000000000000 trials need one double each, more than this host can allocate\n")
+
+    def test_an_interrupt_exits_130_with_one_line(self, tmp_path):
+        # the first block read sends SIGINT to the process, so the interrupt
+        # lands in the sampler's wait, deep inside run_sweep
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("ris.elements = 16384\n", encoding="utf-8")
+        script = textwrap.dedent(f"""
+            import itertools, os, signal, sys
+            from inaclink import cli, montecarlo
+
+            reads, block = itertools.count(), montecarlo._uniform_block
+
+            def interrupting(*args):
+                if next(reads) == 0:
+                    os.kill(os.getpid(), signal.SIGINT)
+                return block(*args)
+
+            montecarlo._uniform_block = interrupting
+            sys.exit(cli.main(["simulate", "--trials", "2000", "--config", {str(cfg)!r},
+                               "--out", {str(tmp_path / "x.csv")!r}]))
+        """)
+        res = run_python("-c", script, timeout=120)
+        assert res.returncode == 130, res.stderr
+        assert res.stderr == "interrupted\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_unwritable_stdout_exits_2(self, monkeypatch, capsys):
         class FullStdout(io.StringIO):

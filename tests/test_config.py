@@ -163,6 +163,16 @@ class TestParsing:
                 parse_config_text(text)
             assert str(err.value) == "noma.mode = XX: mode must be one of ('CO', 'NO'), got 'XX'"
 
+    @pytest.mark.parametrize("reps", [2.5, 3.0, True])
+    def test_non_integer_repetitions_rejected(self, reps):
+        # a library caller's float failed later, inside the sweep; True ran once
+        with pytest.raises(ConfigError) as err:
+            replace(ScenarioConfig(), nav_repetitions=reps).validate()
+        assert str(err.value) == f"nav.repetitions must be an integer, got {reps!r}"
+
+    def test_numpy_integer_repetitions_accepted(self):
+        replace(ScenarioConfig(), nav_repetitions=np.int64(3)).validate()
+
     def test_empty_sweep_rejected(self):
         with pytest.raises(ConfigError, match="must not be empty"):
             parse_config_text("sweep.elements_op =\n")

@@ -377,6 +377,21 @@ class TestSampledMoments:
         spread = np.std(gains) / np.mean(gains)
         assert spread == pytest.approx(2.0 * math.sqrt(cm.v3) / cm.m3, rel=0.05)
 
+    def test_gain_hardening_trend(self):
+        # std/mean falls at every step of L and tracks 2 sqrt(v3)/m3 within
+        # 10%: the delta method itself is off by at most 2.5% (at L = 16, from
+        # the exact normal-law ratio 2c sqrt(1 + c^2/2)/(1 + c^2), c = sqrt(v3)/m3),
+        # and a 2000-trial spread has a standard error of about 1.6%, so about
+        # 5 standard errors fit in the rest
+        mc = McConfig(trials=2_000, master_seed=12345)
+        arrays = [RisArray(num_elements=L, amplitude=1.0) for L in (16, 64, 256, 1024, 4096)]
+        gains = sample_cascaded_gains_by_array(arrays, RICIAN, mc)
+        spreads = [np.std(gains[ris]) / np.mean(gains[ris]) for ris in arrays]
+        assert all(a > b for a, b in zip(spreads, spreads[1:])), spreads
+        for ris, spread in zip(arrays, spreads):
+            cm = cascaded_moments(ris, RICIAN)
+            assert spread == pytest.approx(2.0 * math.sqrt(cm.v3) / cm.m3, rel=0.10), ris
+
 
 class TestOutageAndCapacity:
     def test_mc_outage_matches_closed_form(self):
