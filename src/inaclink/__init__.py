@@ -7,10 +7,13 @@ an independent Monte Carlo oracle.
 Every package name is lazy: `import inaclink` loads no submodule, and a name's
 module is imported on its first use.  Each access reads the module's current
 attribute, so a name patched on its module (by a tracer, say) is patched here
-too.  The closed forms, the config and its scenario import no numpy; the
-names of `montecarlo`, `navigation` and `sweeps` do.  A module is not an
-attribute of the package until something imports it
-(`from inaclink import sweeps`).
+too.  The closed forms, the config and its scenario import no numpy, and
+neither do the names of `montecarlo` and `sweeps` until a sampler, an
+estimator, a fix or a figure that needs numpy is called; the names of
+`navigation` load it.  So the commands `analyze`, `constellation` and
+`reproduce constellation` run without numpy, and `position`, `simulate`
+and the other figures load it.  A module is not an attribute of the
+package until something imports it (`from inaclink import sweeps`).
 """
 
 import importlib

@@ -97,13 +97,7 @@ def cascaded_moments(ris: RisArray, rp: RicianParams) -> ChannelMoments:
     m2, v2 = rician_amplitude_moments(rp.k_g)
     beta_l = ris.amplitude * ris.num_elements
     return ChannelMoments(
-        m1=m1,
-        v1=v1,
-        m2=m2,
-        v2=v2,
-        m3=beta_l * m1 * m2,
-        v3=ris.amplitude * beta_l * (m1 * m1 * v2 + m2 * m2 * v1 + v1 * v2),
-    )
+        m1, v1, m2, v2, beta_l * m1 * m2, ris.amplitude * beta_l * (m1 * m1 * v2 + m2 * m2 * v1 + v1 * v2))
 
 
 def effective_gain_cdf(x, cm: ChannelMoments):

@@ -31,7 +31,8 @@ the type's constructor: the first build validates, a failed one keeps
 nothing, ``2`` and ``2.0`` build apart, and 0.0 and -0.0 share a key that
 each builder rejects or turns into the same bits (elevation, 10 ** (+-0/10)
 = 1.0).  `ris_array`, `rician_params` and `link` build afresh: L, K and
-power are what a point varies.
+power are what a point varies, and `geometry.link_budget` keeps the slant
+range, path gains and noise power of the orbit, RF and bandwidth itself.
 
 Navigation scenes use the same syntax with 3-vector values (`_DEFAULT_SCENE`
 is the built-in one).  Every scene, the built-in one included, is built by
@@ -173,10 +174,10 @@ class ScenarioConfig:
             self.orbit(), self.rf_params(), self.tx_power_w, self.spread_gain_linear, self.bandwidth_hz)
 
     def ris_array(self) -> RisArray:
-        return RisArray(num_elements=self.elements, amplitude=self.amplitude)
+        return RisArray(self.elements, self.amplitude)
 
     def rician_params(self) -> RicianParams:
-        return RicianParams(k_r=self.k_r, k_g=self.k_g)
+        return RicianParams(self.k_r, self.k_g)
 
     def power_split(self) -> PowerSplit:
         """The mode's split, or (1 - alpha_u_sq, alpha_u_sq) when that is set; a bad mode fails either way."""
@@ -190,14 +191,8 @@ class ScenarioConfig:
         return McConfig(trials=self.trials, master_seed=self.seed)
 
     def scenario(self) -> Scenario:
-        return Scenario(
-            mode=self.mode,
-            split=self.power_split(),
-            targets=self.rate_targets(),
-            budget=self.link(),
-            ris=self.ris_array(),
-            rician=self.rician_params(),
-        )
+        return Scenario(self.mode, self.power_split(), self.rate_targets(), self.link(), self.ris_array(),
+                        self.rician_params())
 
     def grid_points(self, name: str) -> list:
         """The config a figure runs at each value of the grid field name; None at its none_at."""

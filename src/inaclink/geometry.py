@@ -5,6 +5,17 @@ the law of cosines, free-space path gains for the satellite and RIS-user
 legs, the aggregate link budget, and the spherical-cap coverage math that
 sizes a minimal constellation.
 
+A link budget computes once what its orbit, RF and bandwidth fix: the
+slant range, both large-scale gains (kept as one `math.frexp` mantissa and
+exponent) and the noise power come from `_fixed_terms`, a typed LRU cache
+of 256 keyed by the fields of the orbit and the RF and by the bandwidth.
+A build that raises keeps nothing, ``2`` and ``2.0`` key apart, and 0.0 and
+-0.0 share a key whose terms have the same bits (sin(-0.0) = -0.0 enters
+the slant range squared or subtracted from a positive root).  So a point
+that varies only the transmit power or the spread gain pays for two
+`frexp` calls and one `ldexp`: the same left-to-right mantissa product, bit
+for bit, that the four gains gave when each was worked out afresh.
+
 Internal units are strictly SI (meters, Hz, watts); dB and km appear only
 at configuration and report boundaries.
 """
@@ -13,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import InfeasibleError
 
@@ -138,20 +150,31 @@ def link_budget(
         raise ValueError(f"tx power must be > 0, got {p}")
     if not g_sp > 0.0:
         raise ValueError(f"spread gain must be > 0, got {g_sp}")
-    d = slant_range(geom)
+    mantissa, exponent, noise_power = _fixed_terms(
+        geom.r_e, geom.r_m, geom.elevation, rf.f_c, rf.g_t, rf.alpha1, rf.alpha2, rf.d_ru, bandwidth)
     # multiply the mantissas and sum the exponents: a partial product that the
     # spread gain would scale back up cannot underflow to 0 on the way; where
     # every partial product is normal this is the left-to-right product, bit for bit
-    mantissa, exponent = 1.0, 0
-    for factor in (large_scale_gain_satellite(d, rf), large_scale_gain_ris_user(rf), p, g_sp):
-        m, e = math.frexp(factor)
-        mantissa *= m
-        exponent += e
+    m_p, e_p = math.frexp(p)
+    m_g, e_g = math.frexp(g_sp)
     try:
-        gamma = math.ldexp(mantissa, exponent)
+        gamma = math.ldexp(mantissa * m_p * m_g, exponent + e_p + e_g)
     except OverflowError:
         gamma = math.inf  # for LinkBudget to reject with its message
-    return LinkBudget(gamma=gamma, noise_power=noise_power_watts(bandwidth))
+    return LinkBudget(gamma, noise_power)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _fixed_terms(r_e, r_m, elevation, f_c, g_t, alpha1, alpha2, d_ru, bandwidth) -> tuple[float, int, float]:
+    """The mantissa and exponent of the product of both large-scale gains, and the noise power.
+
+    Keyed by the fields of an orbit and an RF object, which rebuild them
+    on a miss; the mantissa is the first two of link_budget's left-to-right
+    mantissa product."""
+    rf = RfParams(f_c, g_t, alpha1, alpha2, d_ru)
+    m_sat, e_sat = math.frexp(large_scale_gain_satellite(slant_range(OrbitGeometry(r_e, r_m, elevation)), rf))
+    m_ru, e_ru = math.frexp(large_scale_gain_ris_user(rf))
+    return m_sat * m_ru, e_sat + e_ru, noise_power_watts(bandwidth)
 
 
 def geocentric_angle(geom: OrbitGeometry) -> float:

@@ -50,12 +50,13 @@ whose one double per trial cannot be allocated raises it naming the count,
 before any block is cut.  There is no serial path, so a small call pays
 the pool's start-up: 0.2-0.6 ms on a 2-core host (1 and 100 trials, L = 8).
 
-scipy.special's ndtri is imported when the sampler is called, on the
-calling thread before any worker starts, not at module import: importing
-inaclink, or running a command that draws nothing, never loads
-scipy.special, whose import costs a fresh process more than numpy's own.
-This module, and numpy with it, is itself loaded only when one of its names
-is first used, as every inaclink package name is lazy.
+Importing this module loads neither numpy nor scipy.special.  The sampler
+imports numpy, numpy.random and scipy.special's ndtri when it is called,
+on the calling thread before any worker starts; each estimator imports
+numpy when it is called.  So `sweeps` imports the sampler's names at module
+level, and a command that draws nothing (`analyze`, `constellation`) loads
+no numpy: numpy's import is most of a fresh process's start-up, and
+scipy.special's costs more than numpy's own.
 """
 
 from __future__ import annotations
@@ -68,14 +69,13 @@ from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-from numpy.random import Generator, Philox
-
 from .channel import RicianParams, RisArray, cascaded_moments, effective_gain_cdf
 from .errors import InfeasibleError
 from .noma import SIGNALS, Scenario, role, sinr
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .config import McConfig
 
 __all__ = [
@@ -119,6 +119,9 @@ class McEstimate:
 
 def _uniform_block(master_seed: int, start_trial: int, n_trials: int, words_per_trial: int) -> np.ndarray:
     """Uniforms for trials [start_trial, start_trial + n_trials), shape (n, words)."""
+    import numpy as np
+    from numpy.random import Generator, Philox
+
     bg = Philox(key=master_seed)
     # one Philox counter block yields 4 doubles; words_per_trial is 4 L
     bg.advance(start_trial * (words_per_trial // 4))
@@ -161,7 +164,10 @@ def sample_cascaded_gains_by_array(
     L that divides it reads a prefix of the same normals; an L that does not
     divide it starts the next such group.
     """
-    from scipy.special import ndtri  # here, on the calling thread, before any worker starts
+    # here, on the calling thread, before any worker starts: a worker's _uniform_block only looks them up
+    import numpy as np
+    import numpy.random  # noqa: F401
+    from scipy.special import ndtri
 
     arrays = dict.fromkeys(arrays)
     try:
@@ -243,6 +249,8 @@ def outage_events(gains: np.ndarray, sc: Scenario, signal: str) -> np.ndarray:
     second-decoded signal is also in outage when the first decode fails,
     since SIC then cannot remove the first signal.
     """
+    import numpy as np
+
     r = role(sc, signal)
     fail = np.log2(1.0 + sinr(gains, sc, signal)) < r.rate
     if r.first:
@@ -264,6 +272,8 @@ def wilson_half_width(successes: int, n: int) -> float:
 
 def mc_outage(gains: np.ndarray, sc: Scenario, signal: str) -> McEstimate:
     """Empirical outage frequency over sampled gains, with a Wilson 95% half-width."""
+    import numpy as np
+
     n = len(gains)
     count = int(np.count_nonzero(outage_events(gains, sc, signal)))
     return McEstimate(mean=count / n, half_width=wilson_half_width(count, n))
@@ -271,6 +281,8 @@ def mc_outage(gains: np.ndarray, sc: Scenario, signal: str) -> McEstimate:
 
 def mc_capacity(gains: np.ndarray, sc: Scenario, signal: str) -> McEstimate:
     """Empirical mean rate log2(1 + SINR) over sampled gains, with a normal-approximation half-width."""
+    import numpy as np
+
     n = len(gains)
     rates = np.log2(1.0 + sinr(gains, sc, signal))
     hw = _Z95 * float(np.std(rates, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
@@ -283,6 +295,8 @@ def ks_distance(ris: RisArray, rp: RicianParams, mc: McConfig) -> float:
     Needs at least 1e4 trials for the empirical CDF to resolve the 0.01-0.02
     accuracy band being measured.
     """
+    import numpy as np
+
     if mc.trials < 10_000:
         raise ValueError(f"ks_distance needs >= 1e4 trials, got {mc.trials}")
     gains = np.sort(sample_cascaded_gains(ris, rp, mc))

@@ -20,6 +20,11 @@ capacities and the Monte Carlo outage events read only that record, and
 A `Scenario` is built from its physical inputs alone: mode, power split,
 rate targets, link budget, RIS array and Rician factors.  Its two records
 cannot fail to build (an underflowing denominator gives omega = +inf).
+Construction computes only those two records, reading each signal's share
+and rate straight from the split and the targets in decode order; the
+split, the targets and the orbit, RF and bandwidth terms of the link budget
+are computed once and shared between points (by `config` and
+`geometry.link_budget`).
 The CLT moments are lazy: they sum two 1F1 series, which raise
 ConvergenceError for a Rician K past the series budget, and a command that
 reads no moments (`constellation`, say) must not fail on such a K.  Their
@@ -157,17 +162,19 @@ class Scenario:
 
     def __post_init__(self) -> None:
         first, second = mode_spec(self.mode)[0]
-        share = {"multicast": self.split.alpha_m_sq, "unicast": self.split.alpha_u_sq}
-        rate = {"multicast": self.targets.r_m, "unicast": self.targets.r_u}
-        own, other, budget = share[first], share[second], self.budget
-        eps = _eps(rate[first])
+        split, targets, budget = self.split, self.targets, self.budget
+        if first == "multicast":
+            own, other, rate_first, rate_second = split.alpha_m_sq, split.alpha_u_sq, targets.r_m, targets.r_u
+        else:
+            own, other, rate_first, rate_second = split.alpha_u_sq, split.alpha_m_sq, targets.r_u, targets.r_m
+        eps = _eps(rate_first)
         omega_first = omega_second = None
         if own - other * eps > 0.0:
             omega_first = _omega(eps * budget.noise_power, (own - other * eps) * budget.gamma)
             # the second-decoded signal must pass both stages; its own share is the first's other share
-            omega_second = max(omega_first, _omega(_eps(rate[second]) * budget.noise_power, other * budget.gamma))
-        object.__setattr__(self, "_roles", {first: _Role(own, other, True, rate[first], omega_first),
-                                            second: _Role(other, own, False, rate[second], omega_second)})
+            omega_second = max(omega_first, _omega(_eps(rate_second) * budget.noise_power, other * budget.gamma))
+        object.__setattr__(self, "_roles", {first: _Role(own, other, True, rate_first, omega_first),
+                                            second: _Role(other, own, False, rate_second, omega_second)})
 
     moments = _LazyMoments()
 
@@ -247,8 +254,8 @@ def outage_closed_form(sc: Scenario, signal: str) -> OutageResult:
     """
     omega = role(sc, signal).omega
     if omega is None:
-        return OutageResult(value=1.0)
-    return OutageResult(value=float(effective_gain_cdf(omega, sc.moments)))
+        return OutageResult(1.0)
+    return OutageResult(float(effective_gain_cdf(omega, sc.moments)))
 
 
 def outage_asymptotic(sc: Scenario, signal: str) -> OutageResult:
@@ -265,7 +272,7 @@ def outage_asymptotic(sc: Scenario, signal: str) -> OutageResult:
     """
     omega = role(sc, signal).omega
     if omega is None:
-        return OutageResult(value=1.0)
+        return OutageResult(1.0)
     m3, v3 = sc.moments.m3, sc.moments.v3
     root = math.sqrt(omega)
     s = math.sqrt(2.0 * v3)
@@ -286,7 +293,7 @@ def outage_asymptotic(sc: Scenario, signal: str) -> OutageResult:
         total += term
         if abs(term) <= _SERIES_TOL * abs(total):
             value = (2.0 / math.sqrt(math.pi)) * total
-            return OutageResult(value=min(max(value, 0.0), 1.0))
+            return OutageResult(min(max(value, 0.0), 1.0))
     raise ConvergenceError(
         f"asymptotic outage series did not reach tol={_SERIES_TOL} in {_SERIES_TERMS} terms"
     )

@@ -24,6 +24,12 @@ Asymptotic cells outside the series validity region are reported as NA,
 not zero.  Per-point numeric failures are recorded in-row so a sweep never
 aborts halfway.  Reports serialize to RFC-4180-style CSV and are
 byte-reproducible for a fixed config and seed.
+
+Importing this module loads no numpy: `navigation`, numpy and its Philox
+generator are imported inside the builders that use them (position and
+nav-accuracy), and the Monte Carlo names load numpy only when called.  So
+`analyze` and `constellation`, which compute closed forms only, run
+without it.
 """
 
 from __future__ import annotations
@@ -33,16 +39,19 @@ import io
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
-from numpy.random import Generator, Philox
-
-from . import navigation, noma
+from . import noma
 from .config import ScenarioConfig
 from .errors import DegenerateGeometryError, InfeasibleError, NumericError
 from .geometry import coverage_area, geocentric_angle, min_satellites, slant_range
 from .montecarlo import mc_capacity, mc_outage, sample_cascaded_gains, sample_cascaded_gains_by_array
 from .noma import Scenario
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
+
+    from .navigation import NavScene
 
 __all__ = ["FIGURE_IDS", "SweepReport", "run_sweep", "emit_csv", "report_to_csv_text"]
 
@@ -216,11 +225,15 @@ def _simulate(cfg: ScenarioConfig) -> SweepReport:
     return _table(rows)
 
 
-def _fix(scene: navigation.NavScene, sigma: float, rng: Generator, iters: int) -> tuple:
+def _fix(scene: NavScene, sigma: float, rng: Generator, iters: int) -> tuple:
     """A fix from pseudoranges drawn at noise sigma, and its squared position error.
 
     A fix that overflows a double (at a vanishing SNR, or from a scene ~1e154 m
     or more from the solver's start at the origin) is an InfeasibleError naming sigma."""
+    import numpy as np
+
+    from . import navigation
+
     pr = navigation.synthesize_pseudoranges(scene, sigma, rng)
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -232,6 +245,10 @@ def _fix(scene: navigation.NavScene, sigma: float, rng: Generator, iters: int) -
 
 
 def _position(cfg: ScenarioConfig) -> SweepReport:
+    from numpy.random import Generator, Philox
+
+    from . import navigation
+
     scene = cfg.nav_scene()
     sc = cfg.scenario()
     snr = noma.sinr(sc.moments.m3 ** 2, sc, "multicast")
@@ -289,6 +306,8 @@ def _nav_sigma(cfg: ScenarioConfig, sc: Scenario | None) -> float:
     so the SNR entering the ranging bound is the hardened signal SNR times
     that gain; the floor is a fixed fraction of the code chip length.
     """
+    from . import navigation
+
     if sc is None:
         return math.inf  # no RIS: the relayed link does not exist
     snr = noma.sinr(sc.moments.m3 ** 2, sc, "multicast")
@@ -299,6 +318,8 @@ def _nav_sigma(cfg: ScenarioConfig, sc: Scenario | None) -> float:
 
 
 def _sweep_nav_accuracy(cfg: ScenarioConfig) -> SweepReport:
+    from numpy.random import Generator, Philox
+
     scene = cfg.nav_scene()
     reps = cfg.nav_repetitions
     # the RMSE depends on sigma alone, and cells on the chip floor share one

@@ -232,10 +232,29 @@ class TestPosition:
         assert res.returncode == 0, res.stderr
         assert res.stdout == f"{draws}\n"
 
+    @pytest.mark.parametrize("argv, loads", [
+        (["analyze"], False),
+        (["constellation"], False),
+        (["reproduce", "constellation"], False),
+        # a fix does load it, so the checks above are not vacuous
+        (["position"], True),
+    ], ids=["analyze", "constellation", "reproduce-constellation", "position"])
+    def test_only_fixes_and_monte_carlo_load_numpy(self, tmp_path, argv, loads):
+        # numpy's import is most of a fresh process's start-up cost; a command
+        # that computes only closed forms needs none of it
+        code = ("import sys\n"
+                "from inaclink import cli\n"
+                f"assert cli.main({[*argv, '--out', str(tmp_path / 'out.csv')]!r}) == 0\n"
+                "print('numpy' in sys.modules)\n")
+        res = run_python("-c", code, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == f"{loads}\n"
+
     @pytest.mark.parametrize("touch, loads", [
         ("", False),
-        # the Monte Carlo names load it, so the check above is not vacuous
-        ("inaclink.sample_cascaded_gains\n", True),
+        # the sampler loads it when called, so the check above is not vacuous;
+        # its name alone loads montecarlo, which imports no numpy
+        ("inaclink.sample_cascaded_gains(sc.ris, sc.rician, inaclink.McConfig(100))\n", True),
     ], ids=["closed-forms", "monte-carlo-name"])
     def test_config_and_closed_forms_never_load_numpy(self, tmp_path, touch, loads):
         # numpy's import is most of a fresh process's start-up cost, and a

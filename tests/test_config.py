@@ -12,7 +12,7 @@ from inaclink import ScenarioConfig, default_scene, load_config
 from inaclink.channel import ChannelMoments, RicianParams, RisArray
 from inaclink.config import _shared, parse_config_text, parse_scene_text
 from inaclink.errors import ConfigError
-from inaclink.geometry import OrbitGeometry, RfParams, link_budget
+from inaclink.geometry import OrbitGeometry, RfParams, _fixed_terms, link_budget
 from inaclink.noma import (
     MODES,
     SIGNALS,
@@ -253,6 +253,7 @@ def _direct_objects(cfg):
     targets = RateTargets(cfg.multicast_rate_bpshz, cfg.unicast_rate_bpshz)
     orbit = OrbitGeometry(cfg.r_e_km * 1e3, cfg.r_m_km * 1e3, math.radians(cfg.elevation_deg))
     rf = RfParams(cfg.f_c_ghz * 1e9, 10.0 ** (cfg.g_t_dbi / 10.0), cfg.alpha1, cfg.alpha2, cfg.d_ru_m)
+    _fixed_terms.cache_clear()  # a budget worked out afresh, not one that an equal key left
     budget = link_budget(orbit, rf, cfg.tx_power_w, cfg.spread_gain_linear, cfg.bandwidth_hz)
     return {"power_split": split, "rate_targets": targets, "orbit": orbit, "rf_params": rf, "link": budget,
             "ris_array": RisArray(cfg.elements, cfg.amplitude), "rician_params": RicianParams(cfg.k_r, cfg.k_g)}
@@ -298,12 +299,14 @@ class TestSharedObjects:
     @given(values=st.fixed_dictionaries(SHARED_KEYS))
     def test_sharing_changes_no_output(self, values):
         # each config runs after its twin (every zero of the other sign, every
-        # integral value in the other spelling) filled the cache, so that it
-        # gets whatever objects the twin's equal keys share with it
+        # integral value in the other spelling) filled both caches, so that it
+        # gets whatever objects and link-budget terms the twin's equal keys
+        # share with it; the fresh scenario works its budget out uncached
         cfg = ScenarioConfig(**values)
         twin = ScenarioConfig(**{name: _other_spelling(v) for name, v in values.items()})
         for first, then in ((twin, cfg), (cfg, twin)):
             _shared.cache_clear()
+            _fixed_terms.cache_clear()
             _results(first.scenario)
             results = _results(then.scenario)
             assert results == _results(then.scenario) == _results(lambda: _direct_scenario(then))

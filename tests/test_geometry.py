@@ -22,6 +22,7 @@ from inaclink import (
     noise_power_watts,
     slant_range,
 )
+from inaclink import geometry
 from inaclink.errors import InfeasibleError
 from inaclink.geometry import (
     SPEED_OF_LIGHT,
@@ -170,6 +171,47 @@ class TestLinkBudget:
     def test_transmit_gain_floor(self):
         with pytest.raises(ValueError):
             RfParams(f_c=10e9, g_t=0.5, alpha1=2.0, alpha2=2.2, d_ru=10.0)
+
+
+class TestFixedTerms:
+    """link_budget works out what the orbit, the RF and the bandwidth fix once per distinct key."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = {name: 0 for name in ("slant_range", "large_scale_gain_satellite", "large_scale_gain_ris_user")}
+        for name in calls:
+            original = getattr(geometry, name)
+
+            def count(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(geometry, name, count)
+        geometry._fixed_terms.cache_clear()
+        return calls
+
+    def test_a_power_grid_works_the_orbit_and_rf_out_once(self, counted):
+        cfg = ScenarioConfig()
+        scenarios = [point.scenario() for point in cfg.grid_points("sweep_tx_power_dbm")]
+        assert len(scenarios) == 13
+        assert counted == {"slant_range": 1, "large_scale_gain_satellite": 1, "large_scale_gain_ris_user": 1}
+
+    def test_a_build_that_raises_keeps_nothing(self, counted):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="bandwidth"):
+                link_budget(default_geom(), default_rf(), 1.0, 1e3, 0.0)
+        assert geometry._fixed_terms.cache_info().currsize == 0
+        assert counted["slant_range"] == 2
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_a_zero_elevation_of_either_sign_gives_the_same_bits(self, counted, first):
+        # 0.0 and -0.0 share a key; the entry the first fills serves the other
+        p = 10.0 ** (46.0 / 10.0) * 1e-3
+        filled, served = (link_budget(default_geom(e), default_rf(), p, 1e3, 30e6).gamma for e in (first, -first))
+        assert counted["slant_range"] == 1
+        geometry._fixed_terms.cache_clear()
+        fresh = link_budget(default_geom(-first), default_rf(), p, 1e3, 30e6).gamma
+        assert filled.hex() == served.hex() == fresh.hex()
 
 
 class TestConstellation:
