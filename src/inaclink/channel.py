@@ -14,9 +14,9 @@ and the squared sum (the power gain) the folded-normal law of specialfn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import specialfn
+from ._record import record
 
 __all__ = [
     "RicianParams",
@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class RicianParams:
     """Rician K factors: satellite-RIS (k_r) and RIS-user (k_g).
 
@@ -46,7 +46,7 @@ class RicianParams:
             raise ValueError("k_g must be finite and >= 0")
 
 
-@dataclass(frozen=True)
+@record
 class RisArray:
     """RIS element count and the uniform amplitude coefficient beta."""
 
@@ -66,7 +66,7 @@ class RisArray:
                 f"num_elements={self.num_elements}")
 
 
-@dataclass(frozen=True)
+@record
 class ChannelMoments:
     """Per-link amplitude moments and the cascaded CLT moments."""
 

@@ -25,6 +25,11 @@ defined here rather than in montecarlo, so that neither loading a config
 nor building its scenario imports numpy; parsing a scene imports numpy and
 navigation.
 
+`ScenarioConfig` and `McConfig`, like every record of the package, are
+built by `_record.record`: a frozen dataclass whose `__init__` stores the
+fields in the instance dict, so a point built by `grid_points` or
+`dataclasses.replace` makes no `object.__setattr__` call per field.
+
 `orbit`, `rf_params`, `power_split` and `rate_targets` share one frozen
 object per argument tuple through `_shared`, a typed LRU cache of 256 over
 the type's constructor: the first build validates, a failed one keeps
@@ -46,10 +51,11 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import field, fields, replace
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
+from ._record import record
 from .channel import RicianParams, RisArray
 from .errors import ConfigError
 from .geometry import LinkBudget, OrbitGeometry, RfParams, link_budget
@@ -68,7 +74,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class McConfig:
     """Trial count and master seed of a Monte Carlo run."""
 
@@ -108,7 +114,7 @@ def _shared(cls, *args):
     return cls(*args)
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioConfig:
     """Every physical and protocol parameter of one experiment, boundary units."""
 

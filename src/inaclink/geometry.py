@@ -23,9 +23,9 @@ at configuration and report boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import record
 from .errors import InfeasibleError
 
 __all__ = [
@@ -49,7 +49,7 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 NOISE_DENSITY_DBM_PER_HZ = -174.0
 
 
-@dataclass(frozen=True)
+@record
 class OrbitGeometry:
     """Earth radius, satellite height above the surface, and elevation angle."""
 
@@ -67,7 +67,7 @@ class OrbitGeometry:
             raise ValueError(f"elevation must be in [0, pi/2], got {self.elevation}")
 
 
-@dataclass(frozen=True)
+@record
 class RfParams:
     """Carrier and path-loss parameters of the two hops."""
 
@@ -89,7 +89,7 @@ class RfParams:
             raise ValueError(f"d_ru must be > 0, got {self.d_ru}")
 
 
-@dataclass(frozen=True)
+@record
 class LinkBudget:
     """Aggregate deterministic gain and noise power of one scenario.
 

@@ -66,9 +66,9 @@ import os
 import threading
 from collections.abc import Iterable
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from ._record import record
 from .channel import RicianParams, RisArray, cascaded_moments, effective_gain_cdf
 from .errors import InfeasibleError
 from .noma import SIGNALS, Scenario, role, sinr
@@ -105,7 +105,7 @@ _BLOCK_DOUBLES = 1 << 18
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-@dataclass(frozen=True)
+@record
 class McEstimate:
     """Point estimate with a 95% confidence half-width."""
 

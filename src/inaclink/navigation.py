@@ -28,7 +28,10 @@ pseudoranges at the truth (its overflow check needs them, and
 `synthesize_pseudoranges` adds the noise to them).  Its arrays and the
 pseudoranges of a `PseudorangeSet` are read-only copies of the inputs, so a
 write through the caller's array cannot get round the checks made at
-construction or leave the kept values stale.
+construction or leave the kept values stale.  Both are records (`_record`):
+frozen dataclasses whose `__init__` stores the fields in the instance dict,
+and their `__post_init__` stores the copies and the derived values there
+the same way, never through `object.__setattr__`.
 
 `lsm_solve` builds its design matrix and model pseudoranges inline, but its
 arithmetic is that of stacking design rows [(x - a)/|x - a|, 1] and calling
@@ -62,11 +65,12 @@ improves with RIS gain and then plateaus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 
 import numpy as np
 from numpy.linalg import lapack_lite
 
+from ._record import record
 from .errors import DegenerateGeometryError
 from .geometry import SPEED_OF_LIGHT
 
@@ -101,7 +105,7 @@ def _norm(d: np.ndarray) -> float:
     return math.sqrt(d.dot(d))
 
 
-@dataclass(frozen=True)
+@record
 class NavScene:
     """Scene truth: anchor positions, the user, and the receiver clock bias.
 
@@ -120,24 +124,25 @@ class NavScene:
         sats = _readonly(self.sat_positions)
         if sats.shape != (3, 3):
             raise ValueError(f"sat_positions must be (3, 3), got {sats.shape}")
-        object.__setattr__(self, "sat_positions", sats)
-        object.__setattr__(self, "inac_sat_position", _vec3(self.inac_sat_position))
-        object.__setattr__(self, "ris_position", _vec3(self.ris_position))
-        object.__setattr__(self, "true_user", _vec3(self.true_user))
-        object.__setattr__(self, "r_tau_r", _norm(self.inac_sat_position - self.ris_position))
-        object.__setattr__(self, "_anchors", _readonly(np.concatenate((sats, self.ris_position[None]))))
+        d = self.__dict__
+        d["sat_positions"] = sats
+        d["inac_sat_position"] = _vec3(self.inac_sat_position)
+        d["ris_position"] = _vec3(self.ris_position)
+        d["true_user"] = _vec3(self.true_user)
+        d["r_tau_r"] = _norm(self.inac_sat_position - self.ris_position)
+        d["_anchors"] = _readonly(np.concatenate((sats, self.ris_position[None])))
         with np.errstate(over="ignore", invalid="ignore"):
             rho = predicted_pseudoranges(self, np.append(self.true_user, SPEED_OF_LIGHT * self.clock_bias))
         if not np.isfinite(rho).all():
             raise ValueError("the pseudoranges at the true user overflow a double")
-        object.__setattr__(self, "_rho_at_truth", _readonly(rho))
+        d["_rho_at_truth"] = _readonly(rho)
 
     def anchors(self) -> np.ndarray:
         """Anchor points of the four measurements: three satellites, then the RIS."""
         return self._anchors
 
 
-@dataclass(frozen=True)
+@record
 class PseudorangeSet:
     """Four measured pseudoranges, m."""
 
@@ -149,10 +154,10 @@ class PseudorangeSet:
             raise ValueError(f"rho must have shape (4,), got {rho.shape}")
         if not all(map(math.isfinite, rho.tolist())):
             raise ValueError("pseudoranges must be finite")
-        object.__setattr__(self, "rho", rho)
+        self.__dict__["rho"] = rho
 
 
-@dataclass(frozen=True)
+@record
 class PositionFix:
     """Solved state (x, y, z, c dt in meters), iterations used, final cost.
 

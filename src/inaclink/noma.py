@@ -24,7 +24,10 @@ Construction computes only those two records, reading each signal's share
 and rate straight from the split and the targets in decode order; the
 split, the targets and the orbit, RF and bandwidth terms of the link budget
 are computed once and shared between points (by `config` and
-`geometry.link_budget`).
+`geometry.link_budget`).  Like every record of the package (`_record`), a
+`Scenario` is a frozen dataclass whose `__init__` stores its fields in the
+instance dict, not through `object.__setattr__`; its `__post_init__`
+stores the two role records there the same way.
 The CLT moments are lazy: they sum two 1F1 series, which raise
 ConvergenceError for a Rician K past the series budget, and a command that
 reads no moments (`constellation`, say) must not fail on such a K.  Their
@@ -46,8 +49,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
+from ._record import record
 from .channel import (
     RicianParams,
     RisArray,
@@ -88,7 +91,7 @@ _SERIES_TERMS = 60
 _SERIES_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class PowerSplit:
     """Power shares of the superposed signals; alpha_m_sq + alpha_u_sq = 1."""
 
@@ -104,7 +107,7 @@ class PowerSplit:
             )
 
 
-@dataclass(frozen=True)
+@record
 class RateTargets:
     """Target rates in bps/Hz; eps = 2^R - 1 is the SINR threshold."""
 
@@ -117,7 +120,7 @@ class RateTargets:
             raise ValueError("target rates must be finite and in (0, 1024) bps/Hz, where 2^R - 1 is finite")
 
 
-@dataclass(frozen=True)
+@record
 class OutageResult:
     """Outage probability, in [0, 1]."""
 
@@ -143,7 +146,7 @@ class _LazyMoments:
         return moments
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     """One fully-specified operating point of either mode.
 
@@ -173,8 +176,8 @@ class Scenario:
             omega_first = _omega(eps * budget.noise_power, (own - other * eps) * budget.gamma)
             # the second-decoded signal must pass both stages; its own share is the first's other share
             omega_second = max(omega_first, _omega(_eps(rate_second) * budget.noise_power, other * budget.gamma))
-        object.__setattr__(self, "_roles", {first: _Role(own, other, True, rate_first, omega_first),
-                                            second: _Role(other, own, False, rate_second, omega_second)})
+        self.__dict__["_roles"] = {first: _Role(own, other, True, rate_first, omega_first),
+                                   second: _Role(other, own, False, rate_second, omega_second)}
 
     moments = _LazyMoments()
 

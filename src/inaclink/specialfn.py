@@ -10,12 +10,13 @@ Provides:
 All functions are pure; array inputs are accepted where vectorized use is
 natural (the CDF feeds empirical-distribution comparisons over 1e5 points).
 
-folded_normal_cdf has a scalar path for a float x, which is what every
-closed-form outage point passes: math.sqrt and the float _erfc skip the 0-d
-array round trip (np.asarray, np.any, 0-d ufuncs, np.maximum) that costs
-several times the arithmetic.  It returns the array path's bits: both square
-roots are correctly rounded, _erfc is scipy's erfc bit for bit, and its clamp
-keeps np.maximum(out, 0.0)'s rules (NaN propagates; -0.0 and negatives become
+folded_normal_cdf has a scalar path for a float or int x (a float is what
+every closed-form outage point passes): math.sqrt and the float _erfc skip
+the 0-d array round trip (np.asarray, np.any, 0-d ufuncs, np.maximum) that
+costs several times the arithmetic.  It returns the array path's bits:
+both square roots are correctly rounded (an int converts to the nearest
+double either way), _erfc is scipy's erfc bit for bit, and its clamp keeps
+np.maximum(out, 0.0)'s rules (NaN propagates; -0.0 and negatives become
 +0.0).  Arrays keep the array path, which imports numpy and scipy's erfc when
 first called; the closed forms therefore load neither numpy nor
 scipy.special, the two costliest imports of a fresh process.
@@ -147,7 +148,7 @@ def folded_normal_cdf(x, m3: float, v3: float):
     """
     if v3 <= 0.0:
         raise ValueError(f"variance v3 must be > 0, got {v3}")
-    if isinstance(x, float):
+    if isinstance(x, (float, int)):
         if x < 0.0:
             raise ValueError("power gain x must be >= 0")
         r = math.sqrt(x)

@@ -38,10 +38,11 @@ import csv
 import io
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import TYPE_CHECKING
 
 from . import noma
+from ._record import record
 from .config import ScenarioConfig
 from .errors import DegenerateGeometryError, InfeasibleError, NumericError
 from .geometry import coverage_area, geocentric_angle, min_satellites, slant_range
@@ -60,7 +61,7 @@ _NAV_SEED_SALT = 0x6E61765F
 _POSITION_SEED_SALT = 0x706F7369
 
 
-@dataclass(frozen=True)
+@record
 class SweepReport:
     """One sweep: the independent variable grid plus aligned result columns.
 
@@ -111,7 +112,7 @@ def emit_csv(report: SweepReport, path) -> None:
 # --- report builders ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class _McFigure:
     """A figure of analytic columns next to Monte Carlo, per signal, over one grid.
 

@@ -275,6 +275,8 @@ class TestPosition:
                 "        noma.outage_asymptotic(sc, signal)\n"
                 "    except RegionError:\n"
                 "        pass\n"
+                # an int gain takes the float path
+                "inaclink.effective_gain_cdf(2000, sc.moments)\n"
                 f"{touch}"
                 "print('numpy' in sys.modules)\n")
         res = run_python("-c", code, timeout=120)

@@ -167,7 +167,7 @@ def _scalar_and_array(x, m3, v3):
 
 
 class TestScalarPath:
-    """A float x takes math.sqrt and erfc on floats; an array, numpy.  Same bits."""
+    """A float or int x takes math.sqrt and erfc on floats; an array, numpy.  Same bits."""
 
     # sqrt(x) = m3 + z sqrt(2 v3), floored at 0: z < -m3 / sqrt(2 v3) gives x = 0,
     # and z near -24 or +24 reaches both tails of the CDF near 1e-250
@@ -183,6 +183,12 @@ class TestScalarPath:
         scalar, array = _scalar_and_array(root * root, m3, v3)
         assert scalar == array
         assert scalar != (-0.0).hex()
+
+    def test_int_equals_array(self):
+        # an int takes the scalar path too; 2^53 + 1 rounds to 2^53 on either
+        for n in (0, 1, 2000, 2**53 + 1):
+            scalar, array = _scalar_and_array(n, 34.0, 1.0)
+            assert scalar == array
 
     def test_nan_propagates(self):
         for x, m3 in ((math.nan, 1.0), (1.0, math.nan)):
