@@ -10,7 +10,8 @@ Its parameters, their order, annotations and defaults (a ``default_factory``
 shows as dataclass's own ``<factory>`` sentinel), and the init=False fields
 that a factory fills, are those dataclass would generate.  ``__eq__``,
 ``__hash__``, ``__repr__``, ``__match_args__`` and the frozen ``__setattr__``
-and ``__delattr__`` are dataclass's own.  Neither keyword-only fields nor
+and ``__delattr__`` are dataclass's own, except that an ``__eq__`` or
+``__hash__`` written in the class body stays, as dataclass leaves it.  Neither keyword-only fields nor
 ``InitVar`` pseudo-fields are supported; no record uses them.
 """
 

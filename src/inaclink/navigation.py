@@ -31,7 +31,9 @@ write through the caller's array cannot get round the checks made at
 construction or leave the kept values stale.  Both are records (`_record`):
 frozen dataclasses whose `__init__` stores the fields in the instance dict,
 and their `__post_init__` stores the copies and the derived values there
-the same way, never through `object.__setattr__`.
+the same way, never through `object.__setattr__`.  They, and `PositionFix`,
+compare and hash each array field by its dtype, shape and bytes (so -0.0 and
+0.0 differ), where dataclass's `==` would ask numpy for one truth value.
 
 `lsm_solve` builds its design matrix and model pseudoranges inline, but its
 arithmetic is that of stacking design rows [(x - a)/|x - a|, 1] and calling
@@ -48,14 +50,25 @@ Three calls of each iteration stay in numpy for their bits: the design-row
 norms (one stacked matmul), the cost `b.dot(b)` and the gelsd step.  The
 first two run OpenBLAS's ddot, which fuses multiply-adds; Python 3.11 floats
 have none, and a float sum of four squares differs from ddot on about one
-random residual in four.  add.reduce over a length-3 row adds left to right,
-(d0^2 + d1^2) + d2^2, as floats do (a test pins numpy's order), so the direct
-ranges and the residual are floats, read with one `ndarray.tolist()` per
-iteration.  The differences, square roots, design entries and state update
-round the same either way; they stay one numpy call each, on views of one
-buffer per solve, which costs less than floats and reports an overflow
-through numpy's errstate.  U's clock entries come out of the divide as
-|d| / |d|, exactly 1 for a finite |d|; after an overflow to inf they are filled.
+random residual in four.  The rest is Python float code, which rounds as the
+ufuncs do: the differences, the square roots, the direct ranges (add.reduce
+over a length-3 row adds left to right, (d0^2 + d1^2) + d2^2, as floats do;
+a test pins numpy's order), the residual, the design entries and the state
+update.  Each buffer that numpy or LAPACK reads (the differences, the
+residual and U transposed) is written by one `struct.pack_into`, and the
+norms and the step are read back by one `tolist()` each.  U's clock entries
+are |d| / |d|, exactly 1 for a finite |d|; after an overflow to inf they are 1.
+
+Float arithmetic raises no `FloatingPointError`, but no overflow goes
+unreported, since the floats cannot overflow before a numpy call does.  The
+matmul and `b.dot(b)` report under `np.errstate(over="raise")`; while
+they do not, each |d| and |b| is below sqrt(max double), about 1.3e154.  A
+full-rank gelsd step is at most |b| / (rcond * sigma_max) < |b| / (4 eps),
+below 2e169 (U's rows have norm sqrt(2), so sigma_max >= 1): it cannot push
+the clock past the largest double, and a position it pushes past 1.3e154
+overflows the next matmul.  So each difference is of a position within
+2e169 of the origin and an anchor within 1.3e154 of it (else the first
+matmul overflowed), and each design entry |d_j| / |d| is at most 1.
 
 SNR enters through a delay-estimation noise model: sigma scales as
 1/sqrt(SNR) down to a code-resolution floor, so navigation accuracy
@@ -65,7 +78,8 @@ improves with RIS gain and then plateaus.
 from __future__ import annotations
 
 import math
-from dataclasses import field
+import struct
+from dataclasses import field, fields
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -100,6 +114,20 @@ def _vec3(x) -> np.ndarray:
     return arr
 
 
+def _compared(rec) -> tuple:
+    """The compared fields of a record, each array as (dtype, shape, bytes): equal iff the bits are."""
+    return tuple((v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+                 for v in (getattr(rec, f.name) for f in fields(rec) if f.compare))
+
+
+def _eq(self, other) -> bool:
+    return _compared(self) == _compared(other) if other.__class__ is self.__class__ else NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(_compared(self))
+
+
 def _norm(d: np.ndarray) -> float:
     """|d| of a 3-vector as a 1-D `np.linalg.norm` takes it: sqrt(d . d)."""
     return math.sqrt(d.dot(d))
@@ -119,6 +147,7 @@ class NavScene:
     clock_bias: float  # receiver clock offset, s
     #: known satellite-RIS leg length of the relayed measurement, m
     r_tau_r: float = field(init=False, repr=False, compare=False)
+    __eq__, __hash__ = _eq, _hash
 
     def __post_init__(self) -> None:
         sats = _readonly(self.sat_positions)
@@ -147,6 +176,7 @@ class PseudorangeSet:
     """Four measured pseudoranges, m."""
 
     rho: np.ndarray  # (4,)
+    __eq__, __hash__ = _eq, _hash
 
     def __post_init__(self) -> None:
         rho = _readonly(self.rho)
@@ -170,6 +200,7 @@ class PositionFix:
     iterations_used: int
     final_cost: float
     converged: bool
+    __eq__, __hash__ = _eq, _hash
 
     @property
     def position(self) -> np.ndarray:
@@ -224,6 +255,9 @@ _LWORK, _LIWORK = _gelsd_workspace_size()
 #: the solver's stop: a residual cost below this many m^2 accepts the state
 _LOSS = 1e-6
 
+#: write 12, 4 or 16 floats into the buffer an ndarray exposes, in one call
+_pack12, _pack4, _pack16 = (struct.Struct(f"{n}d").pack_into for n in (12, 4, 16))
+
 
 def lsm_solve(pr: PseudorangeSet, scene: NavScene, iters: int = 20) -> PositionFix:
     """Iterative least-squares position/clock solution from the origin.
@@ -238,44 +272,47 @@ def lsm_solve(pr: PseudorangeSet, scene: NavScene, iters: int = 20) -> PositionF
     leak into the solve.  Bit-identical to stacking the design rows and
     calling `predicted_pseudoranges` each iteration (see the module notes).
 
-    gelsd is called through `numpy.linalg.lapack_lite` on views of one buffer
-    this call allocates: U is kept transposed in the C-order `ut`, which
-    LAPACK reads as column-major U, and rebuilt each step because gelsd
-    overwrites `ut`; the residual `b` comes back as the step.  A rank below
-    4 raises DegenerateGeometryError, a nonzero gelsd info LinAlgError, as
+    The state, differences, ranges, residual and design entries are Python
+    floats.  An iteration makes three numpy calls, each for bits that floats
+    cannot reproduce: the stacked matmul of the row norms, the cost
+    `b.dot(b)` and gelsd, called through `numpy.linalg.lapack_lite`.  Each
+    buffer they read (d, b, and U transposed into the C-order `ut`, which
+    LAPACK reads as column-major U) is written by one `struct.pack_into`;
+    gelsd overwrites `ut`, and `b` with the step.  A rank below 4 raises
+    DegenerateGeometryError, a nonzero gelsd info LinAlgError, as
     `np.linalg.lstsq` would.
     """
     if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
         raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
-    anchors, r_tau_r, loss = scene.anchors(), scene.r_tau_r, _LOSS
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22), (a30, a31, a32) = scene.anchors().tolist()
+    r_tau_r, loss = scene.r_tau_r, _LOSS
     rho0, rho1, rho2, rho3 = pr.rho.tolist()
-    buf = np.empty(48 + _LWORK + _LIWORK)  # the one scratch buffer of the solve, cut into views
-    # rows 0-3: the linearization point minus anchor i, then its |d|; row 4: the state
-    diff = buf[:20].reshape(5, 4)
-    ut = buf[20:36].reshape(4, 4)  # design matrix, transposed
-    # residual in and step out, d . d of each row, singular values, workspaces
-    b, dots, s, work = buf[36:40], buf[40:44], buf[44:48], buf[48:48 + _LWORK]
-    iwork = buf[48 + _LWORK:].view(np.intc)  # room for _LIWORK LAPACK integers of up to 8 bytes
-    subtract, matmul, sqrt, divide, dgelsd = np.subtract, np.matmul, np.sqrt, np.divide, lapack_lite.dgelsd
-    x = diff[4]
-    x.fill(0.0)  # the start: the origin, with no clock offset
-    # views made once: the state's position, d and |d|, the rows of d as stacked
-    # (1x3) and (3x1) matrices, [d, |d|] transposed, and b's items
-    position, d, r, flat = x[:3], diff[:4, :3], diff[:4, 3], buf[:20]
+    buf = np.empty(40 + _LWORK + _LIWORK)  # the one scratch buffer of the solve, cut into views
+    d = buf[:12].reshape(4, 3)  # row i: the linearization point minus anchor i
+    ut = buf[12:28].reshape(4, 4)  # design matrix, transposed
+    # d . d of each row, residual in and step out, singular values, workspaces
+    dots, b, s, work = buf[28:32], buf[32:36], buf[36:40], buf[40:40 + _LWORK]
+    iwork = buf[40 + _LWORK:].view(np.intc)  # room for _LIWORK LAPACK integers of up to 8 bytes
+    # the rows of d as stacked (1x3) and (3x1) matrices, and the dots as their (1x1) products
     rows, cols, dots_out = d[:, None, :], d[:, :, None], dots[:, None, None]
-    diff_t, b_items = diff[:4].T, memoryview(b)  # a memoryview sets an item in half an ndarray's time
+    matmul, dgelsd, sqrt = np.matmul, lapack_lite.dgelsd, math.sqrt
+    x0 = x1 = x2 = clock = 0.0  # the start: the origin, with no clock offset
     for k in range(1, iters + 2):  # pass iters + 1 only scores the last step
-        subtract(position, anchors, d)
+        d00, d01, d02 = x0 - a00, x1 - a01, x2 - a02
+        d10, d11, d12 = x0 - a10, x1 - a11, x2 - a12
+        d20, d21, d22 = x0 - a20, x1 - a21, x2 - a22
+        d30, d31, d32 = x0 - a30, x1 - a31, x2 - a32
+        _pack12(d, 0, d00, d01, d02, d10, d11, d12, d20, d21, d22, d30, d31, d32)
         # |d| as sqrt(d . d), as a 1-D norm takes it: a stacked (1x3)(3x1)
         # matmul runs the same dot kernel as a 1-D ndarray.dot, row by row
         matmul(rows, cols, dots_out)
-        sqrt(dots, r)
-        d00, d01, d02, r0, d10, d11, d12, r1, d20, d21, d22, r2, _, _, _, r3, _, _, _, clock = flat.tolist()
+        dot0, dot1, dot2, dot3 = dots.tolist()
+        r0, r1, r2, r3 = sqrt(dot0), sqrt(dot1), sqrt(dot2), sqrt(dot3)
         # direct ranges in norm(axis=1)'s order, as predicted_pseudoranges takes them
-        b_items[0] = rho0 - (math.sqrt((d00 * d00 + d01 * d01) + d02 * d02) + clock)
-        b_items[1] = rho1 - (math.sqrt((d10 * d10 + d11 * d11) + d12 * d12) + clock)
-        b_items[2] = rho2 - (math.sqrt((d20 * d20 + d21 * d21) + d22 * d22) + clock)
-        b_items[3] = rho3 - (r_tau_r + r3 + clock)
+        _pack4(b, 0, rho0 - (sqrt((d00 * d00 + d01 * d01) + d02 * d02) + clock),
+               rho1 - (sqrt((d10 * d10 + d11 * d11) + d12 * d12) + clock),
+               rho2 - (sqrt((d20 * d20 + d21 * d21) + d22 * d22) + clock),
+               rho3 - (r_tau_r + r3 + clock))
         # cblas_ddot, as b @ b calls it: it fuses multiply-adds, so floats cannot match it
         cost = float(b.dot(b))
         if cost < loss or k > iters:
@@ -283,17 +320,24 @@ def lsm_solve(pr: PseudorangeSet, scene: NavScene, iters: int = 20) -> PositionF
         if 0.0 in (r0, r1, r2, r3):
             raise DegenerateGeometryError("linearization point coincides with the anchor")
         if math.inf in (r0, r1, r2, r3):  # an overflowed |d|: |d| / |d| would be NaN
-            divide(d.T, r, ut[:3])
-            ut[3].fill(1.0)
-        else:  # [d, |d|] / |d|: U's rows [d / |d|, 1], transposed into ut
-            divide(diff_t, r, ut)
+            c0 = c1 = c2 = c3 = 1.0
+        else:  # |d| / |d|: exactly 1 for a finite |d|, NaN for a NaN one
+            c0, c1, c2, c3 = r0 / r0, r1 / r1, r2 / r2, r3 / r3
+        # U's rows [d / |d|, 1], transposed into ut
+        _pack16(ut, 0, d00 / r0, d10 / r1, d20 / r2, d30 / r3, d01 / r0, d11 / r1, d21 / r2, d31 / r3,
+                d02 / r0, d12 / r1, d22 / r2, d32 / r3, c0, c1, c2, c3)
         res = dgelsd(4, 4, 1, ut, 4, b, 4, s, _RCOND, 0, work, _LWORK, iwork, 0)
         if res["info"]:
             raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
         if res["rank"] < 4:
             raise DegenerateGeometryError("design matrix is rank deficient")
-        x += b
-    return PositionFix(state=x.copy(), iterations_used=min(k, iters), final_cost=cost, converged=cost < loss)
+        s0, s1, s2, s3 = b.tolist()
+        x0 += s0
+        x1 += s1
+        x2 += s2
+        clock += s3
+    return PositionFix(state=np.array((x0, x1, x2, clock)), iterations_used=min(k, iters), final_cost=cost,
+                       converged=cost < loss)
 
 
 def dilution_of_precision(scene: NavScene) -> tuple[float, float]:

@@ -334,6 +334,25 @@ class TestSolver:
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             lsm_solve(noiseless_measurements(scene), scene)
 
+    @pytest.mark.parametrize("component, kernel", [(slice(0, 3), "matmul"), (3, "dot")],
+                             ids=["position", "clock"])
+    def test_an_overflowing_step_is_reported(self, monkeypatch, component, kernel):
+        # gelsd's step set to 1e308: a position that far out overflows the next
+        # |d| in the norms' matmul, and a clock that far out the next cost in
+        # b.dot(b); the FloatingPointError is what sweeps._fix turns into exit 3
+        dgelsd = navigation.lapack_lite.dgelsd
+
+        def huge_step(*args):
+            res = dgelsd(*args)
+            args[5][component] = 1e308  # args[5]: b, which gelsd overwrites with the step
+            return res
+
+        monkeypatch.setattr(navigation.lapack_lite, "dgelsd", huge_step)
+        scene = default_scene()
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(FloatingPointError, match=f"overflow encountered in {kernel}$"):
+                lsm_solve(noiseless_measurements(scene), scene)
+
     def test_control_validation(self):
         # an iteration cap that the loop cannot use fails before it, not in range();
         # a bool is an int to Python, but True is no count of steps
@@ -343,6 +362,21 @@ class TestSolver:
             with pytest.raises(ValueError, match="iters must be an integer >= 1"):
                 lsm_solve(pr, scene, iters)
         assert lsm_solve(pr, scene, np.int64(3)).iterations_used == 3
+
+
+def structured(k):
+    """Scene k of those `scenegen.structured_scene` draws from one fixed seed,
+    with its RIS moved 10 m from the user, as in the paper's geometry (the
+    default scene's RIS is 9.9 m off).  Where structured_scene puts the RIS,
+    Earth radii away, every fix of `TestBitIdentity` converges within six
+    steps; 10 m off, many of them run to the cap of 20."""
+    rng = np.random.default_rng(20)
+    for _ in range(k + 1):
+        scene = scenegen.structured_scene(rng)
+        offset = rng.standard_normal(3)
+    ris = scene.true_user + 10.0 * offset / np.linalg.norm(offset)
+    return NavScene(sat_positions=scene.sat_positions, inac_sat_position=scene.inac_sat_position,
+                    ris_position=ris, true_user=scene.true_user, clock_bias=scene.clock_bias)
 
 
 class TestBitIdentity:
@@ -357,6 +391,8 @@ class TestBitIdentity:
         pytest.param(lambda: default_scene(), 12, id="iters-12"),
         # one step, then a pass that only scores it: no fix can stop early
         pytest.param(lambda: default_scene(), 1, id="iters-1"),
+        # off the default geometry, over all 20 iterations
+        *(pytest.param(lambda k=k: structured(k), 20, id=f"structured-{k}") for k in range(4)),
     ]
 
     @pytest.mark.parametrize("make_scene, iters", CASES)

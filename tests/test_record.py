@@ -78,10 +78,8 @@ def _init_args(obj) -> dict:
 
 
 def _same(a, b) -> bool:
-    """Same type and every field equal (arrays by value; a record of arrays has no usable ==)."""
-    return type(a) is type(b) and all(
-        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a)))
+    """Same type and equal: a record with array fields compares their bytes."""
+    return type(a) is type(b) and a == b
 
 
 def test_every_record_class_has_an_example():
@@ -173,3 +171,52 @@ def test_a_raising_post_init_propagates(cls, monkeypatch):
     monkeypatch.setattr(cls, "__post_init__", post_init)
     with pytest.raises(_PostInitRan):
         cls(**args)
+
+
+def test_a_class_body_eq_and_hash_stay():
+    # dataclass leaves an __eq__ or __hash__ that the class defines, and so does record
+    def eq(self, other):
+        return True
+
+    def hash_(self):
+        return 7
+
+    @record
+    class Custom:
+        a: list
+        __eq__, __hash__ = eq, hash_
+
+    assert Custom.__eq__ is eq and Custom.__hash__ is hash_
+    assert Custom([1]) == Custom([2]) and hash(Custom([1])) == 7
+
+
+class TestArrayRecordsCompareBytes:
+    """The navigation records compare and hash their array fields by dtype, shape and bytes."""
+
+    def test_two_default_scenes_are_equal_and_hash_equal(self):
+        a, b = config.default_scene(), config.default_scene()
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+
+    def test_a_moved_scene_is_unequal(self):
+        scene = config.default_scene()
+        moved = replace(scene, true_user=scene.true_user + [0.0, 0.0, 1e-9])
+        assert moved != scene and not moved == scene
+        assert replace(scene, clock_bias=scene.clock_bias * 2) != scene
+
+    def test_a_fix_equals_its_replace_copy(self):
+        fix = navigation.PositionFix(np.array([1.0, -2.0, 3.0, 4.0]), 20, 0.5, False)
+        assert replace(fix) == fix and hash(replace(fix)) == hash(fix)
+        assert replace(fix, iterations_used=19) != fix
+
+    def test_signed_zeros_and_dtypes_differ(self):
+        zero = navigation.PseudorangeSet(np.zeros(4))
+        assert navigation.PseudorangeSet(np.array([-0.0, 0.0, 0.0, 0.0])) != zero
+        fix = navigation.PositionFix(np.zeros(4), 1, 0.0, True)
+        assert replace(fix, state=np.zeros(4, np.float32)) != fix
+        assert replace(fix, state=np.zeros((2, 2))) != fix
+
+    def test_another_class_is_not_equal(self):
+        rho = np.arange(4.0)
+        assert navigation.PseudorangeSet(rho) != navigation.PositionFix(rho, 1, 0.0, True)
+        assert navigation.PseudorangeSet(rho) != rho.tobytes()
