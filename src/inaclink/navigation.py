@@ -25,15 +25,11 @@ catalogue fixes by more than ~6 mm.
 A `NavScene` works out what depends on the scene alone once, when it is
 built: the relay leg `r_tauR`, the `anchors()` stack and the model
 pseudoranges at the truth (its overflow check needs them, and
-`synthesize_pseudoranges` adds the noise to them).  Its arrays and the
-pseudoranges of a `PseudorangeSet` are read-only copies of the inputs, so a
-write through the caller's array cannot get round the checks made at
-construction or leave the kept values stale.  Both are records (`_record`):
-frozen dataclasses whose `__init__` stores the fields in the instance dict,
-and their `__post_init__` stores the copies and the derived values there
-the same way, never through `object.__setattr__`.  They, and `PositionFix`,
-compare and hash each array field by its dtype, shape and bytes (so -0.0 and
-0.0 differ), where dataclass's `==` would ask numpy for one truth value.
+`synthesize_pseudoranges` adds the noise to them).  The three records
+(`_record`) keep their vectors as tuples of Python floats, which each
+`__post_init__` converts from any sequence or array and stores in the
+instance dict: they are immutable, and compare and hash by value as any
+dataclass of floats does.
 
 `lsm_solve` builds its design matrix and model pseudoranges inline, but its
 arithmetic is that of stacking design rows [(x - a)/|x - a|, 1] and calling
@@ -79,7 +75,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import field, fields
+from dataclasses import field
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -100,73 +96,45 @@ __all__ = [
 ]
 
 
-def _readonly(x) -> np.ndarray:
-    """A read-only float copy of x, so no write through the caller's array reaches it."""
-    arr = np.array(x, dtype=float)
-    arr.flags.writeable = False
-    return arr
-
-
-def _vec3(x) -> np.ndarray:
-    arr = _readonly(x)
-    if arr.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
-    return arr
-
-
-def _compared(rec) -> tuple:
-    """The compared fields of a record, each array as (dtype, shape, bytes): equal iff the bits are."""
-    return tuple((v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
-                 for v in (getattr(rec, f.name) for f in fields(rec) if f.compare))
-
-
-def _eq(self, other) -> bool:
-    return _compared(self) == _compared(other) if other.__class__ is self.__class__ else NotImplemented
-
-
-def _hash(self) -> int:
-    return hash(_compared(self))
-
-
-def _norm(d: np.ndarray) -> float:
-    """|d| of a 3-vector as a 1-D `np.linalg.norm` takes it: sqrt(d . d)."""
-    return math.sqrt(d.dot(d))
+def _floats(x, name: str, shape: tuple) -> tuple:
+    """x as a tuple of Python floats (of 3-tuples for a 2-D shape), checked to have this shape."""
+    arr = np.asarray(x, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    return tuple(map(tuple, arr.tolist())) if len(shape) == 2 else tuple(arr.tolist())
 
 
 @record
 class NavScene:
     """Scene truth: anchor positions, the user, and the receiver clock bias.
 
-    Keeps read-only copies of its arrays, `anchors()` and the pseudoranges at
-    the truth (module notes); a scene whose pseudoranges overflow is rejected."""
+    Keeps each position as a tuple of floats, and `anchors()` and the
+    pseudoranges at the truth (module notes); a scene whose pseudoranges
+    overflow is rejected."""
 
-    sat_positions: np.ndarray  # (3, 3) navigation satellites, m
-    inac_sat_position: np.ndarray  # (3,) INAC satellite, m
-    ris_position: np.ndarray  # (3,) RIS, m
-    true_user: np.ndarray  # (3,) user, m
+    sat_positions: tuple  # three navigation satellites, each (x, y, z), m
+    inac_sat_position: tuple  # INAC satellite (x, y, z), m
+    ris_position: tuple  # RIS (x, y, z), m
+    true_user: tuple  # user (x, y, z), m
     clock_bias: float  # receiver clock offset, s
     #: known satellite-RIS leg length of the relayed measurement, m
     r_tau_r: float = field(init=False, repr=False, compare=False)
-    __eq__, __hash__ = _eq, _hash
 
     def __post_init__(self) -> None:
-        sats = _readonly(self.sat_positions)
-        if sats.shape != (3, 3):
-            raise ValueError(f"sat_positions must be (3, 3), got {sats.shape}")
         d = self.__dict__
-        d["sat_positions"] = sats
-        d["inac_sat_position"] = _vec3(self.inac_sat_position)
-        d["ris_position"] = _vec3(self.ris_position)
-        d["true_user"] = _vec3(self.true_user)
-        d["r_tau_r"] = _norm(self.inac_sat_position - self.ris_position)
-        d["_anchors"] = _readonly(np.concatenate((sats, self.ris_position[None])))
+        d["sat_positions"] = sats = _floats(self.sat_positions, "sat_positions", (3, 3))
+        for name in ("inac_sat_position", "ris_position", "true_user"):
+            d[name] = _floats(d[name], name, (3,))
+        leg = np.subtract(self.inac_sat_position, self.ris_position)
+        d["r_tau_r"] = math.sqrt(leg.dot(leg))  # |leg| as a 1-D `np.linalg.norm` takes it
+        d["_anchors"] = (*sats, self.ris_position)
         with np.errstate(over="ignore", invalid="ignore"):
-            rho = predicted_pseudoranges(self, np.append(self.true_user, SPEED_OF_LIGHT * self.clock_bias))
-        if not np.isfinite(rho).all():
+            rho = predicted_pseudoranges(self, (*self.true_user, SPEED_OF_LIGHT * self.clock_bias)).tolist()
+        if not all(map(math.isfinite, rho)):
             raise ValueError("the pseudoranges at the true user overflow a double")
-        d["_rho_at_truth"] = _readonly(rho)
+        d["_rho_at_truth"] = tuple(rho)
 
-    def anchors(self) -> np.ndarray:
+    def anchors(self) -> tuple:
         """Anchor points of the four measurements: three satellites, then the RIS."""
         return self._anchors
 
@@ -175,14 +143,11 @@ class NavScene:
 class PseudorangeSet:
     """Four measured pseudoranges, m."""
 
-    rho: np.ndarray  # (4,)
-    __eq__, __hash__ = _eq, _hash
+    rho: tuple  # four floats
 
     def __post_init__(self) -> None:
-        rho = _readonly(self.rho)
-        if rho.shape != (4,):
-            raise ValueError(f"rho must have shape (4,), got {rho.shape}")
-        if not all(map(math.isfinite, rho.tolist())):
+        rho = _floats(self.rho, "rho", (4,))
+        if not all(map(math.isfinite, rho)):
             raise ValueError("pseudoranges must be finite")
         self.__dict__["rho"] = rho
 
@@ -191,24 +156,27 @@ class PseudorangeSet:
 class PositionFix:
     """Solved state (x, y, z, c dt in meters), iterations used, final cost.
 
-    `converged` is True iff the final cost is below the stop `_LOSS`; a fix
-    that ran to the iteration cap without getting there is returned as it
-    stands, with `converged` False.
+    The state is kept as a 4-tuple of floats, converted from any sequence
+    or array of four values.  `converged` is True iff the final cost is
+    below the stop `_LOSS`; a fix that ran to the iteration cap without
+    getting there is returned as it stands, with `converged` False.
     """
 
-    state: np.ndarray
+    state: tuple
     iterations_used: int
     final_cost: float
     converged: bool
-    __eq__, __hash__ = _eq, _hash
+
+    def __post_init__(self) -> None:
+        self.__dict__["state"] = _floats(self.state, "state", (4,))
 
     @property
-    def position(self) -> np.ndarray:
+    def position(self) -> tuple:
         return self.state[:3]
 
     @property
     def clock_bias_s(self) -> float:
-        return float(self.state[3]) / SPEED_OF_LIGHT
+        return self.state[3] / SPEED_OF_LIGHT
 
 
 def synthesize_pseudoranges(
@@ -221,15 +189,15 @@ def synthesize_pseudoranges(
     """
     if not noise_sigma >= 0.0:  # NaN fails too
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
-    return PseudorangeSet(rho=scene._rho_at_truth + noise_sigma * rng.standard_normal(4))
+    return PseudorangeSet(rho=np.add(scene._rho_at_truth, noise_sigma * rng.standard_normal(4)))
 
 
-def predicted_pseudoranges(scene: NavScene, state: np.ndarray) -> np.ndarray:
-    """Model pseudoranges at a trial state (x, y, z, c dt)."""
-    pos = state[:3]
+def predicted_pseudoranges(scene: NavScene, state: tuple | np.ndarray) -> np.ndarray:
+    """Model pseudoranges at a trial state (x, y, z, c dt), a sequence or array of four."""
+    pos, clock = state[:3], state[3]
     out = np.empty(4)
-    out[:3] = np.linalg.norm(scene.sat_positions - pos, axis=1) + state[3]
-    out[3] = scene.r_tau_r + np.linalg.norm(scene.ris_position - pos) + state[3]
+    out[:3] = np.linalg.norm(np.subtract(scene.sat_positions, pos), axis=1) + clock
+    out[3] = scene.r_tau_r + np.linalg.norm(np.subtract(scene.ris_position, pos)) + clock
     return out
 
 
@@ -284,9 +252,9 @@ def lsm_solve(pr: PseudorangeSet, scene: NavScene, iters: int = 20) -> PositionF
     """
     if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
         raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22), (a30, a31, a32) = scene.anchors().tolist()
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22), (a30, a31, a32) = scene.anchors()
     r_tau_r, loss = scene.r_tau_r, _LOSS
-    rho0, rho1, rho2, rho3 = pr.rho.tolist()
+    rho0, rho1, rho2, rho3 = pr.rho
     buf = np.empty(40 + _LWORK + _LIWORK)  # the one scratch buffer of the solve, cut into views
     d = buf[:12].reshape(4, 3)  # row i: the linearization point minus anchor i
     ut = buf[12:28].reshape(4, 4)  # design matrix, transposed
@@ -336,7 +304,7 @@ def lsm_solve(pr: PseudorangeSet, scene: NavScene, iters: int = 20) -> PositionF
         x1 += s1
         x2 += s2
         clock += s3
-    return PositionFix(state=np.array((x0, x1, x2, clock)), iterations_used=min(k, iters), final_cost=cost,
+    return PositionFix(state=(x0, x1, x2, clock), iterations_used=min(k, iters), final_cost=cost,
                        converged=cost < loss)
 
 
@@ -348,7 +316,7 @@ def dilution_of_precision(scene: NavScene) -> tuple[float, float]:
     U's rows take |d| as sqrt(d . d), as `lsm_solve`'s do.  A user on an anchor
     or a singular U^T U raises DegenerateGeometryError.
     """
-    diff = scene.true_user - scene.anchors()
+    diff = np.subtract(scene.true_user, scene.anchors())
     r = np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])).reshape(4, 1)
     if not r.all():
         raise DegenerateGeometryError("user coincides with an anchor: no DOP")

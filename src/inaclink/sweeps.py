@@ -239,7 +239,7 @@ def _fix(scene: NavScene, sigma: float, rng: Generator, iters: int) -> tuple:
     try:
         with np.errstate(over="raise", invalid="raise"):
             fix = navigation.lsm_solve(pr, scene, iters)
-            err = fix.position - scene.true_user
+            err = np.subtract(fix.position, scene.true_user)
             return fix, float(err @ err)
     except FloatingPointError as exc:
         raise InfeasibleError(f"the position fix overflows a double at sigma_m = {sigma:.3g}") from exc

@@ -274,11 +274,11 @@ def test_criterion_6_noiseless_positioning(monkeypatch):
         truth = np.append(scene.true_user, SPEED_OF_LIGHT * scene.clock_bias)
         pr = PseudorangeSet(rho=predicted_pseudoranges(scene, truth))
         fix = lsm_solve(pr, scene)
-        worst_pos = max(worst_pos, float(np.linalg.norm(fix.position - scene.true_user)))
+        worst_pos = max(worst_pos, float(np.linalg.norm(np.subtract(fix.position, scene.true_user))))
         worst_clk = max(worst_clk, abs(fix.clock_bias_s - scene.clock_bias))
         worst_iters = max(worst_iters, fix.iterations_used)
-        shifted = lsm_solve(PseudorangeSet(rho=pr.rho + 250.0), scene)
-        worst_shift = max(worst_shift, float(np.linalg.norm(shifted.position - fix.position)))
+        shifted = lsm_solve(PseudorangeSet(rho=np.add(pr.rho, 250.0)), scene)
+        worst_shift = max(worst_shift, float(np.linalg.norm(np.subtract(shifted.position, fix.position))))
         worst_absorb = max(worst_absorb, abs(shifted.state[3] - fix.state[3] - 250.0))
     ok = (
         worst_pos <= 1e-3

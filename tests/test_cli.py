@@ -62,7 +62,7 @@ def scene_text(scene):
     vectors = {"sat1": scene.sat_positions[0], "sat2": scene.sat_positions[1],
                "sat3": scene.sat_positions[2], "inac_sat": scene.inac_sat_position,
                "ris": scene.ris_position, "user": scene.true_user}
-    text = "".join(f"{key} = {' '.join(map(repr, v.tolist()))}\n" for key, v in vectors.items())
+    text = "".join(f"{key} = {' '.join(map(repr, v))}\n" for key, v in vectors.items())
     return f"{text}clock_bias_s = {scene.clock_bias!r}\n"
 
 

@@ -422,8 +422,8 @@ class TestDefaultScene:
         )
         scene = default_scene()
         arrays = (scene.sat_positions, scene.inac_sat_position, scene.ris_position, scene.true_user)
-        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in reference]
-        assert [a.shape for a in arrays] == [a.shape for a in reference]
+        assert [np.asarray(a).tobytes() for a in arrays] == [a.tobytes() for a in reference]
+        assert [np.shape(a) for a in arrays] == [a.shape for a in reference]
         assert scene.clock_bias == 2.5e-4
 
     def test_well_posed(self):

@@ -29,8 +29,9 @@ def noiseless_measurements(scene):
 
 def shifted(scene, t):
     """The whole scene moved by the vector t."""
-    return NavScene(sat_positions=scene.sat_positions + t, inac_sat_position=scene.inac_sat_position + t,
-                    ris_position=scene.ris_position + t, true_user=scene.true_user + t,
+    return NavScene(sat_positions=np.add(scene.sat_positions, t),
+                    inac_sat_position=np.add(scene.inac_sat_position, t),
+                    ris_position=np.add(scene.ris_position, t), true_user=np.add(scene.true_user, t),
                     clock_bias=scene.clock_bias)
 
 
@@ -68,7 +69,7 @@ def _reference_lsm_solve(pr, scene, iters, loss):
     iterations = iters
     cost = math.inf
     for k in range(1, iters + 1):
-        b = pr.rho - predicted_pseudoranges(scene, x)
+        b = np.subtract(pr.rho, predicted_pseudoranges(scene, x))
         cost = float(b @ b)
         if cost < loss:
             iterations = k
@@ -79,7 +80,7 @@ def _reference_lsm_solve(pr, scene, iters, loss):
             raise DegenerateGeometryError("design matrix is rank deficient")
         x = x + dx
     else:
-        b = pr.rho - predicted_pseudoranges(scene, x)
+        b = np.subtract(pr.rho, predicted_pseudoranges(scene, x))
         cost = float(b @ b)
     return x, iterations, cost
 
@@ -105,20 +106,17 @@ class TestNavScene:
 
     def test_anchor_stack_puts_ris_last(self):
         scene = default_scene()
-        anchors = scene.anchors()
-        assert anchors.shape == (4, 3)
-        np.testing.assert_array_equal(anchors[:3], scene.sat_positions)
-        np.testing.assert_array_equal(anchors[3], scene.ris_position)
+        assert scene.anchors() == (*scene.sat_positions, scene.ris_position)
 
     def test_relay_leg_length(self):
         scene = default_scene()
         assert scene.r_tau_r == pytest.approx(
-            float(np.linalg.norm(scene.inac_sat_position - scene.ris_position)), rel=0
+            float(np.linalg.norm(np.subtract(scene.inac_sat_position, scene.ris_position))), rel=0
         )
 
 
 class TestInputsAreCopied:
-    """Each value object keeps a read-only copy of its input arrays: a write
+    """Each value object keeps its inputs as tuples of floats: a write
     through the caller's array cannot get round the checks made at
     construction, nor leave what the scene keeps stale."""
 
@@ -131,8 +129,8 @@ class TestInputsAreCopied:
 
         def snapshot():
             pr = synthesize_pseudoranges(scene, 2.0, np.random.default_rng(0))
-            return ([getattr(scene, name).tobytes() for name in self.SCENE_ARRAYS],
-                    scene.anchors().tobytes(), scene.r_tau_r, pr.rho.tobytes())
+            return ([np.asarray(getattr(scene, name)).tobytes() for name in self.SCENE_ARRAYS],
+                    np.asarray(scene.anchors()).tobytes(), scene.r_tau_r, np.asarray(pr.rho).tobytes())
 
         before = snapshot()
         for arr in inputs.values():
@@ -142,24 +140,69 @@ class TestInputsAreCopied:
         assert np.isfinite(predicted_pseudoranges(scene, truth)).all()
 
     def test_a_write_to_the_callers_rho_changes_nothing(self):
-        rho = synthesize_pseudoranges(default_scene(), 2.0, np.random.default_rng(0)).rho.copy()
+        rho = np.array(synthesize_pseudoranges(default_scene(), 2.0, np.random.default_rng(0)).rho)
         pr = PseudorangeSet(rho=rho)
-        before = pr.rho.tobytes()
+        before = np.asarray(pr.rho).tobytes()
         rho[0] = math.nan  # would fail the finite check, had the set kept this array
-        assert pr.rho.tobytes() == before
+        assert np.asarray(pr.rho).tobytes() == before
 
     @pytest.mark.parametrize("name", SCENE_ARRAYS)
     def test_the_scene_arrays_are_read_only(self, name):
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(TypeError, match="does not support item assignment"):
             getattr(default_scene(), name)[0] = 1e300
 
     def test_anchors_and_rho_are_read_only(self):
         scene = default_scene()
-        with pytest.raises(ValueError, match="read-only"):
-            scene.anchors()[0, 0] = 1e300
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            scene.anchors()[0] = (1e300, 0.0, 0.0)
+        with pytest.raises(TypeError, match="does not support item assignment"):
+            scene.anchors()[0][0] = 1e300
         pr = synthesize_pseudoranges(scene, 2.0, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="read-only"):
+        with pytest.raises(TypeError, match="does not support item assignment"):
             pr.rho[0] = math.nan
+
+
+class TestFloatTuples:
+    """Every record vector is a tuple of Python floats, whatever sequence or array it was built from."""
+
+    BUILDERS = {"list": lambda a: np.asarray(a).tolist(), "tuple": lambda a: tuple(np.asarray(a).tolist()),
+                "ndarray": np.asarray}
+
+    @staticmethod
+    def _is_floats(value, length):
+        return type(value) is tuple and len(value) == length and all(type(v) is float for v in value)
+
+    @pytest.mark.parametrize("build", list(BUILDERS.values()), ids=list(BUILDERS))
+    def test_each_field_is_a_tuple_of_floats(self, build):
+        built = default_scene()
+        scene = NavScene(sat_positions=build(built.sat_positions),
+                         inac_sat_position=build(built.inac_sat_position),
+                         ris_position=build(built.ris_position), true_user=build(built.true_user),
+                         clock_bias=built.clock_bias)
+        assert scene == built
+        assert type(scene.sat_positions) is tuple and len(scene.sat_positions) == 3
+        assert all(self._is_floats(row, 3) for row in scene.sat_positions)
+        assert all(self._is_floats(getattr(scene, name), 3)
+                   for name in ("inac_sat_position", "ris_position", "true_user"))
+        assert type(scene.anchors()) is tuple and all(self._is_floats(a, 3) for a in scene.anchors())
+        pr = PseudorangeSet(rho=build([1.0, 2.0, 3.0, 4.0]))
+        assert self._is_floats(pr.rho, 4)
+        fix = navigation.PositionFix(build([1.0, -2.0, 3.0, 4.0]), 5, 0.25, True)
+        assert self._is_floats(fix.state, 4) and self._is_floats(fix.position, 3)
+
+    @pytest.mark.parametrize("state", [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0, 5.0], np.zeros((2, 2))],
+                             ids=["3", "5", "2x2"])
+    def test_a_fix_state_of_other_than_four_values_is_rejected(self, state):
+        with pytest.raises(ValueError, match=r"state must have shape \(4,\)"):
+            navigation.PositionFix(state, 1, 0.0, True)
+
+    def test_predicted_pseudoranges_take_a_tuple_or_an_array_alike(self):
+        rng = np.random.default_rng(5)
+        scene = default_scene()
+        for _ in range(200):
+            state = rng.standard_normal(4) * 10.0 ** rng.uniform(0.0, 7.5)
+            want = predicted_pseudoranges(scene, state).tobytes()
+            assert predicted_pseudoranges(scene, tuple(state.tolist())).tobytes() == want
 
 
 class TestSynthesis:
@@ -169,9 +212,9 @@ class TestSynthesis:
         pr = synthesize_pseudoranges(scene, 0.0, rng)
         clock_m = SPEED_OF_LIGHT * scene.clock_bias
         for i in range(3):
-            expected = np.linalg.norm(scene.sat_positions[i] - scene.true_user) + clock_m
+            expected = np.linalg.norm(np.subtract(scene.sat_positions[i], scene.true_user)) + clock_m
             assert pr.rho[i] == pytest.approx(expected, rel=1e-15)
-        relayed = scene.r_tau_r + np.linalg.norm(scene.ris_position - scene.true_user) + clock_m
+        relayed = scene.r_tau_r + np.linalg.norm(np.subtract(scene.ris_position, scene.true_user)) + clock_m
         assert pr.rho[3] == pytest.approx(relayed, rel=1e-15)
 
     def test_noise_scale(self):
@@ -180,7 +223,7 @@ class TestSynthesis:
             [synthesize_pseudoranges(scene, 5.0, np.random.default_rng(i)).rho for i in range(400)]
         )
         clean = synthesize_pseudoranges(scene, 0.0, np.random.default_rng(0)).rho
-        spread = np.std(draws - clean, axis=0)
+        spread = np.std(np.subtract(draws, clean), axis=0)
         np.testing.assert_allclose(spread, 5.0, rtol=0.15)
 
     def test_model_at_the_truth_plus_four_draws(self):
@@ -190,7 +233,7 @@ class TestSynthesis:
         for seed in range(20):
             pr = synthesize_pseudoranges(scene, 3.5, np.random.default_rng(seed))
             want = predicted_pseudoranges(scene, truth) + 3.5 * np.random.default_rng(seed).standard_normal(4)
-            assert pr.rho.tobytes() == want.tobytes()
+            assert np.asarray(pr.rho).tobytes() == want.tobytes()
 
     def test_negative_sigma_rejected(self):
         for sigma in (-1.0, math.nan):
@@ -237,7 +280,7 @@ class TestSolver:
     def test_noiseless_cold_start_recovers_truth(self):
         scene = default_scene()
         fix = lsm_solve(noiseless_measurements(scene), scene)
-        assert np.linalg.norm(fix.position - scene.true_user) < 1e-4
+        assert np.linalg.norm(np.subtract(fix.position, scene.true_user)) < 1e-4
         assert abs(fix.clock_bias_s - scene.clock_bias) < 1e-12
         assert fix.iterations_used <= 10
         assert fix.final_cost < 1e-6
@@ -245,10 +288,10 @@ class TestSolver:
     def test_warm_start_converges_immediately(self):
         # the solver starts at the origin: a scene whose truth is there starts on it
         base = default_scene()
-        moved = shifted(base, -base.true_user)
+        moved = shifted(base, np.negative(base.true_user))
         scene = NavScene(sat_positions=moved.sat_positions, inac_sat_position=moved.inac_sat_position,
                          ris_position=moved.ris_position, true_user=moved.true_user, clock_bias=0.0)
-        assert not scene.true_user.any()
+        assert not any(scene.true_user)
         fix = lsm_solve(noiseless_measurements(scene), scene)
         assert fix.iterations_used == 1
         assert fix.final_cost == 0.0
@@ -258,14 +301,14 @@ class TestSolver:
         scene = default_scene()
         pr = noiseless_measurements(scene)
         base = lsm_solve(pr, scene)
-        offset = lsm_solve(PseudorangeSet(rho=pr.rho + 250.0), scene)
-        assert np.linalg.norm(offset.position - base.position) < 1e-5
+        offset = lsm_solve(PseudorangeSet(rho=np.add(pr.rho, 250.0)), scene)
+        assert np.linalg.norm(np.subtract(offset.position, base.position)) < 1e-5
         assert offset.state[3] - base.state[3] == pytest.approx(250.0, abs=1e-5)
 
     def test_translation_equivariance(self):
         scene = shifted(default_scene(), [1000.0, -2000.0, 500.0])
         fix = lsm_solve(noiseless_measurements(scene), scene)
-        assert np.linalg.norm(fix.position - scene.true_user) < 1e-3
+        assert np.linalg.norm(np.subtract(fix.position, scene.true_user)) < 1e-3
 
     def test_iteration_cap_is_reported(self):
         scene = default_scene()
@@ -281,8 +324,8 @@ class TestSolver:
 
     def test_start_on_an_anchor_is_degenerate(self):
         # the scene moved so that its RIS sits on the solver's start, the origin
-        scene = shifted(default_scene(), -default_scene().ris_position)
-        assert not scene.ris_position.any()
+        scene = shifted(default_scene(), np.negative(default_scene().ris_position))
+        assert not any(scene.ris_position)
         with pytest.raises(DegenerateGeometryError, match="coincides with the anchor"):
             lsm_solve(noiseless_measurements(scene), scene)
 
@@ -303,7 +346,7 @@ class TestSolver:
         costs = []
         for _ in range(500):
             pr = synthesize_pseudoranges(scene, sigma, rng)
-            b = pr.rho - predicted_pseudoranges(scene, truth)
+            b = np.subtract(pr.rho, predicted_pseudoranges(scene, truth))
             costs.append(float(b @ b))
         # E[cost] = 4 sigma^2
         se = np.std(costs, ddof=1) / math.sqrt(len(costs))
@@ -405,7 +448,7 @@ class TestBitIdentity:
             pr = synthesize_pseudoranges(scene, sigma, np.random.default_rng(seed))
             state, iterations, cost = _reference_lsm_solve(pr, scene, iters, self.LOSS)
             fix = lsm_solve(pr, scene, iters)
-            assert fix.state.tobytes() == state.tobytes()
+            assert np.asarray(fix.state).tobytes() == state.tobytes()
             assert fix.iterations_used == iterations
             assert fix.final_cost == cost
             assert fix.converged == (cost < self.LOSS)
@@ -455,7 +498,7 @@ class TestGelsdStep:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(navigation, "_LOSS", 1e-300)
             fix = lsm_solve(pr, scene, 2)
-        assert fix.state.tobytes() == state.tobytes()
+        assert np.asarray(fix.state).tobytes() == state.tobytes()
         assert (fix.iterations_used, fix.final_cost) == (iterations, cost)
 
 
@@ -526,7 +569,7 @@ class TestDop:
         for scene in scenes:
             dop = dilution_of_precision(scene)
             assert dop == _reference_dop(scene)
-            diff = scene.true_user - scene.anchors()
+            diff = np.subtract(scene.true_user, scene.anchors())
             u = np.column_stack([diff / np.linalg.norm(diff, axis=1)[:, None], np.ones(4)])
             q = np.linalg.inv(u.T @ u)
             other_norm += dop != (math.sqrt(np.trace(q)), math.sqrt(np.trace(q[:3, :3])))
@@ -564,7 +607,7 @@ class TestDop:
         for _ in range(reps):
             pr = synthesize_pseudoranges(scene, sigma, rng)
             fix = lsm_solve(pr, scene)
-            err = fix.state - truth
+            err = np.subtract(fix.state, truth)
             state_sq += float(err @ err)
             pos_sq += float(err[:3] @ err[:3])
         gdop, pdop = dilution_of_precision(scene)
